@@ -13,71 +13,81 @@ rank observations at a single point are therefore conclusive:
 A point witnessing neither proves nothing, and the caller must fall back
 to exact elimination.  Points come from a fixed seed, so outcomes are
 reproducible.
+
+Field arithmetic goes through log and antilog tables of GF(2^15)* with
+respect to x, modulo x^15 + x + 1: a product is EXP[LOG[a] + LOG[b]] and a
+monomial at a point is EXP[sum of e * LOG[x_v] mod ORDER], exact because
+witness points have no zero coordinate.  The tables are `array('H')` (about
+200 KB) and are built on first use, so importing the package stays cheap.
+The build doubles as the self-check: it walks the powers of x and requires
+x^ORDER = 1 while x^(ORDER/p) != 1 for each prime p of ORDER = 7*31*151.
+That gives x multiplicative order 2^15 - 1, which no reducible modulus of
+degree 15 allows (its ring has fewer units), so the modulus is irreducible,
+x is primitive and LOG is a bijection onto 0..ORDER-1.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from array import array
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gf2poly import Poly
 
 _DEG = 15
-_MODMASK = (1 << _DEG) | 0b11  # x^15 + x + 1, irreducible over GF(2)
+_MODMASK = (1 << _DEG) | 0b11  # x^15 + x + 1
 _ORDER = (1 << _DEG) - 1
+_ORDER_PRIMES = (7, 31, 151)
 
 
-def _mul(a: int, b: int) -> int:
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        b >>= 1
+@lru_cache(maxsize=None)
+def _tables() -> Tuple[array, array]:
+    """(EXP, LOG) with EXP[i] = x^i for 0 <= i < 2*ORDER, so that a sum of
+    two logs indexes EXP without reduction, and LOG[x^i] = i; LOG[0] is
+    unused."""
+    exp = array("H", bytes(4 * _ORDER))
+    log = array("H", bytes(2 << _DEG))
+    a = 1
+    for i in range(_ORDER):
+        exp[i] = a
+        log[a] = i
         a <<= 1
         if a >> _DEG:
             a ^= _MODMASK
-    return out
+    if a != 1 or any(exp[_ORDER // p] == 1 for p in _ORDER_PRIMES):
+        raise AssertionError("field modulus is not primitive")
+    exp[_ORDER:] = exp[:_ORDER]
+    return exp, log
+
+
+def _mul(a: int, b: int) -> int:
+    if not a or not b:
+        return 0
+    exp, log = _tables()
+    return exp[log[a] + log[b]]
 
 
 def _pow(a: int, e: int) -> int:
-    e %= _ORDER
-    out = 1
-    while e:
-        if e & 1:
-            out = _mul(out, a)
-        a = _mul(a, a)
-        e >>= 1
-    return out
+    """a^e for any integer e; 0^e is 0 for e != 0."""
+    if not a:
+        return 0 if e else 1
+    exp, log = _tables()
+    return exp[log[a] * e % _ORDER]
 
 
-def _selfcheck() -> None:
-    # x generates no subfield relation early: x^(2^15) = x while x^(2^k)
-    # differs from x for every k < 15, which pins the modulus irreducible
-    x = 0b10
-    frob = x
-    for k in range(1, _DEG + 1):
-        frob = _mul(frob, frob)
-        if frob == x:
-            if k != _DEG:
-                raise AssertionError("field modulus is not irreducible")
-            return
-    raise AssertionError("field modulus fails the Frobenius orbit check")
-
-
-_selfcheck()
-
-
-def _eval_poly(p: Poly, assign: Dict[str, int]) -> int:
+def _eval_poly(p: Poly, logs: Dict[str, int], exp: array) -> int:
+    """p at the point whose coordinates have the logarithms `logs`."""
     acc = 0
     for mono in p.terms:
-        v = 1
+        s = 0
         for name, e in mono:
-            v = _mul(v, _pow(assign[name], e))
-        acc ^= v
+            s += e * logs[name]
+        acc ^= exp[s % _ORDER]
     return acc
 
 
-def _rank(rows: List[List[int]]) -> int:
+def _rank(rows: List[List[int]], exp: array, log: array) -> int:
     rank = 0
     ncols = len(rows[0]) if rows else 0
     rows = [list(r) for r in rows]
@@ -90,13 +100,16 @@ def _rank(rows: List[List[int]]) -> int:
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = _pow(rows[rank][col], _ORDER - 1)
-        prow = [_mul(inv, e) for e in rows[rank]]
+        # scale the pivot row to a leading 1: multiply by x^(ORDER - LOG)
+        inv = _ORDER - log[rows[rank][col]]
+        prow = [exp[log[e] + inv] if e else 0 for e in rows[rank]]
         rows[rank] = prow
         for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [e ^ _mul(f, pe) for e, pe in zip(rows[i], prow)]
+            f = rows[i][col]
+            if i != rank and f:
+                lf = log[f]
+                rows[i] = [e ^ exp[lf + log[pe]] if pe else e
+                           for e, pe in zip(rows[i], prow)]
         rank += 1
     return rank
 
@@ -113,19 +126,20 @@ def numeric_verdict(matrix: Sequence[Sequence[Poly]],
     if not nrows:
         return None
     ncols = len(matrix[0])
+    exp, log = _tables()
     names = sorted({v for row in matrix for e in row for m in e.terms
                     for v, _ in m}
                    | {v for e in rhs for m in e.terms for v, _ in m})
     rng = random.Random(0x51D2)
     for _ in range(trials):
-        assign = {n: rng.randrange(1, _ORDER + 1) for n in names}
-        plain = [[_eval_poly(e, assign) for e in row] for row in matrix]
-        r = _rank(plain)
+        logs = {n: log[rng.randrange(1, _ORDER + 1)] for n in names}
+        plain = [[_eval_poly(e, logs, exp) for e in row] for row in matrix]
+        r = _rank(plain, exp, log)
         if r == nrows:
             return True
         if r == ncols and ncols < nrows:
-            augmented = [row + [_eval_poly(b, assign)]
+            augmented = [row + [_eval_poly(b, logs, exp)]
                          for row, b in zip(plain, rhs)]
-            if _rank(augmented) == ncols + 1:
+            if _rank(augmented, exp, log) == ncols + 1:
                 return False
     return None

@@ -34,6 +34,9 @@ COMMAND_ARITY = {
 }
 
 _KEYWORDS = frozenset(COMMAND_ARITY) | {"field", "form"}
+# each level of parentheses costs the recursive descent four frames, so
+# this keeps deep input well inside the interpreter's recursion limit
+MAX_NESTING = 100
 _PUNCT = frozenset("()<>,;=+*/^")
 
 
@@ -140,6 +143,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.depth_limit = depth_limit
+        self.nesting = 0
         self.field: Optional[FieldTower] = None
         self.field_vars: Tuple[str, ...] = ()
         self.forms: List[FormDef] = []
@@ -313,8 +317,13 @@ class _Parser:
                     f"{tok.value!r} is not declared")
             return self.current_field().var(tok.value)
         if tok.kind == "(":
+            if self.nesting == MAX_NESTING:
+                self.fail(tok, f"parentheses nested deeper than "
+                               f"{MAX_NESTING} levels")
             self.next()
+            self.nesting += 1
             value = self.parse_expr()
+            self.nesting -= 1
             self.expect(")", "')'")
             return value
         self.fail(tok, f"expected an expression, found "

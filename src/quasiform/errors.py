@@ -37,16 +37,6 @@ class DimensionMismatch(QuasiformError):
     """Two forms have incompatible dimensions for the requested operation."""
 
 
-class NormFieldNotAField(QuasiformError):
-    """Defensive guard: the generated coefficient algebra misbehaved.
-
-    The algebra generated inside the ambient field is always an integral
-    domain, hence a field, so this error is believed unreachable; it is kept
-    so that a violation surfaces loudly instead of silently corrupting a
-    similarity verdict.
-    """
-
-
 class BadCodimension(QuasiformError):
     """Requested generic subform codimension out of range."""
 

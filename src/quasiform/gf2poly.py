@@ -23,6 +23,9 @@ from .errors import DivisionByZero, UnknownVariable
 Monomial = Tuple[Tuple[str, int], ...]
 
 _MONO_ONE: Monomial = ()
+_ONE_TERMS: FrozenSet[Monomial] = frozenset((_MONO_ONE,))
+# Poly.one's shared instances, one per variable tuple
+_ONES: Dict[Tuple[str, ...], "Poly"] = {}
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -85,7 +88,12 @@ class Poly:
 
     @staticmethod
     def one(variables: Tuple[str, ...] = ()) -> "Poly":
-        return Poly((_MONO_ONE,), variables)
+        # shared: every reduced fraction with a polynomial value carries
+        # it as denominator
+        p = _ONES.get(variables)
+        if p is None:
+            p = _ONES[variables] = Poly(_ONE_TERMS, variables)
+        return p
 
     @staticmethod
     def variable(name: str, variables: Tuple[str, ...]) -> "Poly":
@@ -101,7 +109,7 @@ class Poly:
 
     @property
     def is_one(self) -> bool:
-        return self.terms == frozenset((_MONO_ONE,))
+        return self.terms == _ONE_TERMS
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -581,10 +589,6 @@ class RatFn:
         return (isinstance(other, RatFn)
                 and self.num == other.num and self.den == other.den)
 
-    def cross_equals(self, other: "RatFn") -> bool:
-        """Representation-free equality by cross multiplication."""
-        return self.num * other.den == other.num * self.den
-
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
@@ -646,21 +650,6 @@ class RatFn:
 def is_square(p):
     """Square root of a Poly or RatFn if one exists, else None."""
     return p.square_root()
-
-
-def arith(op: str, a, b):
-    """Basic arithmetic dispatcher: op in {'add', 'mul', 'div'}."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if isinstance(b, Poly):
-            if b.is_zero:
-                raise DivisionByZero("division by zero polynomial")
-            return RatFn(a, b) if isinstance(a, Poly) else a * RatFn.from_poly(b).invert()
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def derivative(p: Poly, v: str) -> Poly:

@@ -11,12 +11,15 @@ Reduction to commutative linear algebra over F = GF(2)(base variables):
    x_{i,m} in F; then c_i^2 = sum x_{i,m}^2 Theta_m with Theta_m = (y^m)^2;
 2. the equation splits into one F-equation per generator mask mu, with
    coefficients (Theta_m g_i)_mu;
-3. clear denominators per equation by a square, then split each F-equation by
-   exponent parity: F is a free module over F^2 with basis the square-free
+3. clear denominators per F-equation by one common polynomial, then split it
+   by exponent parity: F is a free module over F^2 with basis the square-free
    variable monomials, so coefficients match class by class;
 4. inside one parity class every quantity is a square; taking square roots
    (Frobenius is injective) leaves an ordinary linear system over F, solved
    fraction-free.
+
+Each generator owns a block of columns in that system (`_SquareBlocks`).  The
+blocks are built once per query, so a greedy rank loop only selects columns.
 
 Every returned relation is re-verified exactly in the tower before being
 handed out.
@@ -24,7 +27,7 @@ handed out.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _elim, _gfnum
 from .errors import ZeroGenerator
@@ -50,98 +53,108 @@ def _clear_denominators(elems: Sequence[TowerElem]) -> List[TowerElem]:
     return [e.scale(r) for e in elems]
 
 
-def _square_rows(
-    coeff_fns: List[RatFn], rhs_fn: Optional[RatFn]
-) -> List[Tuple[List[Poly], Poly]]:
-    """Split one F-equation  sum x_u^2 * coeff_u = rhs  into linear rows.
+_RowKey = Tuple[int, int, Tuple[str, ...]]
+_ZERO = Poly.zero(())
 
-    Multiplies through by the common denominator (the unknowns are untouched
-    by a uniform scaling), decomposes every polynomial coefficient over the
-    square-free monomial basis of F over F^2, and takes square roots class by
-    class; x_u^2 times a polynomial never mixes parity classes.
+
+class _SquareBlocks:
+    """The square system of a fixed list of columns, built once and then
+    restricted to any choice of unknowns and right-hand side.
+
+    Column j holds one tower element per equation e; the system is
+    sum_j c_j^2 * columns[j][e] = target[e].  Each equation is scaled by one
+    common base scalar, and each of its mu-components by one common
+    denominator, both taken over every column, so that any subset of the
+    columns, with any other column as target, reads off the same rows.
+    `blocks[j]` maps a row key (e, mu, parity class) to the nmasks entries
+    of column j's unknowns x_{j,m}, the coefficient of x_{j,m}^2 being
+    (Theta_m * columns[j][e])_mu; a target column contributes its m = 0
+    entry.  Only keys with a nonzero entry are stored.
     """
-    den = Poly.one(())
-    for fn in coeff_fns:
-        if fn is not None and not fn.den.is_one:
-            den = poly_lcm(den, fn.den)
-    if rhs_fn is not None and not rhs_fn.den.is_one:
-        den = poly_lcm(den, rhs_fn.den)
 
-    def cleared(fn: Optional[RatFn]) -> Poly:
-        if fn is None or fn.is_zero:
-            return Poly.zero(())
-        return fn.num * poly_divmod_exact(den, fn.den)
+    __slots__ = ("tower", "nmasks", "blocks")
 
-    coeff_polys = [cleared(fn) for fn in coeff_fns]
-    rhs_poly = cleared(rhs_fn)
+    def __init__(self, columns: Sequence[Sequence[TowerElem]]):
+        tower = columns[0][0].tower
+        nmasks = 1 << tower.depth
+        blocks: List[Dict[_RowKey, List[Poly]]] = [{} for _ in columns]
+        for e in range(len(columns[0])):
+            row = _clear_denominators([col[e] for col in columns])
+            # products[j][m] = Theta_m * g_j as mask -> RatFn
+            products = [[tower._mul(tower._theta_mask(m), g.coeffs)
+                         for m in range(nmasks)] for g in row]
+            dens: Dict[int, Poly] = {}
+            for per_mask in products:
+                for p in per_mask:
+                    for mu, fn in p.items():
+                        if not fn.den.is_one:
+                            dens[mu] = poly_lcm(dens.get(mu, Poly.one(())),
+                                                fn.den)
+            for block, per_mask in zip(blocks, products):
+                for m, p in enumerate(per_mask):
+                    for mu, fn in p.items():
+                        num = fn.num
+                        den = dens.get(mu)
+                        if den is not None:
+                            num = num * (den if fn.den.is_one else
+                                         poly_divmod_exact(den, fn.den))
+                        # split by exponent parity: inside one class every
+                        # quantity is a square, so take square roots
+                        coords = RatFn.from_poly(num).square_coordinates()
+                        for parity, root in coords.items():
+                            key = (e, mu, tuple(sorted(parity)))
+                            entries = block.get(key)
+                            if entries is None:
+                                entries = block[key] = [_ZERO] * nmasks
+                            entries[m] = root.num
+        self.tower = tower
+        self.nmasks = nmasks
+        self.blocks = blocks
 
-    classes: Dict[FrozenSet[str], Tuple[List[Optional[Poly]], Optional[Poly]]] = {}
+    def system(self, cols: Sequence[int], target: Optional[int] = None
+               ) -> Tuple[List[List[Poly]], List[Poly]]:
+        """Matrix in the unknowns of `cols` (column-major, as
+        _coeff_vectors reads a solution) and the rhs of column `target`;
+        rows zero in both are dropped."""
+        blocks = self.blocks
+        keys = set()
+        for j in cols:
+            keys.update(blocks[j])
+        rhs_block = blocks[target] if target is not None else {}
+        keys.update(k for k, v in rhs_block.items() if not v[0].is_zero)
+        pad = [_ZERO] * self.nmasks
+        matrix: List[List[Poly]] = []
+        rhs: List[Poly] = []
+        for key in sorted(keys):
+            row: List[Poly] = []
+            for j in cols:
+                row.extend(blocks[j].get(key, pad))
+            matrix.append(row)
+            entries = rhs_block.get(key)
+            rhs.append(entries[0] if entries is not None else _ZERO)
+        return matrix, rhs
 
-    def digest(p: Poly, slot: Optional[int]) -> None:
-        if p.is_zero:
-            return
-        for parity, root in RatFn.from_poly(p).square_coordinates().items():
-            entry = classes.setdefault(
-                parity, ([None] * len(coeff_polys), None))
-            if slot is None:
-                classes[parity] = (entry[0], root.num)
-            else:
-                entry[0][slot] = root.num
+    def solvable(self, cols: Sequence[int], target: int) -> bool:
+        """Decision only: the numeric witness when it settles the system,
+        exact elimination otherwise."""
+        matrix, rhs = self.system(cols, target)
+        verdict = _gfnum.numeric_verdict(matrix, rhs)
+        if verdict is not None:
+            return verdict
+        return _elim.solvable(matrix, rhs)
 
-    for u, cp in enumerate(coeff_polys):
-        digest(cp, u)
-    digest(rhs_poly, None)
-
-    zero = Poly.zero(())
-    rows = []
-    for parity in sorted(classes, key=lambda s: tuple(sorted(s))):
-        cols, rhs = classes[parity]
-        rows.append(([c if c is not None else zero for c in cols],
-                     rhs if rhs is not None else zero))
-    return rows
-
-
-def _build_square_system(
-    gen_rows: Sequence[Sequence[TowerElem]],
-    targets: Sequence[Optional[TowerElem]],
-) -> Tuple[List[List[Poly]], List[Poly], FieldTower, int]:
-    """Linear system for the simultaneous equations
-    sum_i c_i^2 * gen_rows[e][i] = targets[e] with shared unknowns c_i."""
-    tower = gen_rows[0][0].tower
-    ncols = len(gen_rows[0])
-    s = tower.depth
-    nmasks = 1 << s
-
-    matrix: List[List[Poly]] = []
-    rhs: List[Poly] = []
-    zero_fn = RatFn.zero(tower.base_vars)
-    for row, target in zip(gen_rows, targets):
-        elems = list(row) + ([target] if target is not None else [])
-        cleared = _clear_denominators(elems)
-        row_c = cleared[:ncols]
-        target_c = cleared[ncols] if target is not None else None
-
-        # column (i, m): coefficient of x_{i,m}^2 in the mu-component is
-        # (Theta_m * g_i)_mu
-        products: List[Optional[Dict[int, RatFn]]] = []
-        for g in row_c:
-            for m in range(nmasks):
-                if g.is_zero:
-                    products.append(None)
-                else:
-                    products.append(tower._mul(tower._theta_mask(m), g.coeffs))
-
-        for mu in range(nmasks):
-            coeff_fns = [p.get(mu) if p is not None else None
-                         for p in products]
-            rhs_fn = target_c.coeffs.get(mu) if target_c is not None else None
-            if all(fn is None for fn in coeff_fns) and rhs_fn is None:
-                continue
-            safe = [fn if fn is not None else zero_fn for fn in coeff_fns]
-            for cols, r in _square_rows(safe, rhs_fn):
-                matrix.append(cols)
-                rhs.append(r)
-    return matrix, rhs, tower, nmasks
+    def roots(self, cols: Sequence[int], target: Optional[int],
+              witness: bool = False) -> Optional[List[TowerElem]]:
+        """Roots c_j for the columns in `cols`, or None when unsolvable.
+        With `witness`, a numeric proof of unsolvability skips the exact
+        solve; a solution always comes from exact elimination."""
+        matrix, rhs = self.system(cols, target)
+        if witness and _gfnum.numeric_verdict(matrix, rhs) is False:
+            return None
+        sol = _elim.solve(matrix, rhs)
+        if sol is None:
+            return None
+        return _coeff_vectors(sol, len(cols), self.nmasks, self.tower)
 
 
 def _coeff_vectors(
@@ -168,11 +181,12 @@ def solve_square_system_multi(
         return []
     if not gen_rows[0]:
         return [] if all(t.is_zero for t in targets) else None
-    matrix, rhs, tower, nmasks = _build_square_system(gen_rows, targets)
-    sol = _elim.solve(matrix, rhs)
-    if sol is None:
+    ngens = len(gen_rows[0])
+    blocks = _SquareBlocks(list(zip(*gen_rows)) + [targets])
+    roots = blocks.roots(range(ngens), ngens)
+    if roots is None:
         return None
-    roots = _coeff_vectors(sol, len(gen_rows[0]), nmasks, tower)
+    tower = blocks.tower
     for row, target in zip(gen_rows, targets):
         acc = tower.zero()
         for c, g in zip(roots, row):
@@ -203,11 +217,8 @@ def square_system_solvable(
     """
     if not gens:
         return target.is_zero
-    matrix, rhs, _, _ = _build_square_system([list(gens)], [target])
-    verdict = _gfnum.numeric_verdict(matrix, rhs)
-    if verdict is not None:
-        return verdict
-    return _elim.solvable(matrix, rhs)
+    blocks = _SquareBlocks([(g,) for g in gens] + [(target,)])
+    return blocks.solvable(range(len(gens)), len(gens))
 
 
 def square_nullspace_multi(
@@ -216,13 +227,14 @@ def square_nullspace_multi(
     """Basis of shared root vectors annihilating every equation."""
     if not gen_rows or not gen_rows[0]:
         return []
-    matrix, _, tower, nmasks = _build_square_system(
-        gen_rows, [None] * len(gen_rows))
-    ncols = len(gen_rows[0]) * nmasks
-    basis = _elim.nullspace(matrix, ncols)
+    ngens = len(gen_rows[0])
+    blocks = _SquareBlocks(list(zip(*gen_rows)))
+    matrix, _ = blocks.system(range(ngens))
+    tower, nmasks = blocks.tower, blocks.nmasks
+    basis = _elim.nullspace(matrix, ngens * nmasks)
     out = []
     for vec in basis:
-        roots = _coeff_vectors(vec, len(gen_rows[0]), nmasks, tower)
+        roots = _coeff_vectors(vec, ngens, nmasks, tower)
         for row in gen_rows:
             acc = tower.zero()
             for c, g in zip(roots, row):
@@ -347,27 +359,43 @@ def k2_membership(
     return SquareRelation(target, list(gens), roots)
 
 
+def _generator_blocks(gens: Sequence[TowerElem]) -> _SquareBlocks:
+    """Column blocks of one equation with every generator as a column;
+    each greedy step then selects the independent columns found so far,
+    with the next generator's own block as the right-hand side."""
+    for j, g in enumerate(gens):
+        if g.is_zero:
+            raise ZeroGenerator(f"generator {j} is zero")
+    return _SquareBlocks([(g,) for g in gens])
+
+
 def greedy_independent(
     gens: Sequence[TowerElem],
 ) -> Tuple[List[int], Dict[int, SquareRelation]]:
     """Earliest-first maximal independent subset over squares.
 
     Returns the independent indices and, for every dependent generator, the
-    relation expressing it over the independent ones before it.
+    relation expressing it over the independent ones before it.  The square
+    system is built once for all generators (`_SquareBlocks`); each step
+    selects the columns of the independent generators and takes the next
+    generator as right-hand side.  A numeric proof of independence skips
+    the exact solve; every relation comes from exact elimination and is
+    re-verified by SquareRelation.  The relation over an independent set is
+    unique, so it does not depend on how the system was scaled.
     """
-    indep: List[int] = []
+    gens = list(gens)
+    if not gens:
+        return [], {}
+    blocks = _generator_blocks(gens)
+    indep: List[int] = [0]
     relations: Dict[int, SquareRelation] = {}
-    for j, g in enumerate(gens):
-        if g.is_zero:
-            raise ZeroGenerator(f"generator {j} is zero")
-        if not indep:
-            indep.append(j)
-            continue
-        rel = k2_membership(g, [gens[i] for i in indep])
-        if rel is None:
+    for j in range(1, len(gens)):
+        roots = blocks.roots(indep, j, witness=True)
+        if roots is None:
             indep.append(j)
         else:
-            relations[j] = rel
+            relations[j] = SquareRelation(gens[j], [gens[i] for i in indep],
+                                          roots)
     return indep, relations
 
 
@@ -377,8 +405,11 @@ def k2_rank(
     """Rank of the generators over the subfield of squares, with the
     earliest maximal independent sub-list.
 
-    Uses decision-only membership tests, so no relation certificates are
-    materialized; greedy_independent produces those when they are needed.
+    Builds the square system once for all generators, as
+    greedy_independent does, and makes each step a decision-only test on
+    the selected columns: the numeric witness when it is conclusive, exact
+    elimination otherwise.  No relation certificates are materialized;
+    greedy_independent produces those when they are needed.
     """
     gens = list(gens)
     if not gens:
@@ -387,12 +418,10 @@ def k2_rank(
         for g in gens:
             if g.tower != K:
                 raise ValueError("generator outside the stated tower")
-    indep: List[int] = []
-    for j, g in enumerate(gens):
-        if g.is_zero:
-            raise ZeroGenerator(f"generator {j} is zero")
-        if not indep or not square_system_solvable(
-                [gens[i] for i in indep], g):
+    blocks = _generator_blocks(gens)
+    indep: List[int] = [0]
+    for j in range(1, len(gens)):
+        if not blocks.solvable(indep, j):
             indep.append(j)
     return len(indep), [gens[i] for i in indep]
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import quasiform.cli as cli
 from quasiform.corpus import CASES, run_corpus
-from quasiform.dsl import parse, scripts_equivalent, tokenize
+from quasiform.dsl import MAX_NESTING, parse, scripts_equivalent, tokenize
 from quasiform.errors import (
     DslSyntaxError,
     UndeclaredVariable,
@@ -223,6 +223,17 @@ class TestMain:
         script = self.write(tmp_path, "form p = <1, 0>;")
         assert cli.main(["run", script]) == 2
         assert cli.main(["run", str(tmp_path / "missing.qf")]) == 2
+
+    def test_deep_nesting_exit(self, tmp_path, capsys):
+        deep = "(" * 5000 + "a" + ")" * 5000
+        script = self.write(tmp_path, f"field F2(a); form q = <{deep}, 1>;")
+        assert cli.main(["run", script]) == 2
+        err = capsys.readouterr().err
+        assert f"nested deeper than {MAX_NESTING}" in err
+        at_limit = "(" * MAX_NESTING + "a" + ")" * MAX_NESTING
+        script = self.write(tmp_path,
+                            f"field F2(a); form q = <{at_limit}, 1>;")
+        assert cli.main(["run", script]) == 0
 
     def test_depth_limit_exit(self, tmp_path, capsys):
         script = self.write(tmp_path,

@@ -1,0 +1,32 @@
+"""Every entry point the benchmark's tracer wraps still exists.
+
+The tracer (qbench/tracer.py) looks each name up in quasiform.<layer> and
+only reports a missing one, whose per-layer figures then read 0; this test
+turns a rename or deletion into a failure.  It reads the table and never
+installs the tracer.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "qbench" / "tracer.py"
+
+
+def _entry_points():
+    spec = importlib.util.spec_from_file_location("_qbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.ENTRY_POINTS
+
+
+def test_every_traced_entry_point_resolves():
+    missing = []
+    for layer, entries in _entry_points().items():
+        module = importlib.import_module(f"quasiform.{layer}")
+        for entry in entries:
+            owner_name, _, attr = entry.rstrip("*").rpartition(".")
+            owner = getattr(module, owner_name, None) if owner_name else module
+            if not callable(getattr(owner, attr, None)):
+                missing.append(f"{layer}.{entry}")
+    assert missing == []

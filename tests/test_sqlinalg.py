@@ -5,7 +5,7 @@ exponent-parity oracle and by direct arithmetic on the certificates."""
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quasiform import _elim, _gfnum
 from quasiform.errors import ZeroGenerator
@@ -82,6 +82,79 @@ class TestRankAgainstParityOracle:
             greedy_independent([F.one(), F.zero()])
         with pytest.raises(ZeroGenerator):
             k2_rank([])
+
+
+def _per_step_rank(gens):
+    """Rank by a fresh system for every greedy step, each scaled only by
+    the denominators of the generators it holds."""
+    indep = [gens[0]]
+    for g in gens[1:]:
+        if not square_system_solvable(indep, g):
+            indep.append(g)
+    return len(indep)
+
+
+_TOWER_ROOTS = ("1", "a", "1/b", "a/(b+1)", "y/a")
+_monomial_exps = st.tuples(st.integers(0, 3), st.integers(0, 3),
+                           st.integers(0, 2))
+_tower_elem = st.tuples(
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+             min_size=1, max_size=2),
+    st.sampled_from(("1", "b+1", "a+b")),
+    st.integers(0, 1))
+_tower_combo = st.tuples(st.sampled_from(_TOWER_ROOTS),
+                         st.sampled_from(_TOWER_ROOTS))
+
+
+class TestBlockBuiltRank:
+    """k2_rank and greedy_independent select columns from one system built
+    for all generators; the rank must match the parity oracle and the
+    per-step systems it replaced."""
+
+    @given(st.lists(_monomial_exps, min_size=1, max_size=7))
+    @settings(max_examples=60, deadline=None)
+    def test_monomial_forms_match_parity_oracle(self, exps):
+        F = FieldTower.rational(("a", "b", "c"))
+        gens = [monomial_of(F, e) for e in exps]
+        rank = k2_rank(gens)[0]
+        assert rank == len(greedy_independent(gens)[0])
+        assert rank == len(exps) - monomial_total_index(exps)
+        assert rank == _per_step_rank(gens)
+
+    @given(st.lists(st.one_of(_tower_elem, _tower_combo),
+                    min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_tower_with_denominators_matches_per_step_systems(self, spec):
+        F = FieldTower.rational(("a", "b"))
+        a, b = F.var("a"), F.var("b")
+        K = F.extend_inseparable(a * (b + F.one()).invert(), "y")
+        a, b, y, one = K.var("a"), K.var("b"), K.gen(0), K.one()
+        roots = {"1": one, "a": a, "1/b": b.invert(),
+                 "a/(b+1)": a * (b + one).invert(), "y/a": y * a.invert()}
+        dens = {"1": one, "b+1": b + one, "a+b": a + b}
+        gens = []
+        for item in spec:
+            if isinstance(item[0], str):
+                # a combination over squares of the first two generators
+                if len(gens) < 2:
+                    continue
+                g = (roots[item[0]].square() * gens[0]
+                     + roots[item[1]].square() * gens[1])
+            else:
+                terms, den, mask = item
+                num = K.zero()
+                for i, j in terms:
+                    num = num + a ** i * b ** j
+                g = num * dens[den].invert() * (y if mask else one)
+            if not g.is_zero:
+                gens.append(g)
+        assume(gens)
+        rank, basis = k2_rank(gens)
+        indep, relations = greedy_independent(gens)
+        assert rank == len(indep) == _per_step_rank(gens)
+        assert basis == [gens[i] for i in indep]
+        assert sorted(indep + list(relations)) == list(range(len(gens)))
+        assert all(rel.verify() for rel in relations.values())
 
 
 class TestMembershipCertificates:
