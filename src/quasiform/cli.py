@@ -13,12 +13,11 @@ import time
 from typing import Dict, List, Optional
 
 from . import __version__
-from .birational import construct_ruling, decide_birational, \
-    decide_stably_equivalent, is_regular_quadric
+from .birational import construct_ruling, decide_stably_equivalent, \
+    is_regular_quadric
 from .dsl import Script, parse
 from .errors import (
     DimensionMismatch,
-    DimensionTooSmall,
     IsotropicInput,
     NotRuled,
     QuasiformError,
@@ -29,8 +28,7 @@ from .corpus import run_corpus
 from .fieldtower import DEFAULT_DEPTH_LIMIT
 from .forms import decide_similar, invariants, is_isometric
 from .pfister import norm_degree
-from .splitting import essential_dimension, first_witt_index, \
-    splitting_pattern
+from .splitting import splitting_pattern
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -59,8 +57,11 @@ def _run_invariants(form) -> Result:
     }
     out.update(_splitting_data(form))
     if inv.total_index == 0 and form.dim >= 2:
-        out["first_witt_index"] = first_witt_index(form)
-        out["essential_dimension"] = essential_dimension(form)
+        # an anisotropic form is its own anisotropic part, so the first
+        # step of its splitting pattern is its first Witt index
+        i1 = out["witt_increments"][0]
+        out["first_witt_index"] = i1
+        out["essential_dimension"] = (form.dim - 2) - (i1 - 1)
     else:
         out["first_witt_index"] = None
         out["essential_dimension"] = None
@@ -79,8 +80,11 @@ def _run_compare(p, q) -> Result:
         factor = None
     out["similar"] = factor is not None
     out["similarity_factor"] = None if factor is None else str(factor)
-    out["stably_equivalent"] = decide_stably_equivalent(p, q)
-    out["birational"] = decide_birational(p, q)
+    stably = decide_stably_equivalent(p, q)
+    out["stably_equivalent"] = stably
+    # decide_birational is exactly this, and would decide stable
+    # equivalence a second time
+    out["birational"] = p.dim == q.dim and stably
     return out
 
 

@@ -21,12 +21,11 @@ from .errors import (
 )
 from .fieldtower import FieldTower, TowerElem, fresh_names
 from .sqlinalg import (
-    greedy_independent,
-    k2_membership,
     k2_rank,
     kernel_from_coefficients,
     span_saturate,
     square_nullspace_multi,
+    square_system_solvable,
 )
 
 
@@ -107,8 +106,7 @@ def total_index(q: QuasilinearForm) -> int:
 
 def anisotropic_part(q: QuasilinearForm) -> QuasilinearForm:
     """The form on the earliest maximal independent coefficient sub-list."""
-    indep, _ = greedy_independent(q.coeffs)
-    return q.subform(indep)
+    return QuasilinearForm(q.field, k2_rank(q.coeffs)[1])
 
 
 def invariants(q: QuasilinearForm) -> FormInvariants:
@@ -121,27 +119,18 @@ def is_anisotropic(q: QuasilinearForm) -> bool:
 
 
 def is_isometric(q: QuasilinearForm, q2: QuasilinearForm) -> bool:
-    """Equal dimension, equal total index, equal coefficient spans over
-    squares; the spans are compared by mutual membership."""
+    """Equal dimension and equal coefficient spans over squares.  The spans
+    are compared by rank and one-way membership: a subspace of the same
+    finite dimension is the whole space."""
     if q.field != q2.field:
         raise ValueError("forms live over different towers")
     if q.dim != q2.dim:
         return False
-    if total_index(q) != total_index(q2):
+    rank1, basis1 = k2_rank(q.coeffs)
+    rank2, basis2 = k2_rank(q2.coeffs)
+    if rank1 != rank2:
         return False
-    indep1, _ = greedy_independent(q.coeffs)
-    indep2, _ = greedy_independent(q2.coeffs)
-    basis1 = [q.coeffs[i] for i in indep1]
-    basis2 = [q2.coeffs[i] for i in indep2]
-    if len(basis1) != len(basis2):
-        return False
-    for c in basis2:
-        if k2_membership(c, basis1) is None:
-            return False
-    for c in basis1:
-        if k2_membership(c, basis2) is None:
-            return False
-    return True
+    return all(square_system_solvable(basis1, c) for c in basis2)
 
 
 def decide_similar(q: QuasilinearForm,

@@ -91,8 +91,11 @@ def quasi_pfister(slots: Sequence[TowerElem],
 
 
 class NormField:
-    """Basis over squares of the algebra generated by a form's normalized
-    coefficients; closed under the induced bilinear multiplication."""
+    """Basis over squares of the field generated by a form's normalized
+    coefficients, in binary counter order (see span_saturate): the basis
+    element at index m is the product of the adjoined coefficients over
+    the set bits of m, so the basis is the expansion of the quasi-Pfister
+    form whose slots sit at the powers of two."""
 
     __slots__ = ("base", "basis", "_table")
 
@@ -144,16 +147,12 @@ def norm_degree(q: QuasilinearForm) -> Tuple[int, NormField]:
 
 
 def norm_field_slots(nf: NormField) -> List[TowerElem]:
-    """A minimal multiplicative generating set: subset products of the
-    returned slots form a basis of the norm field over squares."""
-    field = nf.base
-    slots: List[TowerElem] = []
-    span: List[TowerElem] = [field.one()]
-    for e in nf.basis[1:]:
-        if k2_membership(e, span) is None:
-            slots.append(e)
-            span = span + [e * s for s in span]
-    if len(span) != nf.degree:
+    """A minimal multiplicative generating set: the basis elements at the
+    powers of two, whose subset products in binary counter order are the
+    whole basis.  Each slot doubles the span over squares, so there are
+    log2(degree) of them."""
+    slots = [nf.basis[1 << i] for i in range(nf.degree.bit_length() - 1)]
+    if QuasiPfisterForm(nf.base, slots).expansion != nf.basis:
         raise InconsistencyDetected("slot extraction lost part of the norm field")
     return slots
 

@@ -353,7 +353,9 @@ def k2_membership(
     """Certificate that target lies in the span of gens over squares."""
     if not gens:
         raise ValueError("membership query needs at least one generator")
-    roots = solve_square_system(gens, target)
+    # SquareRelation re-verifies the roots, so they skip the solver's check
+    blocks = _SquareBlocks([(g,) for g in gens] + [(target,)])
+    roots = blocks.roots(range(len(gens)), len(gens), witness=True)
     if roots is None:
         return None
     return SquareRelation(target, list(gens), roots)
@@ -451,26 +453,22 @@ def kernel_from_coefficients(coeffs: Sequence[TowerElem]) -> List[List[TowerElem
 
 def span_saturate(field: FieldTower,
                   elements: Sequence[TowerElem]) -> List[TowerElem]:
-    """Basis over squares of the algebra generated by 1 and the elements,
-    saturated under pairwise products until multiplicatively closed.
+    """Basis over squares of the field generated by 1 and the elements.
 
-    The algebra sits inside the field, so it is a finite-dimensional
-    integral domain over the subfield of squares and hence itself a field.
+    In characteristic 2, e^2 lies in the subfield of squares K^2 for every
+    e in K.  So for a field L with K^2 <= L <= K and e outside L,
+    L(e) = L + L*e has twice the dimension of L.  Each element outside the
+    current span is adjoined by appending its products with the basis so
+    far; an element inside it changes nothing.  The basis is therefore in
+    binary counter order: the element at index m is the product of the
+    adjoined elements over the set bits of m, as in
+    QuasiPfisterForm.expansion, and the adjoined elements sit at the
+    powers of two.
     """
     basis: List[TowerElem] = [field.one()]
     for e in elements:
-        if not e.is_zero and k2_membership(e, basis) is None:
-            basis.append(e)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(basis)
-        for i in range(1, len(snapshot)):
-            for j in range(i, len(snapshot)):
-                prod = snapshot[i] * snapshot[j]
-                if k2_membership(prod, basis) is None:
-                    basis.append(prod)
-                    changed = True
+        if not e.is_zero and not square_system_solvable(basis, e):
+            basis = basis + [e * s for s in basis]
     return basis
 
 

@@ -226,6 +226,22 @@ def monomial_total_index(coeff_exponents: Sequence[Exponents]) -> int:
     return len(coeff_exponents) - len(classes)
 
 
+def parity_rank(coeff_exponents: Sequence[Exponents]) -> int:
+    """GF(2) rank of the exponent-parity vectors.  Monomials multiply by
+    adding exponents and squares are the even classes, so the field that
+    monomials generate over squares has degree 2 ** parity_rank."""
+    pivots: Dict[int, int] = {}          # leading bit -> reduced vector
+    for exps in coeff_exponents:
+        v = sum((e % 2) << i for i, e in enumerate(exps))
+        while v:
+            top = v.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return len(pivots)
+
+
 # Brute-force isotropy for monomial-coefficient forms: with entries
 # x_i = sum_m c_im m (c in GF(2)), the value sum_i a_i x_i^2 equals
 # sum_im c_im (a_i m^2), linear in the c's.  The kernel is read off by

@@ -2,11 +2,13 @@
 command-line entry point with its exit codes."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import quasiform.cli as cli
+from quasiform.birational import decide_birational
 from quasiform.corpus import CASES, run_corpus
 from quasiform.dsl import MAX_NESTING, parse, scripts_equivalent, tokenize
 from quasiform.errors import (
@@ -14,6 +16,11 @@ from quasiform.errors import (
     UndeclaredVariable,
     ZeroCoefficient,
 )
+from quasiform.fieldtower import FieldTower
+from quasiform.forms import QuasilinearForm, is_anisotropic
+from quasiform.splitting import essential_dimension, first_witt_index
+
+from oracles import sample_monomial_form
 
 
 class TestTokenizer:
@@ -175,6 +182,62 @@ class TestRun:
         r1 = json.dumps(cli.run(parse(text)), indent=2)
         r2 = json.dumps(cli.run(parse(text)), indent=2)
         assert r1 == r2
+
+
+def _script(field, forms, command):
+    lines = [f"field F2({', '.join(field.base_vars)});"]
+    for name, q in forms.items():
+        lines.append(f"form {name} = <"
+                     + ", ".join(str(c) for c in q.coeffs) + ">;")
+    return "\n".join(lines + [command + ";"])
+
+
+def _frozen_forms():
+    F = FieldTower.rational(("a", "b", "c"))
+    a, b, c, one = F.var("a"), F.var("b"), F.var("c"), F.one()
+    forms = [QuasilinearForm(F, coeffs) for coeffs in (
+        [one, a, b, a * b],                              # pfister2
+        [one, a, b, a * b, c, a * c, b * c, a * b * c],  # pfister3
+        [one, a, b, a * b, c],                           # five_dim
+        [one, a, b],                                     # three_dim_neighbor
+        [one, a, c, a * c, b])]
+    for n in (2, 3, 4):
+        G = FieldTower.rational(tuple(f"t{i}" for i in range(1, n + 1)))
+        forms.append(QuasilinearForm(G, [G.var(v) for v in G.base_vars]))
+    return forms
+
+
+class TestCommandShortcuts:
+    """`invariants` reads i1 off the splitting pattern and `compare` reuses
+    its stable-equivalence verdict; both must agree with the library."""
+
+    def _sampled(self, seed, count):
+        rng = random.Random(seed)
+        F = FieldTower.rational(("a", "b", "c"))
+        forms = []
+        while len(forms) < count:
+            q, _ = sample_monomial_form(rng, F, rng.randint(2, 4), 3)
+            if is_anisotropic(q):
+                forms.append(q)
+        return forms
+
+    def test_invariants_match_splitting(self):
+        for q in _frozen_forms() + self._sampled(31, 12):
+            entry = cli.run(parse(_script(q.field, {"q": q},
+                                          "invariants q")))["results"][0]
+            assert entry["first_witt_index"] == first_witt_index(q)
+            assert entry["essential_dimension"] == essential_dimension(q)
+
+    def test_compare_birational_matches_library(self):
+        # the 5-dim forms are birational but not similar (FROZEN five_dim)
+        frozen = [q for q in _frozen_forms()
+                  if q.field.base_vars == ("a", "b", "c") and q.dim <= 5]
+        forms = frozen + self._sampled(37, 4)
+        for i, p in enumerate(forms):
+            for q in forms[i + 1:]:
+                entry = cli.run(parse(_script(
+                    p.field, {"p": p, "q": q}, "compare p q")))["results"][0]
+                assert entry["birational"] == decide_birational(p, q)
 
 
 class TestCorpus:

@@ -5,6 +5,7 @@ import pytest
 
 from quasiform.errors import (
     BadDecomposition,
+    InconsistencyDetected,
     IndexMismatch,
     IsotropicInput,
     ZeroSlot,
@@ -12,6 +13,7 @@ from quasiform.errors import (
 from quasiform.fieldtower import FieldTower
 from quasiform.forms import QuasilinearForm, is_anisotropic
 from quasiform.pfister import (
+    NormField,
     QuasiPfisterForm,
     albert_multiply,
     is_quasi_pfister_neighbor,
@@ -94,6 +96,23 @@ class TestNormDegree:
         a = F.var("a")
         with pytest.raises(IsotropicInput):
             norm_degree(QuasilinearForm(F, [a, a ** 3]))
+
+    def test_slots_expand_to_basis_in_binary_counter_order(self, F):
+        a, b, c = F.var("a"), F.var("b"), F.var("c")
+        forms = [[F.one(), a, b], [F.one(), a, b, a * b, c],
+                 [c, a * c, b * c ** 3], [a, b, c, a * b * c],
+                 [F.one(), a + b, a * b + c]]
+        for coeffs in forms:
+            degree, nf = norm_degree(QuasilinearForm(F, coeffs))
+            slots = norm_field_slots(nf)
+            assert 1 << len(slots) == degree
+            assert QuasiPfisterForm(F, slots).expansion == nf.basis
+
+    def test_slots_reject_a_basis_out_of_counter_order(self, F):
+        a, b, c = F.var("a"), F.var("b"), F.var("c")
+        nf = NormField(F, [F.one(), a, b, c, a * b, a * c, b * c, a * b * c])
+        with pytest.raises(InconsistencyDetected):
+            norm_field_slots(nf)
 
 
 class TestNeighborDetection:

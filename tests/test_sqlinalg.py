@@ -29,6 +29,7 @@ from quasiform.forms import QuasilinearForm
 from oracles import (
     monomial_total_index,
     numeric_rank,
+    parity_rank,
     sample_monomial_exponents,
     sample_monomial_form,
 )
@@ -285,7 +286,37 @@ class TestSolvers:
         assert recomputed == rhs
 
 
+def _saturate_pairwise(field, elements):
+    """The pairwise saturation span_saturate used before the doubling
+    loop: adjoin new elements, then products of basis pairs until closed."""
+    basis = [field.one()]
+    for e in elements:
+        if not e.is_zero and k2_membership(e, basis) is None:
+            basis.append(e)
+    changed = True
+    while changed:
+        changed = False
+        snapshot = list(basis)
+        for i in range(1, len(snapshot)):
+            for j in range(i, len(snapshot)):
+                prod = snapshot[i] * snapshot[j]
+                if k2_membership(prod, basis) is None:
+                    basis.append(prod)
+                    changed = True
+    return basis
+
+
+_depth2_elem = st.tuples(
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+             min_size=1, max_size=2),
+    st.sampled_from(("1", "b+1", "a+b")),
+    st.integers(0, 3))
+
+
 class TestSpanSaturate:
+    """span_saturate adjoins one element at a time and doubles the span:
+    the basis has 2^k elements in binary counter order."""
+
     def test_quasi_pfister_span(self, F):
         a, b = F.var("a"), F.var("b")
         span = span_saturate(F, [a, b])
@@ -305,3 +336,43 @@ class TestSpanSaturate:
         assert len(span_saturate(F, [])) == 1
         assert len(span_saturate(F, [a.square()])) == 1
         assert len(span_saturate(F, [F.zero(), a])) == 2
+
+    @given(st.lists(st.tuples(*[st.integers(0, 3)] * 4), max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_monomial_degree_matches_parity_rank(self, exps):
+        F = FieldTower.rational(("a", "b", "c", "d"))
+        span = span_saturate(F, [monomial_of(F, e) for e in exps])
+        assert len(span) == 2 ** parity_rank(exps)
+
+    def test_binary_counter_order(self, F):
+        a, b = F.var("a"), F.var("b")
+        span = span_saturate(F, [a, a ** 3, b, a * b])
+        assert span == [F.one(), a, b, b * a]
+
+    @given(st.lists(_depth2_elem, min_size=1, max_size=3))
+    @settings(max_examples=25, deadline=None)
+    def test_depth_two_tower_matches_pairwise_saturation(self, spec):
+        F = FieldTower.rational(("a", "b"))
+        a, b, one = F.var("a"), F.var("b"), F.one()
+        K1 = F.extend_inseparable(a * (b + one).invert(), "y")
+        theta = K1.var("b") * (K1.var("a") + K1.one()).invert()
+        K = K1.extend_inseparable(theta, "z")
+        a, b, one = K.var("a"), K.var("b"), K.one()
+        y, z = K.gen_by_name("y"), K.gen_by_name("z")
+        dens = {"1": one, "b+1": b + one, "a+b": a + b}
+        elems = []
+        for terms, den, mask in spec:
+            num = K.zero()
+            for i, j in terms:
+                num = num + a ** i * b ** j
+            e = num * dens[den].invert()
+            elems.append(e * (y if mask & 1 else one)
+                         * (z if mask & 2 else one))
+        span = span_saturate(K, elems)
+        old = _saturate_pairwise(K, elems)
+        assert len(span) == len(old)
+        assert all(square_system_solvable(old, x) for x in span)
+        assert all(square_system_solvable(span, x) for x in old)
+        for x in span:
+            for w in span:
+                assert square_system_solvable(span, x * w)
