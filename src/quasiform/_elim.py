@@ -22,27 +22,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .gf2poly import Poly, RatFn, _monomial_gcd, poly_divmod_exact
-
-
-def _strip_monomial_content(row: List[Poly]) -> List[Poly]:
-    """Divide a row through by the monomial content of its entries."""
-    g: Optional[Poly] = None
-    for e in row:
-        if e.is_zero:
-            continue
-        mono = next(iter(g.terms)) if g is not None else next(iter(e.terms))
-        g = _monomial_gcd(e, mono)
-        if g.is_one:
-            return row
-    if g is None or g.is_one:
-        return row
-    return [e if e.is_zero else poly_divmod_exact(e, g) for e in row]
+from .gf2poly import Poly, RatFn, poly_divmod_exact, strip_monomial_content
 
 
 class _Eliminator:
     def __init__(self, rows: List[List[Poly]]):
-        self.rows = [_strip_monomial_content(list(r)) for r in rows]
+        self.rows = [strip_monomial_content(list(r)) for r in rows]
         self.used = [False] * len(rows)
         # pivot value current as of the step each row last participated in;
         # None marks "step zero" where the divisor is 1
@@ -76,7 +61,7 @@ class _Eliminator:
                 for col in free_cols:
                     if r[col].is_zero:
                         continue
-                    key = (len(r[col].terms), col, i)
+                    key = (len(r[col].packed), col, i)
                     if best is None or key < best:
                         best = key
             if best is None:
@@ -100,7 +85,7 @@ class _Eliminator:
                 self.last[i] = pv
             self.prev = pv
         for i in range(len(self.rows)):
-            self.rows[i] = _strip_monomial_content(self.rows[i])
+            self.rows[i] = strip_monomial_content(self.rows[i])
         return pivots
 
 

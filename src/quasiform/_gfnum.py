@@ -31,9 +31,9 @@ from __future__ import annotations
 import random
 from array import array
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .gf2poly import Poly
+from .gf2poly import MAX_EXPONENT, Poly, slot_shifts
 
 _DEG = 15
 _MODMASK = (1 << _DEG) | 0b11  # x^15 + x + 1
@@ -76,13 +76,14 @@ def _pow(a: int, e: int) -> int:
     return exp[log[a] * e % _ORDER]
 
 
-def _eval_poly(p: Poly, logs: Dict[str, int], exp: array) -> int:
-    """p at the point whose coordinates have the logarithms `logs`."""
+def _eval_poly(p: Poly, logs: List[Tuple[int, int]], exp: array) -> int:
+    """p at the point whose coordinates have the logarithms `logs`, given
+    as (slot offset, logarithm) for every variable that may occur."""
     acc = 0
-    for mono in p.terms:
+    for t in p.packed:
         s = 0
-        for name, e in mono:
-            s += e * logs[name]
+        for sh, lg in logs:
+            s += (t >> sh & MAX_EXPONENT) * lg
         acc ^= exp[s % _ORDER]
     return acc
 
@@ -127,12 +128,19 @@ def numeric_verdict(matrix: Sequence[Sequence[Poly]],
         return None
     ncols = len(matrix[0])
     exp, log = _tables()
-    names = sorted({v for row in matrix for e in row for m in e.terms
-                    for v, _ in m}
-                   | {v for e in rhs for m in e.terms for v, _ in m})
+    used = 0
+    for row in matrix:
+        for e in row:
+            used |= e.packed_or()
+    for e in rhs:
+        used |= e.packed_or()
+    shifts = slot_shifts(used)
+    names = sorted(shifts)
     rng = random.Random(0x51D2)
     for _ in range(trials):
-        logs = {n: log[rng.randrange(1, _ORDER + 1)] for n in names}
+        # one point coordinate per variable, drawn in name order
+        logs = [(shifts[n], log[rng.randrange(1, _ORDER + 1)])
+                for n in names]
         plain = [[_eval_poly(e, logs, exp) for e in row] for row in matrix]
         r = _rank(plain, exp, log)
         if r == nrows:

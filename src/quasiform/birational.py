@@ -33,10 +33,10 @@ from .gf2poly import Poly, RatFn, poly_divmod_exact, poly_lcm
 from .maps import RationalMap, projectively_equal
 from .splitting import (
     essential_dimension,
-    first_witt_index,
     function_field,
     splitting_pattern,
     total_index_over,
+    witt_function_field,
 )
 from .sqlinalg import isotropic_kernel_basis, span_saturate, tower_linear_solve
 
@@ -298,9 +298,13 @@ class RulingDecomposition:
             return False
         if len(self.s_basis) != self.r:
             return False
-        if not self.phi.verify() or not self.psi.pi.verify():
+        # the certificate speaks only of its own data; it verifies pi
+        cert = self.certificate
+        if (self.psi.pi is not cert.pi or self.psi.fibers != cert.fibers
+                or cert.X != self.X or cert.Y != self.Y
+                or cert.s_basis != self.s_basis):
             return False
-        return self.certificate.verify()
+        return self.phi.verify() and cert.verify()
 
 
 def construct_ruling(X: QuasilinearForm) -> RulingDecomposition:
@@ -311,7 +315,9 @@ def construct_ruling(X: QuasilinearForm) -> RulingDecomposition:
     ruling exists along this route).  Every step is verified exactly;
     impossible failures raise InconsistencyDetected.
     """
-    r = first_witt_index(X)
+    ff_x = witt_function_field(X)
+    K = ff_x.tower
+    r = total_index_over(X, K)
     if r < 2:
         raise NotRuled("first Witt index is 1")
     Y = X.subform(range(X.dim - (r - 1)))
@@ -323,8 +329,6 @@ def construct_ruling(X: QuasilinearForm) -> RulingDecomposition:
             "isotropic space over the subquadric has the wrong dimension")
     s_basis = tuple(tuple(s) for s in s_lists)
 
-    ff_x = function_field(X)
-    K = ff_x.tower
     pi_candidates = isotropic_kernel_basis(Y, K)
     if not pi_candidates:
         raise InconsistencyDetected(

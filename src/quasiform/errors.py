@@ -91,4 +91,5 @@ class UndeclaredVariable(QuasiformError):
 
 
 class ResourceLimit(QuasiformError):
-    """A configured resource limit (time) was exceeded."""
+    """A resource limit was exceeded: the time budget, or the largest
+    exponent a polynomial holds (`gf2poly.MAX_EXPONENT`)."""

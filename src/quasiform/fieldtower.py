@@ -372,8 +372,9 @@ class TowerElem:
         while n:
             if n & 1:
                 result = result * base
-            base = base.square()
             n >>= 1
+            if n:
+                base = base.square()
         return result
 
     def sqrt_in_tower(self) -> Optional["TowerElem"]:

@@ -2,89 +2,161 @@
 
 A polynomial is a set of monomials: coefficients are always 1, addition is
 symmetric difference of term sets, and squaring doubles every exponent (the
-Frobenius is additive in characteristic 2).  A monomial is stored as a tuple
-of (variable, exponent) pairs sorted by name, exponents positive arbitrary
-precision integers.  The empty tuple is the constant monomial.
+Frobenius is additive in characteristic 2).
 
-Rational functions are pairs num/den normalized by their polynomial GCD at
-construction; over GF(2) the only unit is 1, so reduced fractions are unique
-and equality is structural.
+A monomial is a packed exponent vector (Monagan and Pearce, "Sparse
+polynomial division using a heap", JSC 2011): one int with each exponent
+in a 16-bit slot.  Every variable name gets one slot for the life of the
+process, interned on first use in the slot table `_SLOT_SHIFT`, so equal
+polynomials over different `variables` tuples have equal packed terms.
+Exponents are at most MAX_EXPONENT = 2^15 - 1, so the top bit of every
+slot is a guard that stays clear: a monomial product is one add, a square
+a shift left by one, the parities are `t & _LOW`, a borrow in a
+subtraction sets a guard (divisibility test), and int order is a lex order
+compatible with products.  A product or square that would pass the limit
+raises `ResourceLimit` rather than carry into the next slot.  `Poly.terms`
+is a view decoding the terms into named monomials: (variable, exponent)
+pairs sorted by name, the constant monomial being ().
 
-Everything here is immutable and pure.
+Rational functions are pairs num/den reduced by their polynomial GCD; over
+GF(2) the only unit is 1, so reduced fractions are unique and equality is
+structural.
+
+`Poly(terms, variables)` and `RatFn(num, den)` are the checking public
+constructors (declared names, exponents in range, a gcd).  Results built
+here use the trusted `_poly` and `_ratfn`.  `_poly` is sound for terms the
+kernel computed from checked terms.  `_ratfn` is sound where the fraction
+is reduced by proof: the square, square root and inverse of a reduced
+fraction, a polynomial over 1, and n1*n2 / (d1*d2) after cross-reduction
+(no prime factor of d1*d2 divides n1 or n2).  Values are never mutated.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+import threading
+from functools import reduce
+from operator import or_
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
-from .errors import DivisionByZero, UnknownVariable
+from .errors import DivisionByZero, ResourceLimit, UnknownVariable
 
+# named monomial, as the `terms` view yields it
 Monomial = Tuple[Tuple[str, int], ...]
 
-_MONO_ONE: Monomial = ()
-_ONE_TERMS: FrozenSet[Monomial] = frozenset((_MONO_ONE,))
+_WIDTH = 16
+MAX_EXPONENT = (1 << (_WIDTH - 1)) - 1
+# slot table: name -> bit offset of its slot, and slot index -> name; it
+# only grows, and nothing but speed depends on the order names arrive in
+_SLOT_SHIFT: Dict[str, int] = {}
+_SLOT_NAME: List[str] = []
+# bit 0, bit _WIDTH-2 and bit _WIDTH-1 (the guard) of every slot in use
+_LOW = 0
+_HALF = 0
+_GUARD = 0
+
+_INTERNING = threading.Lock()
+
+_EMPTY: FrozenSet[int] = frozenset()
+_ONE_T: FrozenSet[int] = frozenset((0,))
 # Poly.one's shared instances, one per variable tuple
 _ONES: Dict[Tuple[str, ...], "Poly"] = {}
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    d = dict(m1)
-    for v, e in m2:
-        d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items()))
+def _shift(name: str) -> int:
+    """Bit offset of the slot of `name`, interning it on first use."""
+    global _LOW, _HALF, _GUARD
+    sh = _SLOT_SHIFT.get(name)
+    if sh is None:
+        with _INTERNING:
+            sh = _SLOT_SHIFT.get(name)
+            if sh is None:
+                sh = _WIDTH * len(_SLOT_NAME)
+                _SLOT_NAME.append(name)
+                _LOW |= 1 << sh
+                _HALF |= 1 << (sh + _WIDTH - 2)
+                _GUARD |= 1 << (sh + _WIDTH - 1)
+                # published last: a slot in use is always in the masks
+                _SLOT_SHIFT[name] = sh
+    return sh
 
 
-def _mono_square(m: Monomial) -> Monomial:
-    return tuple((v, 2 * e) for v, e in m)
+def _overflow() -> ResourceLimit:
+    return ResourceLimit(
+        f"exponent above {MAX_EXPONENT}, the largest a polynomial holds")
 
 
-def _mono_total_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+def slot_shifts(bits: int) -> Dict[str, int]:
+    """{name: bit offset} of the slots that are nonzero in `bits`, for
+    instance in the OR of some packed terms."""
+    return {_SLOT_NAME[sh // _WIDTH]: sh
+            for sh in range(0, bits.bit_length(), _WIDTH)
+            if bits >> sh & MAX_EXPONENT}
 
 
-def _mono_str(m: Monomial) -> str:
-    if not m:
-        return "1"
-    parts = []
-    for v, e in m:
-        parts.append(v if e == 1 else f"{v}^{e}")
-    return "*".join(parts)
+def _decode(t: int) -> Monomial:
+    return tuple(sorted((v, t >> sh & MAX_EXPONENT)
+                        for v, sh in slot_shifts(t).items()))
+
+
+class _Terms:
+    """A polynomial's monomials, decoded as they are iterated."""
+
+    __slots__ = ("packed",)
+
+    def __init__(self, packed: FrozenSet[int]):
+        self.packed = packed
+
+    def __len__(self) -> int:
+        return len(self.packed)
+
+    def __iter__(self) -> Iterator[Monomial]:
+        return map(_decode, self.packed)
+
+
+def _poly(packed: FrozenSet[int], variables: Tuple[str, ...],
+          bits: Optional[int] = None) -> "Poly":
+    """Trusted constructor; `bits` is the OR of the terms when known."""
+    p = _new(Poly)
+    p.packed = packed
+    p.variables = variables
+    p._or = bits
+    return p
 
 
 class Poly:
     """A multivariate polynomial over GF(2).
 
-    `terms` is a frozenset of monomials; `variables` records the declared
-    ambient variables (a superset of the names actually used).  Equality and
-    hashing look at terms only, so the same polynomial viewed over a larger
-    variable set compares equal.
+    `packed` is the frozenset of packed monomials; `variables` records the
+    declared ambient variables (a superset of the names actually used).
+    Equality and hashing look at the terms only, so the same polynomial
+    viewed over a larger variable set compares equal.
     """
 
-    __slots__ = ("terms", "variables", "_hash")
+    __slots__ = ("packed", "variables", "_or")
 
     def __init__(self, terms: Iterable[Monomial], variables: Tuple[str, ...]):
-        fs = frozenset(terms)
-        used = {v for m in fs for v, _ in m}
-        missing = used.difference(variables)
-        if missing:
-            raise UnknownVariable(f"undeclared variable(s): {sorted(missing)}")
-        object.__setattr__(self, "terms", fs)
-        object.__setattr__(self, "variables", tuple(variables))
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Poly is immutable")
+        variables = tuple(variables)
+        packed = set()
+        for mono in terms:
+            t = 0
+            for v, e in mono:
+                if v not in variables:
+                    raise UnknownVariable(f"undeclared variable(s): {[v]}")
+                if not 0 <= e <= MAX_EXPONENT:
+                    raise _overflow() if e > 0 else ValueError(
+                        f"negative exponent {e} of {v!r}")
+                t += e << _shift(v)
+            packed.add(t)
+        self.packed = frozenset(packed)
+        self.variables = variables
+        self._or = None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(variables: Tuple[str, ...] = ()) -> "Poly":
-        return Poly((), variables)
+        return _poly(_EMPTY, variables, 0)
 
     @staticmethod
     def one(variables: Tuple[str, ...] = ()) -> "Poly":
@@ -92,27 +164,40 @@ class Poly:
         # it as denominator
         p = _ONES.get(variables)
         if p is None:
-            p = _ONES[variables] = Poly(_ONE_TERMS, variables)
+            p = _ONES[variables] = _poly(_ONE_T, variables, 0)
         return p
 
     @staticmethod
     def variable(name: str, variables: Tuple[str, ...]) -> "Poly":
         if name not in variables:
             raise UnknownVariable(f"undeclared variable: {name!r}")
-        return Poly((((name, 1),),), variables)
+        t = 1 << _shift(name)
+        return _poly(frozenset((t,)), variables, t)
 
-    # -- predicates --------------------------------------------------------
+    # -- predicates and views ----------------------------------------------
+
+    @property
+    def terms(self) -> _Terms:
+        return _Terms(self.packed)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     @property
     def is_one(self) -> bool:
-        return self.terms == _ONE_TERMS
+        return self.packed == _ONE_T
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.packed)
+
+    def packed_or(self) -> int:
+        """OR of the packed terms: a slot is nonzero in it exactly when its
+        variable occurs, and its bits bound every exponent there."""
+        bits = self._or
+        if bits is None:
+            bits = self._or = reduce(or_, self.packed, 0)
+        return bits
 
     # -- ring operations ---------------------------------------------------
 
@@ -122,59 +207,39 @@ class Poly:
         return tuple(sorted(set(self.variables) | set(other.variables)))
 
     def __add__(self, other: "Poly") -> "Poly":
-        return Poly(self.terms ^ other.terms, self._vars_with(other))
+        return _poly(self.packed ^ other.packed, self._vars_with(other))
 
     __sub__ = __add__  # characteristic 2
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if not self.terms or not other.terms:
-            return Poly((), self._vars_with(other))
-        if self.is_one:
-            return Poly(other.terms, self._vars_with(other))
-        if other.is_one:
-            return Poly(self.terms, self._vars_with(other))
-        if len(self.terms) * len(other.terms) >= 16:
-            # aligned exponent vectors make the inner loop a tuple add,
-            # skipping the per-product merge and sort of named monomials
-            names = tuple(sorted({v for m in self.terms for v, _ in m}
-                                 | {v for m in other.terms for v, _ in m}))
-            prod = _t_mul(_aligned(self.terms, names),
-                          _aligned(other.terms, names))
-            return Poly(_named(prod, names), self._vars_with(other))
-        acc: set = set()
-        for m1 in self.terms:
-            for m2 in other.terms:
-                m = _mono_mul(m1, m2)
-                if m in acc:
-                    acc.remove(m)
-                else:
-                    acc.add(m)
-        return Poly(acc, self._vars_with(other))
+        a, b = self.packed, other.packed
+        variables = self._vars_with(other)
+        if not a or not b:
+            return _poly(_EMPTY, variables, 0)
+        if a == _ONE_T:
+            return _poly(b, variables, other._or)
+        if b == _ONE_T:
+            return _poly(a, variables, self._or)
+        return _poly(_t_mul(a, b, self.packed_or() | other.packed_or()),
+                     variables)
 
     def square(self) -> "Poly":
-        return Poly((_mono_square(m) for m in self.terms), self.variables)
+        bits = self.packed_or()
+        if bits & _HALF:
+            raise _overflow()
+        return _poly(frozenset([t << 1 for t in self.packed]),
+                     self.variables, bits << 1)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.one(self.variables)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base.square()
-            n >>= 1
-        return result
+        return _power(Poly.one(self.variables), self, n)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.terms == other.terms
+        return isinstance(other, Poly) and self.packed == other.packed
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(self.terms)
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(self.packed)
 
     # -- calculus and squares ----------------------------------------------
 
@@ -182,284 +247,236 @@ class Poly:
         """Formal partial derivative; exponents act mod 2."""
         if v not in self.variables:
             raise UnknownVariable(f"undeclared variable: {v!r}")
-        acc: set = set()
-        for m in self.terms:
-            d = dict(m)
-            e = d.get(v, 0)
-            if e % 2 == 0:
-                continue
-            if e == 1:
-                del d[v]
-            else:
-                d[v] = e - 1
-            mm = tuple(sorted(d.items()))
-            if mm in acc:
-                acc.remove(mm)
-            else:
-                acc.add(mm)
-        return Poly(acc, self.variables)
+        unit = 1 << _shift(v)
+        return _poly(frozenset([t - unit for t in self.packed if t & unit]),
+                     self.variables)
 
     def square_root(self) -> Optional["Poly"]:
         """The unique square root, if every exponent is even."""
-        out = []
-        for m in self.terms:
-            if any(e % 2 for _, e in m):
-                return None
-            out.append(tuple((v, e // 2) for v, e in m))
-        return Poly(out, self.variables)
+        bits = self.packed_or()
+        if bits & _LOW:
+            return None
+        return _poly(frozenset([t >> 1 for t in self.packed]),
+                     self.variables, bits >> 1)
 
     # -- presentation ------------------------------------------------------
 
-    def sorted_terms(self) -> list:
-        return sorted(self.terms, key=lambda m: (-_mono_total_degree(m), m))
-
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.packed:
             return "0"
-        return "+".join(_mono_str(m) for m in self.sorted_terms())
+        monos = sorted(map(_decode, self.packed),
+                       key=lambda m: (-sum(e for _, e in m), m))
+        return "+".join(
+            "*".join(v if e == 1 else f"{v}^{e}" for v, e in m) or "1"
+            for m in monos)
 
     def __repr__(self) -> str:
         return f"Poly({self})"
 
 
-# ---------------------------------------------------------------------------
-# GCD machinery.  Internally polynomials are converted to sets of exponent
-# tuples aligned to a local variable list; tuple comparison is then a valid
-# (lex) monomial order and arithmetic is plain componentwise addition.
-# ---------------------------------------------------------------------------
+_new = object.__new__
+
+
+def _power(result, base, n: int):
+    """result * base^n, squaring base no more often than needed (so the
+    largest exponent a polynomial holds is reachable)."""
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base.square()
+    return result
+
+
+# Kernel on sets of packed terms.  Every term in use fits the slots that
+# _LOW, _HALF and _GUARD cover, which the bitwise tricks below rely on.
 
 
 class _NotDivisible(Exception):
     pass
 
 
-def _aligned(terms: FrozenSet[Monomial], names: Tuple[str, ...]) -> set:
-    idx = {n: i for i, n in enumerate(names)}
-    width = len(names)
-    out = set()
-    for m in terms:
-        v = [0] * width
-        for n, e in m:
-            v[idx[n]] = e
-        out.add(tuple(v))
-    return out
-
-
-def _named(tuples: set, names: Tuple[str, ...]) -> FrozenSet[Monomial]:
-    return frozenset(
-        tuple((names[i], e) for i, e in enumerate(t) if e) for t in tuples
-    )
-
-
-def _t_add(acc: set, term: tuple) -> None:
-    if term in acc:
-        acc.remove(term)
+def _t_mul(s1, s2, bits: Optional[int] = None) -> FrozenSet[int]:
+    """Product of term sets; `bits` is the OR of all their terms."""
+    if bits is None:
+        bits = reduce(or_, s1, 0) | reduce(or_, s2, 0)
+    if len(s1) < len(s2):
+        s1, s2 = s2, s1
+    if len(s2) == 1:
+        (m,) = s2
+        out = frozenset([m + t for t in s1])
     else:
-        acc.add(term)
-
-
-def _t_mul(s1: set, s2: set) -> set:
-    out: set = set()
-    for t1 in s1:
-        for t2 in s2:
-            _t_add(out, tuple(a + b for a, b in zip(t1, t2)))
+        acc: set = set()
+        for m in s2:
+            acc ^= {m + t for t in s1}
+        out = frozenset(acc)
+    # exponents below 2^(_WIDTH-2) cannot sum past MAX_EXPONENT
+    if bits & _HALF and reduce(or_, out, 0) & _GUARD:
+        raise _overflow()
     return out
 
 
-def _t_content(ts: set) -> tuple:
-    it = iter(ts)
-    c = list(next(it))
-    for t in it:
-        changed = False
-        for i, e in enumerate(t):
-            if e < c[i]:
-                c[i] = e
-                changed = True
-        if not changed and not any(c):
+def _mono_min(x: int, y: int) -> int:
+    """Slot-wise minimum of two packed monomials."""
+    # a slot of (x | G) - y keeps its guard exactly when x >= y there
+    ge = (((x | _GUARD) - y) & _GUARD) >> (_WIDTH - 1)
+    return x ^ ((x ^ y) & (ge * MAX_EXPONENT))
+
+
+def _content(ts: Iterable[int], c: Optional[int] = None) -> Optional[int]:
+    """Monomial gcd of the terms and of `c` if given; None for none."""
+    for t in ts:
+        if c is None:
+            c = t
+        elif not c:
             break
-    return tuple(c)
+        else:
+            c = _mono_min(c, t)
+    return c
 
 
-def _t_shift_down(ts: set, c: tuple) -> set:
-    if not any(c):
-        return set(ts)
-    return {tuple(e - ce for e, ce in zip(t, c)) for t in ts}
+def _shift_down(ts: FrozenSet[int], c: int) -> FrozenSet[int]:
+    return frozenset([t - c for t in ts]) if c else ts
 
 
-def _t_div(p: set, d: set) -> set:
-    """Exact division of aligned term sets; raises _NotDivisible.
+def _t_div(p: FrozenSet[int], d: FrozenSet[int]) -> FrozenSet[int]:
+    """Exact quotient of term sets; raises _NotDivisible.
 
     Heap-ordered: the remainder is kept as a lazily cancelled max-heap, so
     each quotient step costs |d| pushes instead of a scan of the remainder.
-    Negating every exponent turns Python's min-heap into the needed
-    descending lexicographic order.
+    Negating every term turns Python's min-heap into descending order.
     """
     if not d:
         raise DivisionByZero("polynomial division by zero")
     if not p:
-        return set()
+        return _EMPTY
+    guard = _GUARD
     ld = max(d)
+    if len(d) == 1:
+        q = [t - ld for t in p]
+        # a negative term makes the OR negative
+        bits = reduce(or_, q, 0)
+        if bits < 0 or bits & guard:
+            raise _NotDivisible
+        return frozenset(q)
     tail = [m for m in d if m != ld]
-    heap = [tuple(-x for x in t) for t in p]
+    heap = [-t for t in p]
     heapq.heapify(heap)
-    q: set = set()
+    pop, push = heapq.heappop, heapq.heappush
+    q = []
     while heap:
-        neg = heapq.heappop(heap)
+        neg = pop(heap)
         alive = True
         while heap and heap[0] == neg:
-            heapq.heappop(heap)
+            pop(heap)
             alive = not alive
         if not alive:
             continue
-        qt = tuple(-n - l for n, l in zip(neg, ld))
-        if any(x < 0 for x in qt):
+        qt = -neg - ld
+        if qt < 0 or qt & guard:
             raise _NotDivisible
-        q.add(qt)
+        q.append(qt)
         for m in tail:
-            heapq.heappush(heap, tuple(-(a + b) for a, b in zip(qt, m)))
-    return q
+            push(heap, -(qt + m))
+    return frozenset(q)
 
 
-def _t_used_vars(ts: set) -> set:
-    used = set()
-    for t in ts:
-        for i, e in enumerate(t):
-            if e:
-                used.add(i)
-    return used
-
-
-def _univ(ts: set, k: int) -> Dict[int, set]:
-    """View an aligned term set as univariate in slot k."""
+def _univ(ts: Iterable[int], sh: int) -> Dict[int, set]:
+    """View a term set as univariate in the slot at offset sh."""
     out: Dict[int, set] = {}
     for t in ts:
-        d = t[k]
-        t0 = t[:k] + (0,) + t[k + 1 :]
-        _t_add(out.setdefault(d, set()), t0)
-    return {d: c for d, c in out.items() if c}
-
-
-def _deuniv(u: Dict[int, set], k: int) -> set:
-    out: set = set()
-    for d, cs in u.items():
-        for t in cs:
-            _t_add(out, t[:k] + (t[k] + d,) + t[k + 1 :])
+        d = t >> sh & MAX_EXPONENT
+        s = out.get(d)
+        if s is None:
+            s = out[d] = set()
+        s.add(t - (d << sh))
     return out
 
 
-def _t_gcd_many(sets: Iterable[set], width: int) -> set:
-    one = {(0,) * width}
-    g: Optional[set] = None
-    for s in sets:
-        g = set(s) if g is None else _t_gcd(g, s, width)
-        if g == one:
-            return g
-    assert g is not None
-    return g
-
-
-def _univ_primitive(u: Dict[int, set], width: int) -> Dict[int, set]:
-    if not u:
-        return u
-    cont = _t_gcd_many(u.values(), width)
-    if cont == {(0,) * width}:
-        return u
-    return {d: _t_div(c, cont) for d, c in u.items()}
+def _primitive(u: Dict[int, set]):
+    """Content and primitive part of a univariate view."""
+    cont = None
+    for c in u.values():
+        cont = c if cont is None else _t_gcd(cont, c)
+        if cont == _ONE_T:
+            return cont, u
+    return cont, {d: _t_div(c, cont) for d, c in u.items()}
 
 
 def _prem(A: Dict[int, set], B: Dict[int, set]) -> Dict[int, set]:
     """Pseudo-remainder of A by B in the chosen slot (char 2, sign-free)."""
     dB = max(B)
     lcB = B[dB]
-    R = dict(A)
+    R = A
     while R and max(R) >= dB:
         dR = max(R)
         lcR = R[dR]
-        new: Dict[int, set] = {}
-        for d, c in R.items():
-            prod = _t_mul(lcB, c)
-            tgt = new.setdefault(d, set())
-            for t in prod:
-                _t_add(tgt, t)
+        new = {d: set(_t_mul(lcB, c)) for d, c in R.items()}
         for d, c in B.items():
             prod = _t_mul(lcR, c)
-            tgt = new.setdefault(d + dR - dB, set())
-            for t in prod:
-                _t_add(tgt, t)
+            tgt = new.get(d + dR - dB)
+            if tgt is None:
+                new[d + dR - dB] = set(prod)
+            else:
+                tgt ^= prod
         R = {d: c for d, c in new.items() if c}
     return R
 
 
-def _t_gcd(a: set, b: set, width: int) -> set:
-    if not a:
-        return set(b)
-    if not b:
-        return set(a)
-    if a == b:
-        return set(a)
-    one = {(0,) * width}
-    ca = _t_content(a)
-    cb = _t_content(b)
-    c = tuple(min(x, y) for x, y in zip(ca, cb)) if width else ()
-    a0 = _t_shift_down(a, ca)
-    b0 = _t_shift_down(b, cb)
-    mono = {c}
-    if a0 == one or b0 == one:
+def _t_gcd(a, b) -> FrozenSet[int]:
+    if not (a and b) or a == b:
+        return a or b
+    ca = _content(a)
+    cb = _content(b)
+    mono = frozenset((_mono_min(ca, cb),))
+    a0 = _shift_down(a, ca)
+    b0 = _shift_down(b, cb)
+    if a0 == _ONE_T or b0 == _ONE_T:
         return mono
-    common = _t_used_vars(a0) & _t_used_vars(b0)
+    # (bits | G) - _LOW keeps the guard of exactly the nonzero slots
+    common = ((reduce(or_, a0, 0) | _GUARD) - _LOW) & (
+        (reduce(or_, b0, 0) | _GUARD) - _LOW) & _GUARD
     if not common:
         return mono
-    k = max(common)
-    A = _univ(a0, k)
-    B = _univ(b0, k)
-    contA = _t_gcd_many(A.values(), width)
-    contB = _t_gcd_many(B.values(), width)
-    g_cont = _t_gcd(contA, contB, width)
-    A = {d: _t_div(cs, contA) for d, cs in A.items()} if contA != one else A
-    B = {d: _t_div(cs, contB) for d, cs in B.items()} if contB != one else B
+    # main variable: the last common one by name.  The choice moves the
+    # cost a lot: on one 3-variable input the highest slot took over 20 s
+    # where this takes 0.2 s
+    sh = max(slot_shifts(common >> (_WIDTH - 1)).items())[1]
+    contA, A = _primitive(_univ(a0, sh))
+    contB, B = _primitive(_univ(b0, sh))
+    g_cont = _t_gcd(contA, contB)
     if max(A) < max(B):
         A, B = B, A
     while B:
-        R = _prem(A, B)
-        A = B
-        B = _univ_primitive(R, width)
-    g = _deuniv(A, k)
+        A, B = B, _primitive(_prem(A, B))[1]
+    g = frozenset([t + (d << sh) for d, cs in A.items() for t in cs])
     for part in (g_cont, mono):
-        if part != one:
+        if part != _ONE_T:
             g = _t_mul(g, part)
     return g
 
 
-def _monomial_gcd(p: Poly, mono: Monomial) -> Poly:
-    """gcd of a polynomial with a single monomial: per-variable minimum of
-    the monomial's exponent and the polynomial's content exponent."""
-    out = []
-    for v, e in mono:
-        low = min((dict(m).get(v, 0) for m in p.terms), default=0)
-        e = min(e, low)
-        if e:
-            out.append((v, e))
-    return Poly((tuple(out),), p.variables)
+def strip_monomial_content(row: List[Poly]) -> List[Poly]:
+    """Divide a row through by the monomial gcd of all its terms."""
+    c = _content(t for p in row for t in p.packed)
+    if not c:
+        return row
+    return [_poly(_shift_down(p.packed, c), p.variables) for p in row]
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Greatest common divisor; GF(2) has trivial units, so it is canonical."""
-    if p.is_zero:
-        return q
-    if q.is_zero:
+    if q.is_zero or p.is_one or p == q:
         return p
-    if p.is_one or p == q:
-        return p
-    if q.is_one:
+    if p.is_zero or q.is_one:
         return q
-    if len(q.terms) == 1:
-        return _monomial_gcd(p, next(iter(q.terms)))
-    if len(p.terms) == 1:
-        return _monomial_gcd(q, next(iter(p.terms)))
-    names = tuple(sorted({v for m in p.terms for v, _ in m}
-                         | {v for m in q.terms for v, _ in m}))
-    g = _t_gcd(_aligned(p.terms, names), _aligned(q.terms, names), len(names))
-    return Poly(_named(g, names), p._vars_with(q))
+    a, b = p.packed, q.packed
+    if len(b) == 1 or len(a) == 1:
+        g = frozenset((_content(b, _content(a)),))
+    else:
+        g = _t_gcd(a, b)
+    return _poly(g, p._vars_with(q))
 
 
 def poly_divmod_exact(p: Poly, d: Poly) -> Poly:
@@ -470,13 +487,11 @@ def poly_divmod_exact(p: Poly, d: Poly) -> Poly:
         return Poly.zero(p.variables)
     if d.is_one:
         return p
-    names = tuple(sorted({v for m in p.terms for v, _ in m}
-                         | {v for m in d.terms for v, _ in m}))
     try:
-        q = _t_div(_aligned(p.terms, names), _aligned(d.terms, names))
+        q = _t_div(p.packed, d.packed)
     except _NotDivisible:
         raise ValueError("inexact polynomial division") from None
-    return Poly(_named(q, names), p._vars_with(d))
+    return _poly(q, p._vars_with(d))
 
 
 def poly_lcm(p: Poly, q: Poly) -> Poly:
@@ -490,6 +505,24 @@ def poly_lcm(p: Poly, q: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 
+def _cancel(p: Poly, q: Poly) -> Tuple[Poly, Poly]:
+    """p and q divided by their gcd."""
+    g = poly_gcd(p, q)
+    if g.is_one:
+        return p, q
+    return poly_divmod_exact(p, g), poly_divmod_exact(q, g)
+
+
+def _ratfn(num: Poly, den: Poly) -> "RatFn":
+    """Trusted constructor: num/den must be reduced with den nonzero and
+    den = 1 when num = 0 (see the module docstring)."""
+    r = _new(RatFn)
+    r.num = num
+    r.den = den
+    r._hash = None
+    return r
+
+
 class RatFn:
     """A reduced fraction of GF(2) polynomials with nonzero denominator."""
 
@@ -500,29 +533,23 @@ class RatFn:
             raise DivisionByZero("rational function with zero denominator")
         if num.is_zero:
             den = Poly.one(den.variables)
-        elif not den.is_one:
-            g = poly_gcd(num, den)
-            if not g.is_one:
-                num = poly_divmod_exact(num, g)
-                den = poly_divmod_exact(den, g)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RatFn is immutable")
+        elif not (den.is_one or num.is_one):
+            num, den = _cancel(num, den)
+        self.num = num
+        self.den = den
+        self._hash = None
 
     @staticmethod
     def from_poly(p: Poly) -> "RatFn":
-        return RatFn(p, Poly.one(p.variables))
+        return _ratfn(p, Poly.one(p.variables))
 
     @staticmethod
     def zero(variables: Tuple[str, ...] = ()) -> "RatFn":
-        return RatFn(Poly.zero(variables), Poly.one(variables))
+        return _ratfn(Poly.zero(variables), Poly.one(variables))
 
     @staticmethod
     def one(variables: Tuple[str, ...] = ()) -> "RatFn":
-        return RatFn(Poly.one(variables), Poly.one(variables))
+        return _ratfn(Poly.one(variables), Poly.one(variables))
 
     @property
     def is_zero(self) -> bool:
@@ -548,41 +575,33 @@ class RatFn:
     __sub__ = __add__
 
     def __mul__(self, other: "RatFn") -> "RatFn":
-        if self.is_zero or other.is_zero:
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if not n1.packed or not n2.packed:
             return RatFn.zero(self.variables)
-        if self.den.is_one and other.den.is_one:
-            return RatFn(self.num * other.num, self.den)
-        # cross-reduce before multiplying to keep the final gcd small
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        n1 = self.num if g1.is_one else poly_divmod_exact(self.num, g1)
-        d2 = other.den if g1.is_one else poly_divmod_exact(other.den, g1)
-        n2 = other.num if g2.is_one else poly_divmod_exact(other.num, g2)
-        d1 = self.den if g2.is_one else poly_divmod_exact(self.den, g2)
-        return RatFn(n1 * n2, d1 * d2)
+        if d1.is_one and d2.is_one:
+            return _ratfn(n1 * n2, d1)
+        # cross-reduce before multiplying: the product is then reduced
+        if not d2.is_one:
+            n1, d2 = _cancel(n1, d2)
+        if not d1.is_one:
+            n2, d1 = _cancel(n2, d1)
+        return _ratfn(n1 * n2, d1 * d2)
 
     def invert(self) -> "RatFn":
         if self.is_zero:
             raise DivisionByZero("inverting zero rational function")
-        return RatFn(self.den, self.num)
+        return _ratfn(self.den, self.num)
 
     def __truediv__(self, other: "RatFn") -> "RatFn":
         return self * other.invert()
 
     def square(self) -> "RatFn":
-        return RatFn(self.num.square(), self.den.square())
+        return _ratfn(self.num.square(), self.den.square())
 
     def __pow__(self, n: int) -> "RatFn":
         if n < 0:
             return self.invert() ** (-n)
-        result = RatFn.one(self.variables)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base.square()
-            n >>= 1
-        return result
+        return _power(RatFn.one(self.variables), self, n)
 
     def __eq__(self, other) -> bool:
         # reduced fractions over a UFD with trivial units are unique
@@ -592,8 +611,7 @@ class RatFn:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.num, self.den))
-            object.__setattr__(self, "_hash", h)
+            h = self._hash = hash((self.num, self.den))
         return h
 
     def derivative(self, v: str) -> "RatFn":
@@ -602,13 +620,8 @@ class RatFn:
         return RatFn(n, self.den.square())
 
     def square_root(self) -> Optional["RatFn"]:
-        rn = self.num.square_root()
-        if rn is None:
-            return None
-        rd = self.den.square_root()
-        if rd is None:
-            return None
-        return RatFn(rn, rd)
+        rn, rd = self.num.square_root(), self.den.square_root()
+        return None if rn is None or rd is None else _ratfn(rn, rd)
 
     def square_coordinates(self) -> Dict[FrozenSet[str], "RatFn"]:
         """Write self as a sum over square-free monomials mu of c_mu^2 * mu.
@@ -620,23 +633,13 @@ class RatFn:
         if self.is_zero:
             return {}
         n = self.num * self.den
-        classes: Dict[FrozenSet[str], set] = {}
-        for m in n.terms:
-            parity = frozenset(v for v, e in m if e % 2)
-            stripped = tuple((v, (e - 1) // 2 if e % 2 else e // 2) for v, e in m)
-            stripped = tuple((v, e) for v, e in stripped if e)
-            cls = classes.setdefault(parity, set())
-            if stripped in cls:
-                cls.remove(stripped)
-            else:
-                cls.add(stripped)
-        out: Dict[FrozenSet[str], RatFn] = {}
-        for parity, terms in classes.items():
-            if not terms:
-                continue
-            root = Poly(terms, n.variables)
-            out[parity] = RatFn(root, self.den)
-        return out
+        classes: Dict[int, List[int]] = {}
+        for t in n.packed:
+            parity = t & _LOW
+            classes.setdefault(parity, []).append((t ^ parity) >> 1)
+        return {frozenset(slot_shifts(parity)):
+                RatFn(_poly(frozenset(ts), n.variables), self.den)
+                for parity, ts in classes.items()}
 
     def __str__(self) -> str:
         if self.den.is_one:
@@ -646,12 +649,3 @@ class RatFn:
     def __repr__(self) -> str:
         return f"RatFn({self})"
 
-
-def is_square(p):
-    """Square root of a Poly or RatFn if one exists, else None."""
-    return p.square_root()
-
-
-def derivative(p: Poly, v: str) -> Poly:
-    """Formal partial derivative of a polynomial."""
-    return p.derivative(v)

@@ -112,15 +112,19 @@ def splitting_pattern(q: QuasilinearForm) -> SplittingPattern:
     return SplittingPattern(tuple(dims))
 
 
-def first_witt_index(q: QuasilinearForm) -> int:
-    """Total index of q over its own function field."""
+def witt_function_field(q: QuasilinearForm) -> FunctionFieldData:
+    """function_field(q), after the input checks of the first Witt index."""
     if q.dim < 2:
         raise DimensionTooSmall(
             f"first Witt index needs dimension >= 2, got {q.dim}")
     if not is_anisotropic(q):
         raise IsotropicInput("first Witt index expects an anisotropic form")
-    ff = function_field(q)
-    return total_index_over(q, ff.tower)
+    return function_field(q)
+
+
+def first_witt_index(q: QuasilinearForm) -> int:
+    """Total index of q over its own function field."""
+    return total_index_over(q, witt_function_field(q).tower)
 
 
 def essential_dimension(q: QuasilinearForm) -> int:

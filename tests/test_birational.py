@@ -3,11 +3,13 @@ fields, domination, stable equivalence, rulings with certificates, unique
 self-maps, and the regularity test."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from quasiform.birational import (
     DominationVerdict,
+    FiberMap,
     construct_ruling,
     decide_birational,
     decide_stably_equivalent,
@@ -16,9 +18,10 @@ from quasiform.birational import (
     is_regular_quadric,
     unique_self_map_check,
 )
-from quasiform.errors import NotRuled
+from quasiform.errors import DimensionTooSmall, IsotropicInput, NotRuled
 from quasiform.fieldtower import FieldTower
 from quasiform.forms import QuasilinearForm, is_anisotropic
+from quasiform.maps import RationalMap
 from quasiform.pfister import quasi_pfister
 from quasiform.splitting import first_witt_index, function_field
 
@@ -179,6 +182,28 @@ class TestRulings:
                              (cert.s_basis[1], cert.s_basis[0]),
                              cert.pi, cert.fibers, cert.scale)
         assert not swapped.verify()
+
+    def test_decomposition_rejects_data_its_certificate_lacks(self, F, abc):
+        a, b, _ = abc
+        dec = construct_ruling(quasi_pfister([a, b], F))
+        pi, fibers = dec.psi.pi, dec.psi.fibers
+        swapped = replace(dec, psi=FiberMap(pi, fibers[::-1]))
+        assert fibers[0] != fibers[1] and not swapped.verify()
+        scaled = RationalMap(pi.source_field,
+                             [c * pi.source_field.var("a")
+                              for c in pi.coords], pi.target)
+        assert scaled.verify()
+        assert not replace(dec, psi=FiberMap(scaled, fibers)).verify()
+        other = construct_ruling(quasi_pfister([a, b], F))
+        assert not replace(dec, psi=other.psi).verify()
+        assert dec.verify()
+
+    def test_input_errors_of_the_first_witt_index(self, F, abc):
+        a, _, _ = abc
+        with pytest.raises(DimensionTooSmall, match="first Witt index"):
+            construct_ruling(QuasilinearForm(F, [a]))
+        with pytest.raises(IsotropicInput, match="first Witt index"):
+            construct_ruling(QuasilinearForm(F, [a, a]))
 
 
 class TestUniqueSelfMap:

@@ -10,8 +10,6 @@ from quasiform.errors import DivisionByZero, UnknownVariable
 from quasiform.gf2poly import (
     Poly,
     RatFn,
-    derivative,
-    is_square,
     poly_divmod_exact,
     poly_gcd,
     poly_lcm,
@@ -100,7 +98,8 @@ class TestPolyBasics:
     @settings(max_examples=40, deadline=None)
     def test_square_root_roundtrip(self, p):
         assert p.square().square_root() == p
-        assert is_square(p.square()) == p
+        f = RatFn(p, B + ONE)
+        assert f.square().square_root() == f
 
     def test_square_root_none_for_nonsquare(self):
         assert A.square_root() is None
@@ -121,7 +120,7 @@ class TestDerivative:
         assert (A * A).derivative("a") == ZERO
         assert (A * A * A).derivative("a") == A * A
         assert (A * B).derivative("a") == B
-        assert derivative(A * B, "b") == A
+        assert (A * B).derivative("b") == A
 
     @given(polys(), polys())
     @settings(max_examples=40, deadline=None)

@@ -7,9 +7,11 @@ with a pinned `similarity_factor` string, stably equivalent of unequal
 dimension, birational but not similar) and `ruling` with verified
 certificates.  The reports under `tests/golden/` were written by
 
-    PYTHONPATH=src python tests/test_golden_reports.py
+    PYTHONPATH=src python tests/test_golden_reports.py [NAME ...]
 
-with the library as it was before the norm field was built by doubling.
+with the library as it was before the norm field was built by doubling;
+`ruling_pfister3` (the ruling of <<a,b,c>>) with the library as it was
+before polynomials were stored as packed exponent vectors.
 Rewrite them only with a change that is meant to alter an answer.
 """
 
@@ -69,6 +71,13 @@ SCRIPTS = {
         form scaled = <c, a*c, b*c, a*b*c>;
         form generic = <a, b, c>;
         ruling pfister2; ruling scaled; ruling generic;
+    """,
+    # the 3-fold quasi-Pfister form <<a,b,c>>: a ruling over a depth-3
+    # tower, the heaviest certificate replay here
+    "ruling_pfister3": """
+        field F2(a,b,c);
+        form pfister3 = <1, a, b, a*b, c, a*c, b*c, a*b*c>;
+        ruling pfister3;
     """,
 }
 
