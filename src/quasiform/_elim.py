@@ -119,6 +119,21 @@ def _back_substitute(rows: List[List[Poly]], pivots: List[Tuple[int, int]],
     return [v if v is not None else RatFn.zero() for v in x]
 
 
+def _consistent_forward(matrix: List[List[Poly]], rhs: List[Poly]
+                        ) -> Optional[Tuple[List[List[Poly]],
+                                            List[Tuple[int, int]]]]:
+    """Forward pass on [matrix | rhs]: the reduced rows and the pivots, or
+    None when a row without pivot keeps a nonzero right-hand side."""
+    ncols = len(matrix[0])
+    rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
+    pivots = _forward(rows, ncols)
+    pivot_rows = {pi for pi, _ in pivots}
+    if any(not r[ncols].is_zero
+           for i, r in enumerate(rows) if i not in pivot_rows):
+        return None
+    return rows, pivots
+
+
 def solve(matrix: List[List[Poly]], rhs: List[Poly]) -> Optional[List[RatFn]]:
     """One solution of matrix * x = rhs over the fraction field, or None.
 
@@ -126,14 +141,11 @@ def solve(matrix: List[List[Poly]], rhs: List[Poly]) -> Optional[List[RatFn]]:
     """
     if not matrix:
         return []
+    reduced = _consistent_forward(matrix, rhs)
+    if reduced is None:
+        return None
     ncols = len(matrix[0])
-    rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
-    pivots = _forward(rows, ncols)
-    pivot_rows = {pi for pi, _ in pivots}
-    for i, r in enumerate(rows):
-        if i not in pivot_rows and not r[ncols].is_zero:
-            return None
-    return _back_substitute(rows, pivots, ncols, ncols, {})
+    return _back_substitute(*reduced, ncols, ncols, {})
 
 
 def solvable(matrix: List[List[Poly]], rhs: List[Poly]) -> bool:
@@ -142,14 +154,7 @@ def solvable(matrix: List[List[Poly]], rhs: List[Poly]) -> bool:
     The forward pass settles consistency, so this avoids the rational
     function arithmetic that producing an explicit solution would cost.
     """
-    if not matrix:
-        return True
-    ncols = len(matrix[0])
-    rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
-    pivots = _forward(rows, ncols)
-    pivot_rows = {pi for pi, _ in pivots}
-    return all(r[ncols].is_zero
-               for i, r in enumerate(rows) if i not in pivot_rows)
+    return not matrix or _consistent_forward(matrix, rhs) is not None
 
 
 def nullspace(matrix: List[List[Poly]], ncols: int) -> List[List[RatFn]]:

@@ -39,6 +39,8 @@ _DEG = 15
 _MODMASK = (1 << _DEG) | 0b11  # x^15 + x + 1
 _ORDER = (1 << _DEG) - 1
 _ORDER_PRIMES = (7, 31, 151)
+# witness points tried per system before exact elimination decides
+_TRIALS = 4
 
 
 @lru_cache(maxsize=None)
@@ -116,8 +118,7 @@ def _rank(rows: List[List[int]], exp: array, log: array) -> int:
 
 
 def numeric_verdict(matrix: Sequence[Sequence[Poly]],
-                    rhs: Sequence[Poly],
-                    trials: int = 4) -> Optional[bool]:
+                    rhs: Sequence[Poly]) -> Optional[bool]:
     """Solvability of matrix * x = rhs when a witness point settles it.
 
     True and False are proofs; None means no trial point was conclusive
@@ -137,7 +138,7 @@ def numeric_verdict(matrix: Sequence[Sequence[Poly]],
     shifts = slot_shifts(used)
     names = sorted(shifts)
     rng = random.Random(0x51D2)
-    for _ in range(trials):
+    for _ in range(_TRIALS):
         # one point coordinate per variable, drawn in name order
         logs = [(shifts[n], log[rng.randrange(1, _ORDER + 1)])
                 for n in names]

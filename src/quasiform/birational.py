@@ -29,7 +29,7 @@ from .errors import (
 )
 from .fieldtower import FieldTower, TowerElem, fresh_names
 from .forms import QuasilinearForm, is_anisotropic, total_index
-from .gf2poly import Poly, RatFn, poly_divmod_exact, poly_lcm
+from .gf2poly import Poly, RatFn, common_denominator, numerator_over
 from .maps import RationalMap, projectively_equal
 from .splitting import (
     essential_dimension,
@@ -38,7 +38,12 @@ from .splitting import (
     total_index_over,
     witt_function_field,
 )
-from .sqlinalg import isotropic_kernel_basis, span_saturate, tower_linear_solve
+from .sqlinalg import (
+    clear_denominators,
+    isotropic_kernel_basis,
+    span_saturate,
+    tower_linear_solve,
+)
 
 
 def is_isotropic_over(p: QuasilinearForm, q: QuasilinearForm) -> bool:
@@ -115,21 +120,6 @@ class FiberMap:
     fibers: Tuple[TowerElem, ...]
 
 
-def _cleared_vector(vec: Sequence[TowerElem]) -> List[TowerElem]:
-    """The vector scaled by the least common multiple of all coefficient
-    denominators, making every entry polynomial."""
-    tower = vec[0].tower
-    lcm = Poly.one(tower.base_vars)
-    for e in vec:
-        for fn in e.coeffs.values():
-            if not fn.den.is_one:
-                lcm = poly_lcm(lcm, fn.den)
-    if lcm.is_one:
-        return list(vec)
-    scalar = tower.scalar(lcm)
-    return [e * scalar for e in vec]
-
-
 def _pull_basis(ff_y, s_basis: Sequence[Sequence[TowerElem]],
                 pi_coords: Sequence[TowerElem],
                 K: FieldTower) -> List[List[TowerElem]]:
@@ -144,7 +134,7 @@ def _pull_basis(ff_y, s_basis: Sequence[Sequence[TowerElem]],
     deterministic, so certificate verification can recompute it exactly.
     """
     T_y = ff_y.tower
-    pi_poly = _cleared_vector(pi_coords)
+    pi_poly = clear_denominators(pi_coords)
     d = pi_poly[0]
     images = dict(zip(ff_y.fresh_names, pi_poly[1:]))
     uvars = set(ff_y.fresh_names[:-1])
@@ -203,7 +193,7 @@ def _pull_basis(ff_y, s_basis: Sequence[Sequence[TowerElem]],
 
     out: List[List[TowerElem]] = []
     for s in s_basis:
-        entries = _cleared_vector(list(s))
+        entries = clear_denominators(s)
         numerators: List[TowerElem] = []
         powers: List[int] = []
         for e in entries:
@@ -214,6 +204,21 @@ def _pull_basis(ff_y, s_basis: Sequence[Sequence[TowerElem]],
         out.append([n * power("~d", d, kmax - k)
                     for n, k in zip(numerators, powers)])
     return out
+
+
+def _recombines(fibers: Sequence[TowerElem],
+                pulled: Sequence[Sequence[TowerElem]],
+                point: Sequence[TowerElem], scale: TowerElem) -> bool:
+    """Whether f_1*t_1 + ... + f_r*t_r = scale * point, coordinate by
+    coordinate, for the fibers f_i and the pulled-back vectors t_i."""
+    zero = scale.tower.zero()
+    for j, x in enumerate(point):
+        combo = zero
+        for f, t in zip(fibers, pulled):
+            combo = combo + f * t[j]
+        if combo != scale * x:
+            return False
+    return True
 
 
 class RulingCertificate:
@@ -262,14 +267,8 @@ class RulingCertificate:
                                  ff_x.tower)
         except (DivisionByZero, EmbeddingFailure, KeyError, ValueError):
             return False
-        g = ff_x.generic_point
-        for j in range(self.X.dim):
-            combo = ff_x.tower.zero()
-            for f, t in zip(self.fibers, pulled):
-                combo = combo + f * t[j]
-            if combo != self.scale * g[j]:
-                return False
-        return True
+        return _recombines(self.fibers, pulled, ff_x.generic_point,
+                           self.scale)
 
     def __repr__(self) -> str:
         return (f"RulingCertificate({self.X} ~ {self.Y} x P^"
@@ -346,12 +345,8 @@ def construct_ruling(X: QuasilinearForm) -> RulingDecomposition:
         raise InconsistencyDetected(
             "generic point is outside the pulled-back isotropic space")
     scale = K.one()
-    for j in range(X.dim):
-        combo = K.zero()
-        for f, t in zip(fibers, pulled):
-            combo = combo + f * t[j]
-        if combo != g[j]:
-            raise InconsistencyDetected("fiber solve failed to re-verify")
+    if not _recombines(fibers, pulled, g, scale):
+        raise InconsistencyDetected("fiber solve failed to re-verify")
     certificate = RulingCertificate(X, Y, s_basis, pi, tuple(fibers), scale)
 
     fiber_names = fresh_names(ff_y.tower, "t", r - 1)
@@ -417,26 +412,14 @@ def _differentials_independent(field: FieldTower,
     if not elems:
         return True
     variables = field.base_vars
-    jacobian: List[List[RatFn]] = []
-    for e in elems:
-        fn = e.coeffs.get(0, RatFn.zero(variables))
-        jacobian.append([fn.derivative(v) for v in variables])
-    # columns of the transposed system are the elements; a nonzero
-    # nullspace vector is a dependence among the differentials
+    fns = [e.coeffs.get(0, RatFn.zero(variables)) for e in elems]
+    # one row per variable, one column per element; a nonzero nullspace
+    # vector is a dependence among the differentials
     rows: List[List[Poly]] = []
-    for v_index in range(len(variables)):
-        entries = [row[v_index] for row in jacobian]
-        lcm = Poly.one(variables)
-        for fn in entries:
-            if not fn.den.is_one:
-                lcm = poly_lcm(lcm, fn.den)
-        cleared = []
-        for fn in entries:
-            if fn.num.is_zero:
-                cleared.append(Poly.zero(variables))
-            else:
-                cleared.append(fn.num * poly_divmod_exact(lcm, fn.den))
-        rows.append(cleared)
+    for v in variables:
+        entries = [fn.derivative(v) for fn in fns]
+        den = common_denominator(entries)
+        rows.append([numerator_over(d, den) for d in entries])
     return not nullspace(rows, len(elems))
 
 

@@ -73,11 +73,16 @@ def _run_invariants(form) -> Result:
 
 
 def _run_compare(p, q) -> Result:
-    out: Result = {"isometric": is_isometric(p, q)}
     try:
         factor = decide_similar(p, q)
+        # decide_similar returns the factor 1 exactly for isometric forms:
+        # it tests isometry first, and any other factor of 1 would fail
+        # its own isometry check
+        isometric = factor is not None and factor.is_one
     except (DimensionMismatch, IsotropicInput):
         factor = None
+        isometric = is_isometric(p, q)
+    out: Result = {"isometric": isometric}
     out["similar"] = factor is not None
     out["similarity_factor"] = None if factor is None else str(factor)
     stably = decide_stably_equivalent(p, q)

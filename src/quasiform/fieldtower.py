@@ -23,7 +23,7 @@ from .errors import (
     UnknownVariable,
     ZeroElement,
 )
-from .gf2poly import Monomial, Poly, RatFn
+from .gf2poly import Monomial, Poly, RatFn, _power
 
 CoeffMap = Tuple[Tuple[int, RatFn], ...]
 
@@ -172,9 +172,6 @@ class FieldTower:
     def theta(self, i: int) -> Dict[int, RatFn]:
         return dict(self.gens[i][1])
 
-    def theta_elem(self, i: int) -> "TowerElem":
-        return TowerElem(self, self.theta(i))
-
     # -- embedding ---------------------------------------------------------
 
     def embeds_into(self, other: "FieldTower") -> bool:
@@ -318,11 +315,6 @@ class TowerElem:
         """True when the expansion is supported on the trivial monomial."""
         return set(self.coeffs) <= {0}
 
-    def rational_part(self) -> RatFn:
-        if not self.is_rational:
-            raise ValueError("element involves inseparable generators")
-        return self.coeffs.get(0, RatFn.zero(self.tower.base_vars))
-
     def _check(self, other: "TowerElem") -> None:
         if self.tower != other.tower:
             raise ValueError("elements of different towers")
@@ -367,15 +359,7 @@ class TowerElem:
     def __pow__(self, n: int) -> "TowerElem":
         if n < 0:
             return self.invert() ** (-n)
-        result = self.tower.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base.square()
-        return result
+        return _power(self.tower.one(), self, n)
 
     def sqrt_in_tower(self) -> Optional["TowerElem"]:
         """The square root inside the tower if one exists, else None.

@@ -24,6 +24,7 @@ from .sqlinalg import (
     k2_rank,
     kernel_from_coefficients,
     span_saturate,
+    square_combination,
     square_nullspace_multi,
     square_system_solvable,
 )
@@ -57,10 +58,7 @@ class QuasilinearForm:
         if len(vector) != self.dim:
             raise DimensionMismatch(
                 f"vector length {len(vector)} != form dimension {self.dim}")
-        acc = self.field.zero()
-        for a, x in zip(self.coeffs, vector):
-            acc = acc + a * x.square()
-        return acc
+        return square_combination(vector, self.coeffs)
 
     def scale(self, c: TowerElem) -> "QuasilinearForm":
         if c.is_zero:
@@ -175,9 +173,7 @@ def decide_similar(q: QuasilinearForm,
         d_part = vec[:nb]
         if all(d.is_zero for d in d_part):
             continue
-        c = field.zero()
-        for root, p in zip(d_part, p_basis):
-            c = c + root.square() * p
+        c = square_combination(d_part, p_basis)
         if c.is_zero:
             continue
         factor = c * b1 * a1.invert()

@@ -500,6 +500,25 @@ def poly_lcm(p: Poly, q: Poly) -> Poly:
     return poly_divmod_exact(p * q, poly_gcd(p, q))
 
 
+def common_denominator(fns: Iterable["RatFn"]) -> Poly:
+    """Least common multiple of the denominators of the fractions; 1 when
+    every denominator is 1."""
+    den = None
+    for fn in fns:
+        d = fn.den
+        if not d.is_one:
+            den = d if den is None else poly_lcm(den, d)
+    return Poly.one() if den is None else den
+
+
+def numerator_over(f: "RatFn", den: Poly) -> Poly:
+    """f * den as a polynomial, for a multiple `den` of f's denominator."""
+    num = f.num
+    if den.is_one or not num.packed:
+        return num
+    return num * (den if f.den.is_one else poly_divmod_exact(den, f.den))
+
+
 # ---------------------------------------------------------------------------
 # Rational functions.
 # ---------------------------------------------------------------------------

@@ -26,7 +26,12 @@ from .fieldtower import FieldTower, TowerElem, fresh_names
 from .forms import QuasilinearForm, is_anisotropic
 from .maps import RationalMap
 from .splitting import function_field
-from .sqlinalg import SquareRelation, k2_membership, span_saturate
+from .sqlinalg import (
+    SquareRelation,
+    k2_membership,
+    span_saturate,
+    square_combination,
+)
 
 
 class QuasiPfisterForm:
@@ -68,10 +73,8 @@ class QuasiPfisterForm:
             raise IndexMismatch(
                 f"vector length {len(x)} != form dimension {self.dim}")
         tower = x[0].tower
-        acc = tower.zero()
-        for coeff, xm in zip(self.expansion, x):
-            acc = acc + self.field.embed(coeff, tower) * xm.square()
-        return acc
+        return square_combination(
+            x, [self.field.embed(c, tower) for c in self.expansion])
 
     def __str__(self) -> str:
         return "<<" + ", ".join(str(s) for s in self.slots) + ">>"

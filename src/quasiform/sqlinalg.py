@@ -32,25 +32,30 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import _elim, _gfnum
 from .errors import ZeroGenerator
 from .fieldtower import FieldTower, TowerElem
-from .gf2poly import Poly, RatFn, poly_divmod_exact, poly_lcm
+from .gf2poly import Poly, RatFn, common_denominator, numerator_over
+# not called here: qbench/tests/test_bench_tracer.py checks with this name
+# that the tracer also rebinds functions imported into other modules
+from .gf2poly import poly_lcm  # noqa: F401
 
 
-def _clear_denominators(elems: Sequence[TowerElem]) -> List[TowerElem]:
+def clear_denominators(elems: Sequence[TowerElem]) -> List[TowerElem]:
     """Scale all elements by one common base scalar to reach polynomial
     coefficients; scaling a square-coefficient relation through by any
     nonzero scalar preserves it with the same coefficients."""
-    if not elems:
-        return []
-    tower = elems[0].tower
-    den = Poly.one(tower.base_vars)
-    for e in elems:
-        for c in e.coeffs.values():
-            if not c.den.is_one:
-                den = poly_lcm(den, c.den)
+    den = common_denominator(c for e in elems for c in e.coeffs.values())
     if den.is_one:
         return list(elems)
     r = RatFn.from_poly(den)
     return [e.scale(r) for e in elems]
+
+
+def square_combination(roots: Sequence[TowerElem],
+                       gens: Sequence[TowerElem]) -> TowerElem:
+    """sum_i roots_i^2 * gens_i, in the tower of the (nonempty) gens."""
+    acc = gens[0].tower.zero()
+    for c, g in zip(roots, gens):
+        acc = acc + c.square() * g
+    return acc
 
 
 _RowKey = Tuple[int, int, Tuple[str, ...]]
@@ -79,25 +84,20 @@ class _SquareBlocks:
         nmasks = 1 << tower.depth
         blocks: List[Dict[_RowKey, List[Poly]]] = [{} for _ in columns]
         for e in range(len(columns[0])):
-            row = _clear_denominators([col[e] for col in columns])
+            row = clear_denominators([col[e] for col in columns])
             # products[j][m] = Theta_m * g_j as mask -> RatFn
             products = [[tower._mul(tower._theta_mask(m), g.coeffs)
                          for m in range(nmasks)] for g in row]
-            dens: Dict[int, Poly] = {}
+            by_mu: Dict[int, List[RatFn]] = {}
             for per_mask in products:
                 for p in per_mask:
                     for mu, fn in p.items():
-                        if not fn.den.is_one:
-                            dens[mu] = poly_lcm(dens.get(mu, Poly.one(())),
-                                                fn.den)
+                        by_mu.setdefault(mu, []).append(fn)
+            dens = {mu: common_denominator(fns) for mu, fns in by_mu.items()}
             for block, per_mask in zip(blocks, products):
                 for m, p in enumerate(per_mask):
                     for mu, fn in p.items():
-                        num = fn.num
-                        den = dens.get(mu)
-                        if den is not None:
-                            num = num * (den if fn.den.is_one else
-                                         poly_divmod_exact(den, fn.den))
+                        num = numerator_over(fn, dens[mu])
                         # split by exponent parity: inside one class every
                         # quantity is a square, so take square roots
                         coords = RatFn.from_poly(num).square_coordinates()
@@ -186,12 +186,8 @@ def solve_square_system_multi(
     roots = blocks.roots(range(ngens), ngens)
     if roots is None:
         return None
-    tower = blocks.tower
     for row, target in zip(gen_rows, targets):
-        acc = tower.zero()
-        for c, g in zip(roots, row):
-            acc = acc + c.square() * g
-        if acc != target:
+        if square_combination(roots, row) != target:
             raise AssertionError("semilinear solver produced an invalid relation")
     return roots
 
@@ -236,10 +232,7 @@ def square_nullspace_multi(
     for vec in basis:
         roots = _coeff_vectors(vec, ngens, nmasks, tower)
         for row in gen_rows:
-            acc = tower.zero()
-            for c, g in zip(roots, row):
-                acc = acc + c.square() * g
-            if not acc.is_zero:
+            if not square_combination(roots, row).is_zero:
                 raise AssertionError("nullspace vector fails to annihilate")
         out.append(roots)
     return out
@@ -292,23 +285,13 @@ def tower_linear_solve(
                     fn = expanded[i][m][comp].get(mu)
                     fns.append(fn if fn is not None else RatFn.zero())
             rf = rhs[comp].coeffs.get(mu)
-            rf = rf if rf is not None else RatFn.zero()
-            if all(f.is_zero for f in fns) and rf.is_zero:
+            fns.append(rf if rf is not None else RatFn.zero())
+            if all(f.is_zero for f in fns):
                 continue
-            den = Poly.one(tower.base_vars)
-            for f in fns:
-                if not f.den.is_one:
-                    den = poly_lcm(den, f.den)
-            if not rf.den.is_one:
-                den = poly_lcm(den, rf.den)
-
-            def clear(f: RatFn) -> Poly:
-                if f.is_zero:
-                    return Poly.zero(tower.base_vars)
-                return f.num * poly_divmod_exact(den, f.den)
-
-            matrix.append([clear(f) for f in fns])
-            rvec.append(clear(rf))
+            den = common_denominator(fns)
+            row = [numerator_over(f, den) for f in fns]
+            matrix.append(row[:-1])
+            rvec.append(row[-1])
     sol = _elim.solve(matrix, rvec)
     if sol is None:
         return None
@@ -316,29 +299,26 @@ def tower_linear_solve(
 
 
 class SquareRelation:
-    """Certificate that target = sum coefficients_i * generators_i with every
-    coefficient a square; the square roots are carried alongside."""
+    """Certificate that target = sum_i roots_i^2 * generators_i: the target
+    lies in the span of the generators over the squares.  The constructor
+    raises AssertionError when the relation does not hold."""
 
-    __slots__ = ("target", "generators", "coefficients", "roots")
+    __slots__ = ("target", "generators", "roots")
 
     def __init__(self, target: TowerElem, generators: List[TowerElem],
                  roots: List[TowerElem]):
         self.target = target
         self.generators = list(generators)
         self.roots = list(roots)
-        self.coefficients = [c.square() for c in roots]
         if not self.verify():
             raise AssertionError("square relation fails to verify")
 
     def verify(self) -> bool:
-        tower = self.target.tower
-        acc = tower.zero()
-        for d, g in zip(self.coefficients, self.generators):
-            acc = acc + d * g
-        if acc != self.target:
+        if len(self.roots) != len(self.generators):
             return False
-        return all(c.square() == d
-                   for c, d in zip(self.roots, self.coefficients))
+        if not self.generators:
+            return self.target.is_zero
+        return square_combination(self.roots, self.generators) == self.target
 
     def __repr__(self) -> str:
         return (f"SquareRelation({self.target} = "
@@ -353,7 +333,8 @@ def k2_membership(
     """Certificate that target lies in the span of gens over squares."""
     if not gens:
         raise ValueError("membership query needs at least one generator")
-    # SquareRelation re-verifies the roots, so they skip the solver's check
+    # SquareRelation checks the relation, so the roots skip the solver's
+    # check of the same sum
     blocks = _SquareBlocks([(g,) for g in gens] + [(target,)])
     roots = blocks.roots(range(len(gens)), len(gens), witness=True)
     if roots is None:

@@ -1,4 +1,5 @@
-"""Every entry point the benchmark's tracer wraps still exists.
+"""Every entry point the benchmark's tracer wraps, and every name the
+package exports, still exists.
 
 The tracer (qbench/tracer.py) looks each name up in quasiform.<layer> and
 only reports a missing one, whose per-layer figures then read 0; this test
@@ -30,3 +31,12 @@ def test_every_traced_entry_point_resolves():
             if not callable(getattr(owner, attr, None)):
                 missing.append(f"{layer}.{entry}")
     assert missing == []
+
+
+def test_every_exported_name_resolves():
+    import quasiform
+
+    missing = [name for name in quasiform.__all__
+               if not hasattr(quasiform, name)]
+    assert missing == []
+    assert len(set(quasiform.__all__)) == len(quasiform.__all__)

@@ -1,6 +1,7 @@
 """Polynomial and rational function arithmetic over GF(2), cross-checked by
 random evaluation in GF(2^15)."""
 
+import functools
 import random
 
 import pytest
@@ -10,6 +11,8 @@ from quasiform.errors import DivisionByZero, UnknownVariable
 from quasiform.gf2poly import (
     Poly,
     RatFn,
+    common_denominator,
+    numerator_over,
     poly_divmod_exact,
     poly_gcd,
     poly_lcm,
@@ -208,3 +211,48 @@ class TestRatFn:
     def test_reduced_invariant(self):
         f = RatFn((A + B) * A, (A + B) * B)
         assert poly_gcd(f.num, f.den).is_one
+
+
+VARS3 = ("a", "b", "c")
+A3, B3, C3 = (Poly.variable(v, VARS3) for v in VARS3)
+ONE3 = Poly.one(VARS3)
+# denominators are products of these, so that they share factors
+FACTORS = (A3, B3 + ONE3, A3 + C3, A3 * B3 + C3, C3 * C3 + A3 + ONE3)
+
+
+def fractions3():
+    """Random fractions over F2(a,b,c) with overlapping denominators."""
+    exps = st.tuples(*[st.integers(0, 2)] * 3)
+    num = st.lists(exps, max_size=3).map(
+        lambda monos: Poly([tuple((v, e) for v, e in zip(VARS3, m) if e)
+                            for m in monos], VARS3))
+    den = st.lists(st.sampled_from(FACTORS), max_size=3).map(
+        lambda fs: functools.reduce(lambda x, y: x * y, fs, ONE3))
+    return st.builds(RatFn, num, den)
+
+
+class TestCommonDenominator:
+    @given(st.lists(fractions3(), max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_lcm_clears_every_fraction(self, fns):
+        den = common_denominator(fns)
+        assert den == functools.reduce(poly_lcm, (f.den for f in fns), ONE3)
+        rng = random.Random(len(fns))
+        for f in fns:
+            poly_divmod_exact(den, f.den)  # raises unless f.den divides den
+            num = numerator_over(f, den)
+            for _ in range(4):
+                point = {v: rng.randrange(1, GF_ORDER) for v in VARS3}
+                try:
+                    value = eval_ratfn(f, point)
+                except ZeroDivisionError:
+                    continue
+                assert eval_poly(num, point) == gf_mul(
+                    value, eval_poly(den, point))
+
+    def test_all_polynomial(self):
+        fns = [RatFn.from_poly(A3 + B3), RatFn.zero(VARS3)]
+        assert common_denominator(fns).is_one
+        assert common_denominator([]).is_one
+        assert [numerator_over(f, common_denominator(fns)) for f in fns] \
+            == [A3 + B3, Poly.zero(VARS3)]

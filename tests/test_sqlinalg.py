@@ -12,6 +12,7 @@ from quasiform.errors import ZeroGenerator
 from quasiform.fieldtower import FieldTower
 from quasiform.gf2poly import Poly
 from quasiform.sqlinalg import (
+    SquareRelation,
     greedy_independent,
     isotropic_kernel_basis,
     k2_membership,
@@ -185,6 +186,36 @@ class TestMembershipCertificates:
         target = a * b.invert()
         rel = k2_membership(target, [a * b])
         assert rel is not None and rel.verify()
+
+    def test_tampered_relation_fails(self, F):
+        a, b = F.var("a"), F.var("b")
+        target = a.square() * b + F.one()
+        rel = k2_membership(target, [b, F.one()])
+        assert rel is not None and rel.verify()
+        roots = list(rel.roots)
+        rel.target = target + F.one()
+        assert not rel.verify()
+        rel.target = target
+        assert rel.verify()
+        for i in range(len(roots)):
+            rel.roots[i] = roots[i] + F.one()
+            assert not rel.verify()
+            rel.roots[i] = roots[i]
+        assert rel.verify()
+        rel.roots.pop()
+        assert not rel.verify()
+
+    def test_constructor_rejects_false_relation(self, F):
+        a, b = F.var("a"), F.var("b")
+        SquareRelation(a ** 3, [a], [a])
+        SquareRelation(F.zero(), [], [])
+        with pytest.raises(AssertionError):
+            SquareRelation(a, [], [])
+        with pytest.raises(AssertionError):
+            SquareRelation(a ** 3, [a], [b])
+        with pytest.raises(AssertionError):
+            SquareRelation(a.square() * b + F.one(), [b, F.one()],
+                           [a, F.zero()])
 
 
 class TestNullspaceAndKernels:
