@@ -9,9 +9,11 @@ rank observations at a single point are therefore conclusive:
   solvable over the rational function field.
 * rank A(p) = #cols together with rank [A|b](p) = #cols + 1 forces
   rank [A|b] > rank A symbolically, so A x = b is unsolvable.
+* rank A(p) = #cols alone forces rank A = #cols, so the kernel of A is
+  zero; this is the verdict asked for when there is no right-hand side.
 
-A point witnessing neither proves nothing, and the caller must fall back
-to exact elimination.  Points come from a fixed seed, so outcomes are
+A point witnessing none of these proves nothing, and the caller must fall
+back to exact elimination.  Points come from a fixed seed, so outcomes are
 reproducible.
 
 Field arithmetic goes through log and antilog tables of GF(2^15)* with
@@ -118,22 +120,26 @@ def _rank(rows: List[List[int]], exp: array, log: array) -> int:
 
 
 def numeric_verdict(matrix: Sequence[Sequence[Poly]],
-                    rhs: Sequence[Poly]) -> Optional[bool]:
-    """Solvability of matrix * x = rhs when a witness point settles it.
+                    rhs: Optional[Sequence[Poly]] = None) -> Optional[bool]:
+    """Solvability of matrix * x = rhs when a witness point settles it, or
+    with no rhs, whether the kernel of the matrix is zero.
 
     True and False are proofs; None means no trial point was conclusive
-    and exact elimination must decide.
+    and exact elimination must decide.  A zero kernel is only ever proved,
+    so without rhs the verdict is True or None.
     """
     nrows = len(matrix)
     if not nrows:
         return None
     ncols = len(matrix[0])
+    if rhs is None and nrows < ncols:
+        return None
     exp, log = _tables()
     used = 0
     for row in matrix:
         for e in row:
             used |= e.packed_or()
-    for e in rhs:
+    for e in rhs or ():
         used |= e.packed_or()
     shifts = slot_shifts(used)
     names = sorted(shifts)
@@ -144,9 +150,12 @@ def numeric_verdict(matrix: Sequence[Sequence[Poly]],
                 for n in names]
         plain = [[_eval_poly(e, logs, exp) for e in row] for row in matrix]
         r = _rank(plain, exp, log)
-        if r == nrows:
+        if rhs is None:
+            if r == ncols:
+                return True
+        elif r == nrows:
             return True
-        if r == ncols and ncols < nrows:
+        elif r == ncols and ncols < nrows:
             augmented = [row + [_eval_poly(b, logs, exp)]
                          for row, b in zip(plain, rhs)]
             if _rank(augmented, exp, log) == ncols + 1:

@@ -26,8 +26,8 @@ from .errors import (
 )
 from .corpus import run_corpus
 from .fieldtower import DEFAULT_DEPTH_LIMIT
-from .forms import decide_similar, invariants, is_isometric
-from .pfister import norm_degree
+from .forms import decide_similar, is_isometric
+from .pfister import _anisotropic_norm_degree
 from .splitting import splitting_pattern
 
 EXIT_OK = 0
@@ -48,15 +48,18 @@ def _splitting_data(q) -> Dict[str, object]:
 
 
 def _run_invariants(form) -> Result:
-    inv = invariants(form)
+    split = _splitting_data(form)
+    # the pattern starts at the dimension of the anisotropic part
+    anisotropic_dim = split["splitting_pattern"][0]
+    anisotropic = anisotropic_dim == form.dim
     out: Result = {
-        "dim": inv.dim,
-        "total_index": inv.total_index,
-        "anisotropic_dim": inv.anisotropic_dim,
-        "anisotropic": inv.total_index == 0,
+        "dim": form.dim,
+        "total_index": form.dim - anisotropic_dim,
+        "anisotropic_dim": anisotropic_dim,
+        "anisotropic": anisotropic,
     }
-    out.update(_splitting_data(form))
-    if inv.total_index == 0 and form.dim >= 2:
+    out.update(split)
+    if anisotropic and form.dim >= 2:
         # an anisotropic form is its own anisotropic part, so the first
         # step of its splitting pattern is its first Witt index
         i1 = out["witt_increments"][0]
@@ -65,8 +68,8 @@ def _run_invariants(form) -> Result:
     else:
         out["first_witt_index"] = None
         out["essential_dimension"] = None
-    if inv.total_index == 0:
-        out["norm_degree"] = norm_degree(form)[0]
+    if anisotropic:
+        out["norm_degree"] = _anisotropic_norm_degree(form)[0]
     else:
         out["norm_degree"] = None
     return out

@@ -122,6 +122,16 @@ class FieldTower:
         return FieldTower(self.base_vars + new, self.gens, self.depth_limit)
 
     def extend_inseparable(self, theta: "TowerElem", name: str) -> "FieldTower":
+        tower = self._extend_non_square(theta, name)
+        if theta.sqrt_in_tower() is not None:
+            raise IsSquare(
+                "defining element is already a square; extension is trivial")
+        return tower
+
+    def _extend_non_square(self, theta: "TowerElem",
+                           name: str) -> "FieldTower":
+        """extend_inseparable for a theta its caller has proved to be a
+        non-square: every check except the square test."""
         if theta.tower != self:
             raise ValueError("defining element belongs to a different tower")
         if theta.is_zero:
@@ -131,9 +141,6 @@ class FieldTower:
         if self.depth + 1 > self.depth_limit:
             raise TowerDepthExceeded(
                 f"tower depth limit {self.depth_limit} exceeded")
-        if theta.sqrt_in_tower() is not None:
-            raise IsSquare(
-                "defining element is already a square; extension is trivial")
         return FieldTower(self.base_vars,
                           self.gens + ((name, _freeze(theta.coeffs)),),
                           self.depth_limit)

@@ -169,19 +169,19 @@ def decide_similar(q: QuasilinearForm,
         for k in range(nw):
             row[nb + j * nw + k] = w[k]
         gen_rows.append(row)
-    for vec in square_nullspace_multi(gen_rows):
-        d_part = vec[:nb]
-        if all(d.is_zero for d in d_part):
-            continue
-        c = square_combination(d_part, p_basis)
-        if c.is_zero:
-            continue
-        factor = c * b1 * a1.invert()
-        scaled = q.scale(factor)
-        if not is_isometric(scaled, q2):
-            raise AssertionError("similarity factor failed isometry check")
-        return factor
-    return None
+    kernel = square_nullspace_multi(gen_rows)
+    if not kernel:
+        return None
+    # Any kernel vector gives a factor c != 0.  Were its factor part d zero,
+    # c would be 0 and each equation would read sum_k e_{j,k}^2 w_k = 0;
+    # the w_k are independent over squares because q2 is anisotropic, so
+    # e = 0 and the vector would be zero.  A nonzero d gives c != 0
+    # because p_basis is independent over squares.
+    c = square_combination(kernel[0][:nb], p_basis)
+    factor = c * b1 * a1.invert()
+    if not is_isometric(q.scale(factor), q2):
+        raise AssertionError("similarity factor failed isometry check")
+    return factor
 
 
 def generic_subform(q: QuasilinearForm, j: int) -> QuasilinearForm:

@@ -5,6 +5,12 @@ first coordinate 1: adjoin transcendentals for the middle coordinates, then
 one inseparable generator y solving for the last coordinate.  Iterating
 anisotropic part / function field yields the splitting pattern; its first
 step is the first Witt index.
+
+The tower itself is built by `_anisotropic_function_field`, which trusts its
+caller to have proved q anisotropic and so proves nothing again.  The public
+`function_field` tests anisotropy once before calling it;
+`splitting_pattern` calls it on the anisotropic parts it has just computed,
+and `witt_function_field` after its own anisotropy test.
 """
 
 from __future__ import annotations
@@ -12,12 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .errors import (
-    DimensionTooSmall,
-    InconsistencyDetected,
-    IsotropicInput,
-    IsSquare,
-)
+from .errors import DimensionTooSmall, IsotropicInput
 from .fieldtower import FieldTower, TowerElem, fresh_names
 from .forms import QuasilinearForm, anisotropic_part, is_anisotropic
 from .sqlinalg import k2_rank
@@ -67,7 +68,21 @@ def function_field(q: QuasilinearForm) -> FunctionFieldData:
     if not is_anisotropic(q):
         raise IsotropicInput(
             "function field construction expects an anisotropic form")
+    return _anisotropic_function_field(q)
+
+
+def _anisotropic_function_field(q: QuasilinearForm) -> FunctionFieldData:
+    """function_field(q) for a form of dimension >= 2 that the caller has
+    proved anisotropic, without testing anything again.
+
+    theta is not a square: a root s of theta in K = F(u) would make
+    (1, u_1, ..., u_{d-2}, s) a nonzero zero of q over K, and q anisotropic
+    over F stays anisotropic over the purely transcendental extension K.
+    The generic point is a zero of q by the definition of theta:
+    a_1 + sum a_i u_i^2 + a_d y^2 = a_1 + sum a_i u_i^2 + a_d theta = 0.
+    """
     base = q.field
+    d = q.dim
     unames = fresh_names(base, "u", d - 2)
     yname = fresh_names(base, "y", 1)[0]
     K = base.extend_transcendental(unames)
@@ -77,18 +92,10 @@ def function_field(q: QuasilinearForm) -> FunctionFieldData:
     for a, u in zip(coeffs[1:-1], us):
         num = num + a * u.square()
     theta = num * coeffs[-1].invert()
-    try:
-        tower = K.extend_inseparable(theta, yname)
-    except IsSquare:
-        raise InconsistencyDetected(
-            "defining element of an anisotropic quadric cannot be a square"
-        ) from None
+    tower = K._extend_non_square(theta, yname)
     point = tuple([tower.one()]
                   + [K.embed(u, tower) for u in us]
                   + [tower.gen_by_name(yname)])
-    value = q.over(tower).evaluate(point)
-    if not value.is_zero:
-        raise InconsistencyDetected("generic point fails the quadric equation")
     return FunctionFieldData(tower=tower, generic_point=point,
                              fresh_names=tuple(unames) + (yname,))
 
@@ -106,7 +113,9 @@ def splitting_pattern(q: QuasilinearForm) -> SplittingPattern:
     current = anisotropic_part(q)
     dims: List[int] = [current.dim]
     while current.dim >= 2:
-        ff = function_field(current)
+        # an anisotropic part is anisotropic: its coefficients are
+        # independent over squares
+        ff = _anisotropic_function_field(current)
         current = anisotropic_part(current.over(ff.tower))
         dims.append(current.dim)
     return SplittingPattern(tuple(dims))
@@ -119,7 +128,7 @@ def witt_function_field(q: QuasilinearForm) -> FunctionFieldData:
             f"first Witt index needs dimension >= 2, got {q.dim}")
     if not is_anisotropic(q):
         raise IsotropicInput("first Witt index expects an anisotropic form")
-    return function_field(q)
+    return _anisotropic_function_field(q)
 
 
 def first_witt_index(q: QuasilinearForm) -> int:

@@ -143,13 +143,13 @@ class _SquareBlocks:
             return verdict
         return _elim.solvable(matrix, rhs)
 
-    def roots(self, cols: Sequence[int], target: Optional[int],
-              witness: bool = False) -> Optional[List[TowerElem]]:
+    def roots(self, cols: Sequence[int],
+              target: Optional[int]) -> Optional[List[TowerElem]]:
         """Roots c_j for the columns in `cols`, or None when unsolvable.
-        With `witness`, a numeric proof of unsolvability skips the exact
-        solve; a solution always comes from exact elimination."""
+        A numeric proof of unsolvability skips the exact solve; a solution
+        always comes from exact elimination."""
         matrix, rhs = self.system(cols, target)
-        if witness and _gfnum.numeric_verdict(matrix, rhs) is False:
+        if _gfnum.numeric_verdict(matrix, rhs) is False:
             return None
         sol = _elim.solve(matrix, rhs)
         if sol is None:
@@ -176,7 +176,9 @@ def solve_square_system_multi(
     targets: Sequence[TowerElem],
 ) -> Optional[List[TowerElem]]:
     """Shared roots c_i with sum_i c_i^2 * gen_rows[e][i] = targets[e] for
-    every equation e, or None when the system has no solution."""
+    every equation e, or None when the system has no solution.  A numeric
+    proof of unsolvability skips exact elimination; roots always come from
+    it."""
     if not gen_rows:
         return []
     if not gen_rows[0]:
@@ -220,12 +222,16 @@ def square_system_solvable(
 def square_nullspace_multi(
     gen_rows: Sequence[Sequence[TowerElem]],
 ) -> List[List[TowerElem]]:
-    """Basis of shared root vectors annihilating every equation."""
+    """Basis of shared root vectors annihilating every equation.  A
+    numeric proof of a zero kernel skips exact elimination; every basis
+    vector comes from it."""
     if not gen_rows or not gen_rows[0]:
         return []
     ngens = len(gen_rows[0])
     blocks = _SquareBlocks(list(zip(*gen_rows)))
     matrix, _ = blocks.system(range(ngens))
+    if _gfnum.numeric_verdict(matrix):
+        return []
     tower, nmasks = blocks.tower, blocks.nmasks
     basis = _elim.nullspace(matrix, ngens * nmasks)
     out = []
@@ -336,7 +342,7 @@ def k2_membership(
     # SquareRelation checks the relation, so the roots skip the solver's
     # check of the same sum
     blocks = _SquareBlocks([(g,) for g in gens] + [(target,)])
-    roots = blocks.roots(range(len(gens)), len(gens), witness=True)
+    roots = blocks.roots(range(len(gens)), len(gens))
     if roots is None:
         return None
     return SquareRelation(target, list(gens), roots)
@@ -373,7 +379,7 @@ def greedy_independent(
     indep: List[int] = [0]
     relations: Dict[int, SquareRelation] = {}
     for j in range(1, len(gens)):
-        roots = blocks.roots(indep, j, witness=True)
+        roots = blocks.roots(indep, j)
         if roots is None:
             indep.append(j)
         else:

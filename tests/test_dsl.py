@@ -13,11 +13,13 @@ from quasiform.corpus import CASES, run_corpus
 from quasiform.dsl import MAX_NESTING, parse, scripts_equivalent, tokenize
 from quasiform.errors import (
     DslSyntaxError,
+    IsotropicInput,
     UndeclaredVariable,
     ZeroCoefficient,
 )
 from quasiform.fieldtower import FieldTower
-from quasiform.forms import QuasilinearForm, is_anisotropic
+from quasiform.forms import QuasilinearForm, invariants, is_anisotropic
+from quasiform.pfister import norm_degree
 from quasiform.splitting import essential_dimension, first_witt_index
 
 from oracles import sample_monomial_form
@@ -208,18 +210,42 @@ def _frozen_forms():
 
 
 class TestCommandShortcuts:
-    """`invariants` reads i1 off the splitting pattern and `compare` reuses
-    its stable-equivalence verdict; both must agree with the library."""
+    """`invariants` reads the total index and i1 off the splitting pattern
+    and `compare` reuses its stable-equivalence verdict; both must agree
+    with the library."""
 
-    def _sampled(self, seed, count):
+    def _sampled(self, seed, count, only_anisotropic=True, min_dim=2):
         rng = random.Random(seed)
         F = FieldTower.rational(("a", "b", "c"))
         forms = []
         while len(forms) < count:
-            q, _ = sample_monomial_form(rng, F, rng.randint(2, 4), 3)
-            if is_anisotropic(q):
+            q, _ = sample_monomial_form(rng, F, rng.randint(min_dim, 4), 3)
+            if not only_anisotropic or is_anisotropic(q):
                 forms.append(q)
         return forms
+
+    def test_invariants_report_matches_forms_and_norm_degree(self):
+        F = FieldTower.rational(("a", "b", "c"))
+        a, b, one = F.var("a"), F.var("b"), F.one()
+        isotropic = [QuasilinearForm(F, coeffs) for coeffs in (
+            [a, a ** 3, b],
+            [one, a, b, a * b, a * b ** 3],
+            [one, a * b ** 2])]
+        sampled = self._sampled(41, 16, only_anisotropic=False, min_dim=1)
+        assert any(not is_anisotropic(q) for q in sampled)
+        for q in _frozen_forms() + isotropic + sampled:
+            entry = cli.run(parse(_script(q.field, {"q": q},
+                                          "invariants q")))["results"][0]
+            inv = invariants(q)
+            assert entry["total_index"] == inv.total_index
+            assert entry["anisotropic_dim"] == inv.anisotropic_dim
+            assert entry["anisotropic"] == is_anisotropic(q)
+            if is_anisotropic(q):
+                assert entry["norm_degree"] == norm_degree(q)[0]
+            else:
+                assert entry["norm_degree"] is None
+                with pytest.raises(IsotropicInput):
+                    norm_degree(q)
 
     def test_invariants_match_splitting(self):
         for q in _frozen_forms() + self._sampled(31, 12):

@@ -1,12 +1,18 @@
 """The GF(2^15) witness: table arithmetic against the bitwise oracle, and
-numeric verdicts against exact elimination on the systems rank queries
-build."""
+numeric verdicts against exact elimination on the systems that rank
+queries, square solves and similarity decisions build."""
 
 import random
 
+import quasiform.forms
 from quasiform import _elim, _gfnum
 from quasiform.fieldtower import FieldTower
-from quasiform.sqlinalg import _generator_blocks
+from quasiform.forms import decide_similar, is_anisotropic
+from quasiform.sqlinalg import (
+    _generator_blocks,
+    _SquareBlocks,
+    solve_square_system_multi,
+)
 
 from oracles import gf_mul, gf_pow, sample_monomial_form, sample_poly_elem
 
@@ -87,13 +93,16 @@ def test_verdicts_agree_with_elimination_on_monomial_and_binomial_forms():
     assert verdicts == {True, False, None}
 
 
-def test_verdicts_agree_with_elimination_over_a_tower_with_denominators():
+def _depth_two_sampler(seed):
+    """The tower F2(a,b,c)(y)(z) with denominators in both defining
+    elements, and samplers of fractions and of fractions times a
+    generator monomial in it."""
     F = FieldTower.rational(("a", "b", "c"))
     a, b, c = F.var("a"), F.var("b"), F.var("c")
     K1 = F.extend_inseparable(a * (b + F.one()).invert(), "y")
     theta = F.embed(b * (c + F.one()).invert(), K1) + K1.gen(0)
     K = K1.extend_inseparable(theta, "z")
-    rng = random.Random(16)
+    rng = random.Random(seed)
 
     def fraction(degree):
         return (sample_poly_elem(rng, K, degree, 2)
@@ -105,6 +114,12 @@ def test_verdicts_agree_with_elimination_over_a_tower_with_denominators():
             if rng.random() < 0.5:
                 mono = mono * K.gen(i)
         return fraction(2) * mono
+
+    return K, rng, fraction, element
+
+
+def test_verdicts_agree_with_elimination_over_a_tower_with_denominators():
+    K, rng, fraction, element = _depth_two_sampler(16)
 
     exact = set()
     for _ in range(6):
@@ -119,3 +134,88 @@ def test_verdicts_agree_with_elimination_over_a_tower_with_denominators():
                    for fn in g.coeffs.values())
         exact.update(e for _, e in _checked_outcomes(gens))
     assert exact == {True, False}
+
+
+def _square_systems(seed):
+    """Square systems sum_i c_i^2 rows[e][i] = targets[e] with one or two
+    equations: polynomial entries over F2(a,b,c,d), then entries with
+    denominators over the depth-2 tower.  Half the targets are
+    combinations over squares of the columns, so both answers occur."""
+    F = FieldTower.rational(("a", "b", "c", "d"))
+    rng = random.Random(seed)
+
+    def poly(degree, terms):
+        return lambda: sample_poly_elem(rng, F, degree, terms)
+
+    cases = [(rng, poly(3, 2), poly(2, 1), poly(3, 2))] * 30
+    K, krng, fraction, element = _depth_two_sampler(seed + 1)
+    cases += [(krng, element, lambda: fraction(1), element)] * 8
+    for r, entry, root, target in cases:
+        rows = [[entry() for _ in range(r.randrange(1, 4))]]
+        if r.random() < 0.5:
+            rows.append([entry() for _ in rows[0]])
+        if r.random() < 0.5:
+            roots = [root() for _ in rows[0]]
+            targets = [sum((c.square() * g for c, g in zip(roots, row)),
+                           row[0].tower.zero()) for row in rows]
+        else:
+            targets = [target() for _ in rows]
+        yield rows, targets
+
+
+def test_square_solves_are_none_exactly_when_elimination_finds_no_solution():
+    verdicts, exact_outcomes = set(), set()
+    for seed in (18, 20):
+        for rows, targets in _square_systems(seed):
+            ngens = len(rows[0])
+            blocks = _SquareBlocks(list(zip(*rows)) + [targets])
+            matrix, rhs = blocks.system(range(ngens), ngens)
+            exact = _elim.solvable(matrix, rhs)
+            verdicts.add(_gfnum.numeric_verdict(matrix, rhs))
+            exact_outcomes.add((blocks.tower.depth, exact))
+            assert (solve_square_system_multi(rows, targets) is None) == \
+                (not exact)
+    # the witness proved unsolvability, and both answers occurred over
+    # both fields
+    assert False in verdicts
+    assert exact_outcomes == {(0, True), (0, False), (2, True), (2, False)}
+
+
+def test_zero_kernel_proofs_agree_with_nullspace_on_similarity_systems(
+        monkeypatch):
+    """Every similarity system that decide_similar builds for sampled
+    compare pairs: a zero-kernel verdict must match an empty exact
+    nullspace."""
+    systems = []
+    original = quasiform.forms.square_nullspace_multi
+
+    def recording(gen_rows):
+        systems.append(gen_rows)
+        return original(gen_rows)
+
+    monkeypatch.setattr(quasiform.forms, "square_nullspace_multi", recording)
+    F = FieldTower.rational(("a", "b", "c"))
+    rng = random.Random(20)
+    forms = []
+    while len(forms) < 8:
+        q, _ = sample_monomial_form(rng, F, rng.randrange(3, 5), 2)
+        if is_anisotropic(q):
+            forms.append(q)
+            # a monomial multiple is similar, so its kernel is nonzero
+            forms.append(q.scale(sample_poly_elem(rng, F, 2, 1)))
+    for i, p in enumerate(forms):
+        for q in forms[i + 1:]:
+            if p.dim == q.dim:
+                decide_similar(p, q)
+    outcomes = set()
+    for gen_rows in systems:
+        ngens = len(gen_rows[0])
+        blocks = _SquareBlocks(list(zip(*gen_rows)))
+        matrix, _ = blocks.system(range(ngens))
+        verdict = _gfnum.numeric_verdict(matrix)
+        assert verdict in (True, None)
+        kernel = _elim.nullspace(matrix, ngens * blocks.nmasks)
+        if verdict:
+            assert kernel == []
+        outcomes.add((verdict, bool(kernel)))
+    assert (True, False) in outcomes and (None, True) in outcomes

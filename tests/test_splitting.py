@@ -4,12 +4,14 @@ checked against hand-derived frozen values and structural properties."""
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from quasiform.errors import DimensionTooSmall, IsotropicInput
 from quasiform.fieldtower import FieldTower
 from quasiform.forms import QuasilinearForm, is_anisotropic, total_index
 from quasiform.pfister import quasi_pfister
 from quasiform.splitting import (
+    _anisotropic_function_field,
     check_hl_bound,
     essential_dimension,
     first_witt_index,
@@ -18,6 +20,7 @@ from quasiform.splitting import (
     splitting_pattern,
     total_index_over,
 )
+from quasiform.sqlinalg import tower_square_root
 
 from oracles import FROZEN, sample_monomial_form
 
@@ -68,6 +71,79 @@ class TestFunctionField:
         ff = function_field(q)
         assert ff.tower.base_vars == F.base_vars
         assert ff.tower.depth == 1
+
+
+def _monomial(field, exps):
+    term = field.one()
+    for var, e in zip(field.base_vars, exps):
+        term = term * field.var(var) ** e
+    return term
+
+
+_exps = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+_depth2_coeff = st.tuples(
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+             min_size=1, max_size=2),
+    st.sampled_from(("1", "b+1", "a+b")),
+    st.integers(0, 3))
+
+
+class TestAnisotropicBuilder:
+    """The builder behind function_field trusts its caller's proof of
+    anisotropy and tests nothing again.  The facts it no longer checks at
+    run time are checked here: theta has no square root in the tower below
+    it, the generic point is a zero of q, and the public function_field
+    builds the same tower."""
+
+    def _check(self, q):
+        assume(is_anisotropic(q))
+        ff = _anisotropic_function_field(q)
+        tower = ff.tower
+        below = FieldTower(tower.base_vars, tower.gens[:-1],
+                           tower.depth_limit)
+        theta = below.element(tower.theta(tower.depth - 1))
+        assert tower_square_root(theta) is None
+        assert q.over(tower).evaluate(ff.generic_point).is_zero
+        assert function_field(q) == ff
+
+    @given(st.lists(_exps, min_size=2, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_monomial_forms(self, exps):
+        F = FieldTower.rational(("a", "b", "c"))
+        self._check(QuasilinearForm(F, [_monomial(F, e) for e in exps]))
+
+    @given(st.lists(_exps, min_size=2, max_size=4), _exps,
+           st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_binomial_forms(self, exps, extra, slot):
+        F = FieldTower.rational(("a", "b", "c"))
+        coeffs = [_monomial(F, e) for e in exps]
+        slot %= len(coeffs)
+        coeffs[slot] = coeffs[slot] + _monomial(F, extra)
+        assume(not coeffs[slot].is_zero)
+        self._check(QuasilinearForm(F, coeffs))
+
+    @given(st.lists(_depth2_coeff, min_size=2, max_size=3))
+    @settings(max_examples=25, deadline=None)
+    def test_forms_over_a_depth_two_tower_with_denominators(self, spec):
+        F = FieldTower.rational(("a", "b"))
+        a, b, one = F.var("a"), F.var("b"), F.one()
+        K1 = F.extend_inseparable(a * (b + one).invert(), "y")
+        theta = K1.var("b") * (K1.var("a") + K1.one()).invert()
+        K = K1.extend_inseparable(theta, "z")
+        a, b, one = K.var("a"), K.var("b"), K.one()
+        y, z = K.gen_by_name("y"), K.gen_by_name("z")
+        dens = {"1": one, "b+1": b + one, "a+b": a + b}
+        coeffs = []
+        for terms, den, mask in spec:
+            num = K.zero()
+            for i, j in terms:
+                num = num + a ** i * b ** j
+            assume(not num.is_zero)
+            coeffs.append(num * dens[den].invert()
+                          * (y if mask & 1 else one)
+                          * (z if mask & 2 else one))
+        self._check(QuasilinearForm(K, coeffs))
 
 
 class TestWittIndices:
