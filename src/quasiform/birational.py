@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ._elim import nullspace
 from .errors import (
@@ -27,11 +27,12 @@ from .errors import (
     InconsistencyDetected,
     NotRuled,
 )
-from .fieldtower import FieldTower, TowerElem, fresh_names
+from .fieldtower import FieldTower, TowerElem, TowerHom, fresh_names
 from .forms import QuasilinearForm, is_anisotropic, total_index
 from .gf2poly import Poly, RatFn, common_denominator, numerator_over
 from .maps import RationalMap, projectively_equal
 from .splitting import (
+    _anisotropic_function_field,
     essential_dimension,
     function_field,
     splitting_pattern,
@@ -127,83 +128,16 @@ def _pull_basis(ff_y, s_basis: Sequence[Sequence[TowerElem]],
     fractions: each returned vector equals the substituted s_i times a
     nonzero scalar of K.
 
-    The substitution sends the function-field coordinates of Y to the
-    ratios pi_j/pi_1; instead of dividing, every entry tracks the needed
-    power of the (denominator-cleared) leading coordinate and the whole
-    vector is rescaled by the largest one.  The construction is
-    deterministic, so certificate verification can recompute it exactly.
+    With pi cleared of denominators to (d, p_2, ..., p_n), one TowerHom
+    sends the function-field coordinates of Y to p_j / d, and
+    `apply_projective` clears d from each vector by its structural power.
+    The construction is deterministic, so certificate verification can
+    recompute it exactly.
     """
-    T_y = ff_y.tower
     pi_poly = clear_denominators(pi_coords)
-    d = pi_poly[0]
-    images = dict(zip(ff_y.fresh_names, pi_poly[1:]))
-    uvars = set(ff_y.fresh_names[:-1])
-    gen_name = ff_y.fresh_names[-1]
-
-    power_memo: Dict[Tuple[str, int], TowerElem] = {}
-
-    def power(name: str, base: TowerElem, exp: int) -> TowerElem:
-        key = (name, exp)
-        got = power_memo.get(key)
-        if got is None:
-            got = base ** exp
-            power_memo[key] = got
-        return got
-
-    gen_images: List[Tuple[TowerElem, int]] = []
-    for name, _ in T_y.gens:
-        if name == gen_name:
-            gen_images.append((images[name], 1))
-        else:
-            gen_images.append((K.gen_by_name(name), 0))
-
-    def homogenize(e: TowerElem) -> Tuple[TowerElem, int]:
-        # entry image = N / d^k with polynomial N; returns (N, k)
-        parts: List[Tuple[TowerElem, int]] = []
-        top = 0
-        for mask, fn in e.coeffs.items():
-            gen_factor = K.one()
-            gen_power = 0
-            m = mask
-            i = 0
-            while m:
-                if m & 1:
-                    base, dpow = gen_images[i]
-                    gen_factor = gen_factor * base
-                    gen_power += dpow
-                m >>= 1
-                i += 1
-            groups: Dict[Tuple[Tuple[str, int], ...], List] = {}
-            for mono in fn.num.terms:
-                assigned = tuple((n, x) for n, x in mono if n in uvars)
-                rest = tuple((n, x) for n, x in mono if n not in uvars)
-                groups.setdefault(assigned, []).append(rest)
-            for assigned, rests in groups.items():
-                part = K.scalar(Poly(rests, K.base_vars))
-                k = gen_power
-                for n, x in assigned:
-                    part = part * power(n, images[n], x)
-                    k += x
-                parts.append((part * gen_factor, k))
-                top = max(top, k)
-        total = K.zero()
-        for part, k in parts:
-            total = total + part * power("~d", d, top - k)
-        return total, top
-
-    out: List[List[TowerElem]] = []
-    for s in s_basis:
-        entries = clear_denominators(s)
-        numerators: List[TowerElem] = []
-        powers: List[int] = []
-        for e in entries:
-            n_elem, k = homogenize(e)
-            numerators.append(n_elem)
-            powers.append(k)
-        kmax = max(powers)
-        out.append([n * power("~d", d, kmax - k)
-                    for n, k in zip(numerators, powers)])
-    return out
+    hom = TowerHom(ff_y.tower, K, dict(zip(ff_y.fresh_names, pi_poly[1:])),
+                   denominator=pi_poly[0])
+    return [hom.apply_projective(clear_denominators(s)) for s in s_basis]
 
 
 def _recombines(fibers: Sequence[TowerElem],
@@ -265,7 +199,7 @@ class RulingCertificate:
         try:
             pulled = _pull_basis(ff_y, self.s_basis, self.pi.coords,
                                  ff_x.tower)
-        except (DivisionByZero, EmbeddingFailure, KeyError, ValueError):
+        except (DivisionByZero, EmbeddingFailure, ValueError):
             return False
         return _recombines(self.fibers, pulled, ff_x.generic_point,
                            self.scale)
@@ -321,7 +255,10 @@ def construct_ruling(X: QuasilinearForm) -> RulingDecomposition:
         raise NotRuled("first Witt index is 1")
     Y = X.subform(range(X.dim - (r - 1)))
 
-    ff_y = function_field(Y)
+    # Y is a subform of X, which witt_function_field has proved
+    # anisotropic, so Y is anisotropic too; dim Y = dim X - r + 1 >= 2, as
+    # the anisotropic part of X over K is not zero
+    ff_y = _anisotropic_function_field(Y)
     s_lists = isotropic_kernel_basis(X, ff_y.tower)
     if len(s_lists) != r:
         raise InconsistencyDetected(

@@ -13,9 +13,10 @@ x^(2^s) always lies in the rational base, giving 1/x = x^(2^s - 1) / x^(2^s).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
+    DivisionByZero,
     EmbeddingFailure,
     IsSquare,
     NameCollision,
@@ -415,25 +416,34 @@ def fresh_names(tower: FieldTower, base: str, count: int) -> List[str]:
 
 
 class TowerHom:
-    """A field map between towers, given by values for named base variables
-    and generators.
+    """A field map between towers: each assigned base variable and
+    generator goes to value / d for one common `denominator` d of the
+    target, which defaults to one.
 
     Unassigned base variables must exist in the target and map to
     themselves; unassigned generators must exist in the target by name.
     Construction validates every generator image against its defining
     relation (the image squared must equal the substituted theta, else
-    EmbeddingFailure) and the map is then applied to elements with
-    `apply`.  Power and product caches persist across applications, so
-    build one hom per substitution task.  A denominator whose image
+    EmbeddingFailure), and a zero d or a denominator whose image
     collapses to zero raises DivisionByZero: the assignment then does not
     define a field map.
+
+    Images are formed without dividing by d: the image of a coefficient
+    map is kept as (N, k), image = N / d^k, where k is the largest number
+    of assigned factors in any term: the assigned degree of a numerator
+    monomial plus one for each assigned generator of its mask, whatever
+    cancels.  `apply` divides once, returning the field image N / d^k;
+    `apply_projective` returns the images of a vector times the d^k that
+    clears the whole vector, so it never divides.  Powers of the
+    assigned values and of d are memoised across applications, so build
+    one hom per substitution task.
     """
 
-    __slots__ = ("source", "target", "_var_assign", "_gen_values",
-                 "_power_memo", "_mask_memo")
+    __slots__ = ("source", "target", "_var_assign", "_gens", "_d", "_powers")
 
     def __init__(self, source: FieldTower, target: FieldTower,
-                 assignments: Dict[str, TowerElem]):
+                 assignments: Dict[str, TowerElem],
+                 denominator: Optional[TowerElem] = None):
         var_assign: Dict[str, TowerElem] = {}
         gen_assign: Dict[str, TowerElem] = {}
         gen_names = [name for name, _ in source.gens]
@@ -448,6 +458,12 @@ class TowerHom:
             else:
                 raise UnknownVariable(
                     f"{name!r} names nothing in the source tower")
+        if denominator is None:
+            denominator = target.one()
+        elif denominator.tower != target:
+            raise ValueError("the denominator is not in the target tower")
+        elif denominator.is_zero:
+            raise DivisionByZero("the common denominator of a map is zero")
         for v in source.base_vars:
             if v not in var_assign and v not in target.base_vars:
                 raise UnknownVariable(
@@ -455,73 +471,99 @@ class TowerHom:
         self.source = source
         self.target = target
         self._var_assign = var_assign
-        self._power_memo: Dict[Tuple[str, int], TowerElem] = {}
-        self._mask_memo: Dict[int, TowerElem] = {0: target.one()}
-        self._gen_values: List[TowerElem] = []
+        self._d = denominator
+        self._powers: Dict[Tuple[Optional[str], int], TowerElem] = {}
+        # (value, power of d below it) per generator, in adjunction order
+        self._gens: List[Tuple[TowerElem, int]] = []
         for name, theta in source.gens:
             if name in gen_assign:
-                value = gen_assign[name]
+                value, power = gen_assign[name], 1
             else:
                 try:
-                    value = target.gen_by_name(name)
+                    value, power = target.gen_by_name(name), 0
                 except KeyError:
                     raise EmbeddingFailure(
                         f"generator {name!r} has no assignment and no "
                         f"counterpart in the target tower") from None
-            if value.square() != self._coeffs(theta):
+            # (value / d^power)^2 = N / d^k, cleared of d
+            n_theta, k = self._coeffs(theta)
+            if (value.square() * self._power(None, k)
+                    != n_theta * self._power(None, 2 * power)):
                 raise EmbeddingFailure(
                     f"image of generator {name!r} violates its defining relation")
-            self._gen_values.append(value)
+            self._gens.append((value, power))
 
-    def _var_power(self, name: str, exp: int) -> TowerElem:
+    def _power(self, name: Optional[str], exp: int) -> TowerElem:
+        """The value assigned to `name`, or d for None, to the power exp."""
         key = (name, exp)
-        got = self._power_memo.get(key)
+        got = self._powers.get(key)
         if got is None:
-            got = self._var_assign[name] ** exp
-            self._power_memo[key] = got
+            base = self._d if name is None else self._var_assign[name]
+            got = base ** exp
+            self._powers[key] = got
         return got
 
-    def _poly(self, p: Poly) -> TowerElem:
+    def _over_common(self, parts: List[Tuple[TowerElem, int]]
+                     ) -> Tuple[List[TowerElem], int]:
+        """Each N / d^k of `parts` as a numerator over d^top, top the
+        largest k."""
+        top = max((k for _, k in parts), default=0)
+        return [n if k == top else n * self._power(None, top - k)
+                for n, k in parts], top
+
+    def _sum(self, parts: List[Tuple[TowerElem, int]]
+             ) -> Tuple[TowerElem, int]:
+        numerators, top = self._over_common(parts)
+        return sum(numerators, self.target.zero()), top
+
+    def _poly(self, p: Poly) -> Tuple[TowerElem, int]:
         var_assign = self._var_assign
         groups: Dict[Monomial, List[Monomial]] = {}
         for mono in p.terms:
             assigned = tuple((n, e) for n, e in mono if n in var_assign)
             rest = tuple((n, e) for n, e in mono if n not in var_assign)
             groups.setdefault(assigned, []).append(rest)
-        total = self.target.zero()
+        parts: List[Tuple[TowerElem, int]] = []
         for assigned, rests in groups.items():
             part = self.target.scalar(Poly(rests, self.target.base_vars))
             for n, e in assigned:
-                part = part * self._var_power(n, e)
-            total = total + part
-        return total
+                part = part * self._power(n, e)
+            parts.append((part, sum(e for _, e in assigned)))
+        return self._sum(parts)
 
-    def _ratfn(self, fn: RatFn) -> TowerElem:
-        num = self._poly(fn.num)
-        if fn.den.is_one:
-            return num
-        return num * self._poly(fn.den).invert()
-
-    def _gen_product(self, mask: int) -> TowerElem:
-        got = self._mask_memo.get(mask)
-        if got is None:
-            low = mask & -mask
-            got = (self._gen_values[low.bit_length() - 1]
-                   * self._gen_product(mask ^ low))
-            self._mask_memo[mask] = got
-        return got
-
-    def _coeffs(self, coeffs) -> TowerElem:
-        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        total = self.target.zero()
+    def _coeffs(self, items: Iterable[Tuple[int, RatFn]]
+                ) -> Tuple[TowerElem, int]:
+        parts: List[Tuple[TowerElem, int]] = []
         for mask, fn in items:
-            total = total + self._ratfn(fn) * self._gen_product(mask)
-        return total
+            num, k = self._poly(fn.num)
+            if not fn.den.is_one:
+                den, k_den = self._poly(fn.den)
+                if den.is_zero:
+                    raise DivisionByZero(
+                        "a denominator maps to zero under the substitution")
+                num = num * self._power(None, k_den) * den.invert()
+            for i, (value, power) in enumerate(self._gens):
+                if mask >> i & 1:
+                    num = num * value
+                    k += power
+            parts.append((num, k))
+        return self._sum(parts)
 
-    def apply(self, elem: TowerElem) -> TowerElem:
+    def _image(self, elem: TowerElem) -> Tuple[TowerElem, int]:
         if elem.tower != self.source:
             raise ValueError("element is not in the hom's source tower")
-        return self._coeffs(elem.coeffs)
+        return self._coeffs(elem.coeffs.items())
+
+    def apply(self, elem: TowerElem) -> TowerElem:
+        """The field image of `elem`."""
+        num, k = self._image(elem)
+        return num if k == 0 else num * self._power(None, k).invert()
+
+    def apply_projective(self, vector: Sequence[TowerElem]
+                         ) -> List[TowerElem]:
+        """The images of `vector` times d^k, for the k of the largest
+        (N, k) among its entries: numerators over one power of d."""
+        return self._over_common([self._image(e) for e in vector])[0]
 
 
 def tower_substitute(elem: TowerElem, target: FieldTower,

@@ -183,6 +183,22 @@ class TestRulings:
                              cert.pi, cert.fibers, cert.scale)
         assert not swapped.verify()
 
+    def test_ruling_over_a_base_with_an_inseparable_generator(self, F, abc):
+        # the base generator z of k(Y) maps to itself in the pullback
+        _, _, c = abc
+        B = F.extend_inseparable(c, "z")
+        X = quasi_pfister([B.var("a") * B.gen_by_name("z") + B.one(),
+                           B.var("b")], B)
+        dec = construct_ruling(X)
+        assert dec.r == 2
+        assert dec.verify()
+        cert = dec.certificate
+        tower = cert.fibers[0].tower
+        bad_fiber = type(cert)(cert.X, cert.Y, cert.s_basis, cert.pi,
+                               (cert.fibers[0] + tower.one(),)
+                               + cert.fibers[1:], cert.scale)
+        assert not bad_fiber.verify()
+
     def test_decomposition_rejects_data_its_certificate_lacks(self, F, abc):
         a, b, _ = abc
         dec = construct_ruling(quasi_pfister([a, b], F))

@@ -26,7 +26,7 @@ from quasiform.fieldtower import (
     tower_substitute,
 )
 
-from oracles import eval_elem, gf_mul, tower_point
+from oracles import eval_elem, gf_mul, sample_poly_elem, tower_point
 
 
 @pytest.fixture
@@ -230,6 +230,83 @@ class TestTowerHom:
             for x in xs:
                 assert eval_elem(hom.apply(x), point) == \
                     eval_elem(x, point_k)
+
+    def test_denominator_collapsing_to_zero_raises_division_by_zero(self, F):
+        U = F.extend_transcendental(("u",))
+        hom = TowerHom(U, F, {"u": F.var("a")})
+        with pytest.raises(DivisionByZero):
+            hom.apply((U.var("u") + U.var("a")).invert())
+        with pytest.raises(DivisionByZero):
+            TowerHom(U, F, {"u": F.var("a")}, denominator=F.zero())
+
+    def test_denominator_outside_target_rejected(self, F):
+        U = F.extend_transcendental(("u",))
+        with pytest.raises(ValueError):
+            TowerHom(U, F, {"u": F.var("a")}, denominator=U.one())
+
+
+def _projective_case(seed):
+    """A map from S = B(u)(y), y^2 = (1 + a u^2)/b over B = F2(a,b,c)(z),
+    z^2 = c, into T = B(t)(w), w^2 = (1 + a t^2)/b: u -> l*t / l and
+    y -> l*w / l for a random nonzero l of T, with z kept.  Returns the
+    hom over the common denominator l, the same map with values t and w,
+    l, and random vectors over S with polynomial coefficients."""
+    rng = random.Random(seed)
+    F = FieldTower.rational(("a", "b", "c"))
+    B = F.extend_inseparable(F.var("c"), "z")
+
+    def conic_field(var, gen):
+        R = B.extend_transcendental((var,))
+        theta = ((R.one() + R.var("a") * R.var(var).square())
+                 * R.var("b").invert())
+        return R.extend_inseparable(theta, gen)
+
+    S, T = conic_field("u", "y"), conic_field("t", "w")
+    t, w = T.var("t"), T.gen_by_name("w")
+    lam = T.zero()
+    while lam.is_zero:
+        lam = sum((sample_poly_elem(rng, T, 2) * g
+                   for g in (T.one(), T.gen_by_name("z"), w)
+                   if rng.random() < 0.7), T.zero())
+    hom = TowerHom(S, T, {"u": lam * t, "y": lam * w}, denominator=lam)
+    plain = TowerHom(S, T, {"u": lam * t * lam.invert(),
+                            "y": lam * w * lam.invert()})
+    gens = [S.one(), S.gen_by_name("z"), S.gen_by_name("y"),
+            S.gen_by_name("z") * S.gen_by_name("y")]
+    vectors = []
+    for _ in range(6):
+        vectors.append([sum((sample_poly_elem(rng, S, 3) * g for g in gens
+                             if rng.random() < 0.5), S.zero())
+                        for _ in range(rng.randrange(1, 5))])
+    return hom, plain, lam, vectors
+
+
+def _structural_power(vector):
+    """The largest count of assigned factors in any term of the vector:
+    the degree in u plus one for y, whatever cancels."""
+    y_bit = 1 << [n for n, _ in vector[0].tower.gens].index("y")
+    return max((sum(e for n, e in mono if n == "u") + bool(mask & y_bit)
+                for x in vector for mask, fn in x.coeffs.items()
+                for mono in fn.num.terms), default=0)
+
+
+class TestApplyProjective:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_field_image_times_the_clearing_power(self, seed):
+        hom, plain, lam, vectors = _projective_case(seed)
+        for v in vectors:
+            scale = lam ** _structural_power(v)
+            assert hom.apply_projective(v) == [plain.apply(x) * scale
+                                               for x in v]
+        S, T = hom.source, hom.target
+        assert hom.apply(S.var("u")) == T.var("t")
+        assert hom.apply(S.gen_by_name("y")) == T.gen_by_name("w")
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_unit_denominator_gives_apply_entry_by_entry(self, seed):
+        _, plain, _, vectors = _projective_case(seed)
+        for v in vectors:
+            assert plain.apply_projective(v) == [plain.apply(x) for x in v]
 
 
 class TestStrings:
