@@ -22,9 +22,11 @@ from typing import List, Optional, Sequence, Tuple
 
 from ._elim import nullspace
 from .errors import (
+    DimensionTooSmall,
     DivisionByZero,
     EmbeddingFailure,
     InconsistencyDetected,
+    IsotropicInput,
     NotRuled,
 )
 from .fieldtower import FieldTower, TowerElem, TowerHom, fresh_names
@@ -32,7 +34,6 @@ from .forms import QuasilinearForm, is_anisotropic, total_index
 from .gf2poly import Poly, RatFn, common_denominator, numerator_over
 from .maps import RationalMap, projectively_equal
 from .splitting import (
-    _anisotropic_function_field,
     essential_dimension,
     function_field,
     splitting_pattern,
@@ -99,7 +100,15 @@ def essdim_domination_check(X: QuasilinearForm,
 
 def decide_stably_equivalent(X: QuasilinearForm, Y: QuasilinearForm) -> bool:
     """Stable equivalence: each form is isotropic over the other's
-    function field."""
+    function field.  Both forms are checked first, so neither the verdict
+    nor the error depends on the order of the arguments."""
+    for form in (X, Y):
+        if form.dim < 2:
+            raise DimensionTooSmall(
+                f"stable equivalence needs dimension >= 2, got {form.dim}")
+        if not is_anisotropic(form):
+            raise IsotropicInput(
+                "stable equivalence expects anisotropic forms")
     return is_isotropic_over(Y, X) and is_isotropic_over(X, Y)
 
 
@@ -254,11 +263,7 @@ def construct_ruling(X: QuasilinearForm) -> RulingDecomposition:
     if r < 2:
         raise NotRuled("first Witt index is 1")
     Y = X.subform(range(X.dim - (r - 1)))
-
-    # Y is a subform of X, which witt_function_field has proved
-    # anisotropic, so Y is anisotropic too; dim Y = dim X - r + 1 >= 2, as
-    # the anisotropic part of X over K is not zero
-    ff_y = _anisotropic_function_field(Y)
+    ff_y = function_field(Y)
     s_lists = isotropic_kernel_basis(X, ff_y.tower)
     if len(s_lists) != r:
         raise InconsistencyDetected(
@@ -382,9 +387,7 @@ def is_regular_quadric(q: QuasilinearForm) -> RegularityReport:
     generic: Optional[bool] = None
     if field.depth == 0:
         differentials = _differentials_independent(field, front)
-        generic = (is_anisotropic(scaled)
-                   and splitting_pattern(scaled).dims
-                   == tuple(range(n, 0, -1)))
+        generic = splitting_pattern(scaled).dims == tuple(range(n, 0, -1))
         if (differentials != products_independent
                 or generic != products_independent):
             raise InconsistencyDetected(

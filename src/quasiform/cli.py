@@ -17,8 +17,6 @@ from .birational import construct_ruling, decide_stably_equivalent, \
     is_regular_quadric
 from .dsl import Script, parse
 from .errors import (
-    DimensionMismatch,
-    IsotropicInput,
     NotRuled,
     QuasiformError,
     ResourceLimit,
@@ -26,8 +24,8 @@ from .errors import (
 )
 from .corpus import run_corpus
 from .fieldtower import DEFAULT_DEPTH_LIMIT
-from .forms import decide_similar, is_isometric
-from .pfister import _anisotropic_norm_degree
+from .forms import decide_similar
+from .pfister import norm_degree
 from .splitting import splitting_pattern
 
 EXIT_OK = 0
@@ -68,24 +66,17 @@ def _run_invariants(form) -> Result:
     else:
         out["first_witt_index"] = None
         out["essential_dimension"] = None
-    if anisotropic:
-        out["norm_degree"] = _anisotropic_norm_degree(form)[0]
-    else:
-        out["norm_degree"] = None
+    out["norm_degree"] = norm_degree(form)[0] if anisotropic else None
     return out
 
 
 def _run_compare(p, q) -> Result:
-    try:
-        factor = decide_similar(p, q)
-        # decide_similar returns the factor 1 exactly for isometric forms:
-        # it tests isometry first, and any other factor of 1 would fail
-        # its own isometry check
-        isometric = factor is not None and factor.is_one
-    except (DimensionMismatch, IsotropicInput):
-        factor = None
-        isometric = is_isometric(p, q)
-    out: Result = {"isometric": isometric}
+    # forms of different dimensions are neither isometric nor similar;
+    # decide_similar returns the factor 1 exactly for isometric forms: it
+    # tests isometry first, and any other factor of 1 would fail its own
+    # isometry check
+    factor = decide_similar(p, q) if p.dim == q.dim else None
+    out: Result = {"isometric": factor is not None and factor.is_one}
     out["similar"] = factor is not None
     out["similarity_factor"] = None if factor is None else str(factor)
     stably = decide_stably_equivalent(p, q)
@@ -259,7 +250,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         with open(args.script, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -297,8 +288,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(rendered)
     else:
         if args.json is not None:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(rendered + "\n")
+            try:
+                with open(args.json, "w", encoding="utf-8") as fh:
+                    fh.write(rendered + "\n")
+            except OSError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_INPUT
         for line in _human_lines(report, seconds):
             print(line)
 

@@ -31,9 +31,12 @@ from .sqlinalg import (
 
 
 class QuasilinearForm:
-    """A diagonal quadratic form with nonzero coefficients in a field tower."""
+    """A diagonal quadratic form with nonzero coefficients in a field tower.
 
-    __slots__ = ("field", "coeffs")
+    The form owns its coefficients' rank over the squares: `independent()`
+    ranks once, and every invariant of the form object reads that rank."""
+
+    __slots__ = ("field", "coeffs", "_independent")
 
     def __init__(self, field: FieldTower, coeffs: Sequence[TowerElem]):
         coeffs = tuple(coeffs)
@@ -46,6 +49,7 @@ class QuasilinearForm:
                 raise ZeroCoefficient(f"coefficient {i} is zero")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_independent", None)
 
     def __setattr__(self, *a):
         raise AttributeError("QuasilinearForm is immutable")
@@ -53,6 +57,15 @@ class QuasilinearForm:
     @property
     def dim(self) -> int:
         return len(self.coeffs)
+
+    def independent(self) -> Tuple[TowerElem, ...]:
+        """The earliest maximal coefficient sub-list independent over the
+        squares, ranked on first use."""
+        indep = self._independent
+        if indep is None:
+            indep = tuple(k2_rank(self.coeffs)[1])
+            object.__setattr__(self, "_independent", indep)
+        return indep
 
     def evaluate(self, vector: Sequence[TowerElem]) -> TowerElem:
         if len(vector) != self.dim:
@@ -66,7 +79,14 @@ class QuasilinearForm:
         return QuasilinearForm(self.field, [c * a for a in self.coeffs])
 
     def subform(self, indices: Sequence[int]) -> "QuasilinearForm":
-        return QuasilinearForm(self.field, [self.coeffs[i] for i in indices])
+        indices = list(indices)
+        sub = QuasilinearForm(self.field, [self.coeffs[i] for i in indices])
+        # a subform on distinct coordinates of a form ranked anisotropic is
+        # anisotropic: a zero of it, padded with zeros, is a zero of the form
+        if (self._independent == self.coeffs
+                and len(set(indices)) == len(indices)):
+            object.__setattr__(sub, "_independent", sub.coeffs)
+        return sub
 
     def over(self, K: FieldTower) -> "QuasilinearForm":
         """The same form with coefficients embedded into a larger tower."""
@@ -98,13 +118,15 @@ class FormInvariants:
 
 def total_index(q: QuasilinearForm) -> int:
     """dim q minus the rank of the coefficients over squares."""
-    rank, _ = k2_rank(q.coeffs)
-    return q.dim - rank
+    return q.dim - len(q.independent())
 
 
 def anisotropic_part(q: QuasilinearForm) -> QuasilinearForm:
     """The form on the earliest maximal independent coefficient sub-list."""
-    return QuasilinearForm(q.field, k2_rank(q.coeffs)[1])
+    part = QuasilinearForm(q.field, q.independent())
+    # independent over the squares by construction: anisotropic
+    object.__setattr__(part, "_independent", part.coeffs)
+    return part
 
 
 def invariants(q: QuasilinearForm) -> FormInvariants:
@@ -113,7 +135,7 @@ def invariants(q: QuasilinearForm) -> FormInvariants:
 
 
 def is_anisotropic(q: QuasilinearForm) -> bool:
-    return total_index(q) == 0
+    return len(q.independent()) == q.dim
 
 
 def is_isometric(q: QuasilinearForm, q2: QuasilinearForm) -> bool:
@@ -124,9 +146,8 @@ def is_isometric(q: QuasilinearForm, q2: QuasilinearForm) -> bool:
         raise ValueError("forms live over different towers")
     if q.dim != q2.dim:
         return False
-    rank1, basis1 = k2_rank(q.coeffs)
-    rank2, basis2 = k2_rank(q2.coeffs)
-    if rank1 != rank2:
+    basis1, basis2 = q.independent(), q2.independent()
+    if len(basis1) != len(basis2):
         return False
     return all(square_system_solvable(basis1, c) for c in basis2)
 

@@ -139,15 +139,6 @@ def norm_degree(q: QuasilinearForm) -> Tuple[int, NormField]:
     of q normalized to represent 1, together with that algebra."""
     if not is_anisotropic(q):
         raise IsotropicInput("norm degree expects an anisotropic form")
-    return _anisotropic_norm_degree(q)
-
-
-def _anisotropic_norm_degree(q: QuasilinearForm) -> Tuple[int, NormField]:
-    """norm_degree(q) for a form that the caller has proved anisotropic.
-
-    The one trusted caller is the CLI `invariants` command, whose splitting
-    pattern has just shown the form anisotropic; every other caller goes
-    through `norm_degree`, which checks anisotropy itself."""
     inv = q.coeffs[0].invert()
     normalized = [inv * c for c in q.coeffs[1:]]
     basis = span_saturate(q.field, normalized)

@@ -6,11 +6,11 @@ one inseparable generator y solving for the last coordinate.  Iterating
 anisotropic part / function field yields the splitting pattern; its first
 step is the first Witt index.
 
-The tower itself is built by `_anisotropic_function_field`, which trusts its
-caller to have proved q anisotropic and so proves nothing again.  The public
-`function_field` tests anisotropy once before calling it;
-`splitting_pattern` calls it on the anisotropic parts it has just computed,
-and `witt_function_field` after its own anisotropy test.
+`function_field` is the one builder.  Its anisotropy test reads the rank
+the form object owns (`QuasilinearForm.independent`), so a form that was
+ranked before, or that is known anisotropic by construction (an
+anisotropic part, a subform of a form ranked anisotropic), pays nothing
+for it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import List, Tuple
 from .errors import DimensionTooSmall, IsotropicInput
 from .fieldtower import FieldTower, TowerElem, fresh_names
 from .forms import QuasilinearForm, anisotropic_part, is_anisotropic
-from .sqlinalg import k2_rank
 
 
 @dataclass(frozen=True)
@@ -68,21 +67,13 @@ def function_field(q: QuasilinearForm) -> FunctionFieldData:
     if not is_anisotropic(q):
         raise IsotropicInput(
             "function field construction expects an anisotropic form")
-    return _anisotropic_function_field(q)
-
-
-def _anisotropic_function_field(q: QuasilinearForm) -> FunctionFieldData:
-    """function_field(q) for a form of dimension >= 2 that the caller has
-    proved anisotropic, without testing anything again.
-
-    theta is not a square: a root s of theta in K = F(u) would make
-    (1, u_1, ..., u_{d-2}, s) a nonzero zero of q over K, and q anisotropic
-    over F stays anisotropic over the purely transcendental extension K.
-    The generic point is a zero of q by the definition of theta:
-    a_1 + sum a_i u_i^2 + a_d y^2 = a_1 + sum a_i u_i^2 + a_d theta = 0.
-    """
+    # theta is not a square: a root s of theta in K = F(u) would make
+    # (1, u_1, ..., u_{d-2}, s) a nonzero zero of q over K, and q
+    # anisotropic over F stays anisotropic over the purely transcendental
+    # extension K.  The generic point is a zero of q by the definition of
+    # theta: a_1 + sum a_i u_i^2 + a_d y^2 = a_1 + sum a_i u_i^2 + a_d theta
+    # = 0.  Neither fact is tested again here.
     base = q.field
-    d = q.dim
     unames = fresh_names(base, "u", d - 2)
     yname = fresh_names(base, "y", 1)[0]
     K = base.extend_transcendental(unames)
@@ -102,9 +93,7 @@ def _anisotropic_function_field(q: QuasilinearForm) -> FunctionFieldData:
 
 def total_index_over(q: QuasilinearForm, K_ext: FieldTower) -> int:
     """Total index of q after structural embedding into a larger tower."""
-    ext = q.over(K_ext)
-    rank, _ = k2_rank(ext.coeffs)
-    return q.dim - rank
+    return q.dim - len(q.over(K_ext).independent())
 
 
 def splitting_pattern(q: QuasilinearForm) -> SplittingPattern:
@@ -113,9 +102,7 @@ def splitting_pattern(q: QuasilinearForm) -> SplittingPattern:
     current = anisotropic_part(q)
     dims: List[int] = [current.dim]
     while current.dim >= 2:
-        # an anisotropic part is anisotropic: its coefficients are
-        # independent over squares
-        ff = _anisotropic_function_field(current)
+        ff = function_field(current)
         current = anisotropic_part(current.over(ff.tower))
         dims.append(current.dim)
     return SplittingPattern(tuple(dims))
@@ -128,7 +115,7 @@ def witt_function_field(q: QuasilinearForm) -> FunctionFieldData:
             f"first Witt index needs dimension >= 2, got {q.dim}")
     if not is_anisotropic(q):
         raise IsotropicInput("first Witt index expects an anisotropic form")
-    return _anisotropic_function_field(q)
+    return function_field(q)
 
 
 def first_witt_index(q: QuasilinearForm) -> int:

@@ -10,6 +10,7 @@ import pytest
 from quasiform.birational import (
     DominationVerdict,
     FiberMap,
+    RulingCertificate,
     construct_ruling,
     decide_birational,
     decide_stably_equivalent,
@@ -124,6 +125,18 @@ class TestStableAndBirationalEquivalence:
         big = quasi_pfister([a, b, c], F)
         assert not decide_stably_equivalent(small, big)
 
+    def test_input_errors_do_not_depend_on_the_order(self, F, abc):
+        a, b, _ = abc
+        isotropic = QuasilinearForm(F, [F.one(), a, a * b ** 2])
+        line = QuasilinearForm(F, [a])
+        q = QuasilinearForm(F, [F.one(), b])
+        for bad, error in ((isotropic, IsotropicInput),
+                           (line, DimensionTooSmall)):
+            with pytest.raises(error):
+                decide_stably_equivalent(bad, q)
+            with pytest.raises(error):
+                decide_stably_equivalent(q, bad)
+
 
 class TestRulings:
     def test_two_fold_decomposition(self, F, abc):
@@ -213,6 +226,19 @@ class TestRulings:
         other = construct_ruling(quasi_pfister([a, b], F))
         assert not replace(dec, psi=other.psi).verify()
         assert dec.verify()
+
+    def test_certificate_ranks_a_subquadric_built_by_its_caller(
+            self, F, abc, ranked):
+        a, b, _ = abc
+        dec = construct_ruling(quasi_pfister([a, b], F))
+        cert = dec.certificate
+        del ranked[:]
+        assert cert.verify()
+        assert cert.Y.coeffs not in ranked
+        fresh = QuasilinearForm(F, cert.Y.coeffs)
+        assert RulingCertificate(cert.X, fresh, cert.s_basis, cert.pi,
+                                 cert.fibers, cert.scale).verify()
+        assert ranked.count(fresh.coeffs) == 1
 
     def test_input_errors_of_the_first_witt_index(self, F, abc):
         a, _, _ = abc

@@ -285,6 +285,10 @@ class TestCorpus:
         assert keys == ["total_index"]
 
 
+# <1, a, a*b^2> is isotropic: a*b^2 is a square times a
+ISOTROPIC_PAIR = b"field F2(a,b); form p = <1, a, a*b^2>; form q = <1, b>;"
+
+
 class TestMain:
     def write(self, tmp_path, text):
         path = tmp_path / "script.qf"
@@ -308,10 +312,31 @@ class TestMain:
         report = json.loads(capsys.readouterr().out)
         assert report["forms"] == {"p": ["1"]}
 
-    def test_input_error_exit(self, tmp_path, capsys):
-        script = self.write(tmp_path, "form p = <1, 0>;")
-        assert cli.main(["run", script]) == 2
-        assert cli.main(["run", str(tmp_path / "missing.qf")]) == 2
+    @pytest.mark.parametrize("script, json_out", [
+        pytest.param(b"form p = <1, 0>;", None, id="bad-script"),
+        pytest.param(None, None, id="missing-file"),
+        pytest.param("directory", None, id="directory"),
+        pytest.param(b"\xff\xfe", None, id="not-utf8"),
+        pytest.param(b"form p = <1>; invariants p;", "missing/out.json",
+                     id="unwritable-json"),
+        pytest.param(ISOTROPIC_PAIR + b"compare p q;", None,
+                     id="isotropic-compare"),
+        pytest.param(ISOTROPIC_PAIR + b"compare q p;", None,
+                     id="isotropic-compare-swapped"),
+    ])
+    def test_input_error_exit(self, tmp_path, capsys, script, json_out):
+        path = tmp_path / "script.qf"
+        if script == "directory":
+            path.mkdir()
+        elif script is not None:
+            path.write_bytes(script)
+        argv = ["run", str(path)]
+        if json_out is not None:
+            argv += ["--json", str(tmp_path / json_out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_deep_nesting_exit(self, tmp_path, capsys):
         deep = "(" * 5000 + "a" + ")" * 5000

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+import quasiform.cli as cli
+from quasiform.dsl import parse
 from quasiform.errors import (
     BadCodimension,
     DimensionMismatch,
@@ -106,6 +108,65 @@ class TestInvariants:
             assert len(basis) == total_index(form)
             for vec in basis:
                 assert form.evaluate(vec).is_zero
+
+
+class TestRankOwner:
+    """A form object ranks its coefficients once; only an anisotropic part
+    and a subform of a form ranked anisotropic start out ranked."""
+
+    def test_every_invariant_reads_one_rank(self, F, elems, ranked):
+        one, a, b = elems
+        q = QuasilinearForm(F, [one, a, a ** 3, b])
+        assert total_index(q) == 1
+        assert not is_anisotropic(q)
+        assert invariants(q).anisotropic_dim == 3
+        assert is_isometric(q, q)
+        part = anisotropic_part(q)
+        assert is_anisotropic(part)
+        assert ranked == [q.coeffs]
+
+    def test_subform_of_an_unranked_isotropic_form(self, F, elems, ranked):
+        one, a, b = elems
+        q = QuasilinearForm(F, [one, a, a * b ** 2])
+        sub = q.subform([1, 2])
+        assert ranked == []
+        assert not is_anisotropic(sub)
+        assert ranked == [sub.coeffs]
+        # a form ranked isotropic passes nothing on to its subforms
+        assert not is_anisotropic(q)
+        sub = q.subform([0, 1])
+        assert is_anisotropic(sub)
+        assert ranked[-1] == sub.coeffs and len(ranked) == 3
+
+    def test_subform_of_a_form_ranked_anisotropic(self, F, elems, ranked):
+        one, a, b = elems
+        q = QuasilinearForm(F, [one, a, b])
+        assert is_anisotropic(q)
+        assert is_anisotropic(q.subform([0, 2]))
+        assert ranked == [q.coeffs]
+        # a repeated coordinate is no subform on distinct coordinates
+        twice = q.subform([1, 1])
+        assert not is_anisotropic(twice)
+        assert ranked == [q.coeffs, twice.coeffs]
+
+    def test_scaled_form_starts_unranked(self, F, elems, ranked):
+        one, a, b = elems
+        q = QuasilinearForm(F, [one, a, b])
+        assert is_anisotropic(q)
+        assert is_anisotropic(q.scale(a))
+        assert len(ranked) == 2
+
+    @pytest.mark.parametrize("text", [
+        "form p = <1, a, b>; form q = <1, a, c>;",          # not similar
+        "form p = <1, a, b>; form q = <a^2*c, a*c, b*c>;",  # similar
+    ])
+    def test_compare_ranks_each_input_once(self, text, ranked):
+        script = parse("field F2(a, b, c);" + text + "compare p q;")
+        p, q = (script.form_by_name(n).form for n in "pq")
+        cli.run(script)
+        base = [g for g in ranked if g[0].tower == p.field]
+        assert base.count(p.coeffs) == 1
+        assert base.count(q.coeffs) == 1
 
 
 class TestIsometry:

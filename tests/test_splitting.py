@@ -11,7 +11,6 @@ from quasiform.fieldtower import FieldTower
 from quasiform.forms import QuasilinearForm, is_anisotropic, total_index
 from quasiform.pfister import quasi_pfister
 from quasiform.splitting import (
-    _anisotropic_function_field,
     check_hl_bound,
     essential_dimension,
     first_witt_index,
@@ -89,22 +88,22 @@ _depth2_coeff = st.tuples(
 
 
 class TestAnisotropicBuilder:
-    """The builder behind function_field trusts its caller's proof of
-    anisotropy and tests nothing again.  The facts it no longer checks at
-    run time are checked here: theta has no square root in the tower below
-    it, the generic point is a zero of q, and the public function_field
-    builds the same tower."""
+    """function_field proves anisotropy once, through the rank the form
+    owns, and tests nothing else.  The facts it does not check at run time
+    are checked here: theta has no square root in the tower below it, the
+    generic point is a zero of q, and a ranked form and a fresh, unranked
+    copy of it build the same tower."""
 
     def _check(self, q):
         assume(is_anisotropic(q))
-        ff = _anisotropic_function_field(q)
+        ff = function_field(q)
         tower = ff.tower
         below = FieldTower(tower.base_vars, tower.gens[:-1],
                            tower.depth_limit)
         theta = below.element(tower.theta(tower.depth - 1))
         assert tower_square_root(theta) is None
         assert q.over(tower).evaluate(ff.generic_point).is_zero
-        assert function_field(q) == ff
+        assert function_field(QuasilinearForm(q.field, q.coeffs)) == ff
 
     @given(st.lists(_exps, min_size=2, max_size=4))
     @settings(max_examples=40, deadline=None)
@@ -144,6 +143,21 @@ class TestAnisotropicBuilder:
                           * (y if mask & 1 else one)
                           * (z if mask & 2 else one))
         self._check(QuasilinearForm(K, coeffs))
+
+
+class TestRankOverExtensions:
+    def test_rank_is_not_inherited_through_over(self, F, ranked):
+        q = pfister2(F)
+        assert is_anisotropic(q)
+        ff = function_field(q)
+        assert ranked == [q.coeffs]
+        over = q.over(ff.tower)
+        assert total_index(over) == 2
+        assert total_index_over(q, ff.tower) == 2
+        assert first_witt_index(q) == 2
+        assert ranked[1] == over.coeffs
+        # over the form's own field `over` is the form itself
+        assert q.over(F) is q
 
 
 class TestWittIndices:
