@@ -44,6 +44,7 @@ from .sqlinalg import (
     clear_denominators,
     isotropic_kernel_basis,
     span_saturate,
+    square_combination_vanishes,
     tower_linear_solve,
 )
 
@@ -153,7 +154,10 @@ def _recombines(fibers: Sequence[TowerElem],
                 pulled: Sequence[Sequence[TowerElem]],
                 point: Sequence[TowerElem], scale: TowerElem) -> bool:
     """Whether f_1*t_1 + ... + f_r*t_r = scale * point, coordinate by
-    coordinate, for the fibers f_i and the pulled-back vectors t_i."""
+    coordinate, for the fibers f_i and the pulled-back vectors t_i.  The
+    identity is linear in the fibers and the scale, so it is decided on
+    them times one common denominator."""
+    *fibers, scale = clear_denominators(list(fibers) + [scale])
     zero = scale.tower.zero()
     for j, x in enumerate(point):
         combo = zero
@@ -193,14 +197,19 @@ class RulingCertificate:
     def verify(self) -> bool:
         if self.scale.is_zero:
             return False
-        ff_y = function_field(self.Y)
-        x_over_y = self.X.over(ff_y.tower)
+        try:
+            ff_y = function_field(self.Y)
+            ff_x = function_field(self.X)
+            x_coeffs = self.X.over(ff_y.tower).coeffs
+        except (DimensionTooSmall, EmbeddingFailure, IsotropicInput):
+            # no function field, or X's field is not below k(Y): nothing
+            # for the identity to live in
+            return False
         for s in self.s_basis:
-            if any(c.tower != ff_y.tower for c in s):
+            if len(s) != self.X.dim or any(c.tower != ff_y.tower for c in s):
                 return False
-            if not x_over_y.evaluate(s).is_zero:
+            if not square_combination_vanishes(s, x_coeffs):
                 return False
-        ff_x = function_field(self.X)
         if self.pi.source_field != ff_x.tower or not self.pi.verify():
             return False
         if self.pi.coords[0].is_zero:

@@ -261,6 +261,25 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: --max-tower-depth must be at least 1", file=sys.stderr)
         return EXIT_INPUT
 
+    # opened (and truncated, as a shell redirection would) before the work,
+    # so an unwritable target fails at once, not after the whole script
+    out = None
+    if args.json not in (None, "-"):
+        try:
+            out = open(args.json, "w", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+    try:
+        return _execute(args, text, out)
+    finally:
+        if out is not None:
+            out.close()
+
+
+def _execute(args: argparse.Namespace, text: str, out) -> int:
+    """Parse and run the script under the flags' limits, then write the
+    report: JSON to `out` or stdout as --json asks, and the human lines."""
     old_handler = None
     if args.timeout_seconds is not None:
         old_handler = signal.signal(signal.SIGALRM, _alarm_handler)
@@ -287,10 +306,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.json == "-":
         print(rendered)
     else:
-        if args.json is not None:
+        if out is not None:
             try:
-                with open(args.json, "w", encoding="utf-8") as fh:
-                    fh.write(rendered + "\n")
+                out.write(rendered + "\n")
             except OSError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_INPUT

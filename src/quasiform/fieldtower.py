@@ -331,19 +331,19 @@ class TowerElem:
 
     def __add__(self, other: "TowerElem") -> "TowerElem":
         self._check(other)
-        return TowerElem(self.tower, self.tower._add(self.coeffs, other.coeffs))
+        return _elem(self.tower, self.tower._add(self.coeffs, other.coeffs))
 
     __sub__ = __add__
 
     def __mul__(self, other: "TowerElem") -> "TowerElem":
         self._check(other)
-        return TowerElem(self.tower, self.tower._mul(self.coeffs, other.coeffs))
+        return _elem(self.tower, self.tower._mul(self.coeffs, other.coeffs))
 
     def scale(self, r: RatFn) -> "TowerElem":
-        return TowerElem(self.tower, self.tower._scale(self.coeffs, r))
+        return _elem(self.tower, self.tower._scale(self.coeffs, r))
 
     def square(self) -> "TowerElem":
-        return TowerElem(self.tower, self.tower._square(self.coeffs))
+        return _elem(self.tower, self.tower._square(self.coeffs))
 
     def invert(self) -> "TowerElem":
         """1/x via x^(2^e) in the rational base for the least such e."""
@@ -351,7 +351,7 @@ class TowerElem:
             raise ZeroElement("cannot invert zero")
         t = self.tower
         if self.is_rational:
-            return TowerElem(t, {0: self.coeffs[0].invert()})
+            return _elem(t, {0: self.coeffs[0].invert()})
         prod = {0: RatFn.one(t.base_vars)}
         z = self.coeffs
         while True:
@@ -359,7 +359,7 @@ class TowerElem:
             z = t._square(z)
             if set(z) <= {0}:
                 break
-        return TowerElem(t, t._scale(prod, z[0].invert()))
+        return _elem(t, t._scale(prod, z[0].invert()))
 
     def __truediv__(self, other: "TowerElem") -> "TowerElem":
         return self * other.invert()
@@ -399,6 +399,27 @@ class TowerElem:
 
     def __repr__(self) -> str:
         return f"TowerElem({self})"
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _elem(tower: FieldTower, coeffs: Dict[int, RatFn]) -> TowerElem:
+    """Trusted constructor: takes `coeffs` as it is, without the zero
+    filter and the mask check of TowerElem(tower, coeffs).
+
+    Sound for the results of the tower's own arithmetic on elements of
+    `tower`: `_add` and `_mul` drop every sum that cancels, a product or
+    inverse of nonzero fractions is nonzero (the base is a field), and
+    every mask they produce is a bitwise combination of masks below
+    2^depth, so it stays there.  The dict must not be shared.
+    """
+    e = _new(TowerElem)
+    _set(e, "tower", tower)
+    _set(e, "coeffs", coeffs)
+    _set(e, "_hash", None)
+    return e
 
 
 def fresh_names(tower: FieldTower, base: str, count: int) -> List[str]:

@@ -519,6 +519,21 @@ def numerator_over(f: "RatFn", den: Poly) -> Poly:
     return num * (den if f.den.is_one else poly_divmod_exact(den, f.den))
 
 
+def parity_split(p: Poly) -> Dict[FrozenSet[str], Poly]:
+    """Write p as a sum over square-free monomials mu of c_mu^2 * mu.
+
+    Returns {odd-variable set: c_mu}, nonzero classes only: the terms of
+    one exponent parity, divided by their square-free monomial, are the
+    square of c_mu.
+    """
+    classes: Dict[int, List[int]] = {}
+    for t in p.packed:
+        parity = t & _LOW
+        classes.setdefault(parity, []).append((t ^ parity) >> 1)
+    return {frozenset(slot_shifts(parity)): _poly(frozenset(ts), p.variables)
+            for parity, ts in classes.items()}
+
+
 # ---------------------------------------------------------------------------
 # Rational functions.
 # ---------------------------------------------------------------------------
@@ -649,16 +664,8 @@ class RatFn:
         (num*den)/den^2 splits num*den by exponent parity, and each parity
         class divided by its square-free monomial is a perfect square.
         """
-        if self.is_zero:
-            return {}
-        n = self.num * self.den
-        classes: Dict[int, List[int]] = {}
-        for t in n.packed:
-            parity = t & _LOW
-            classes.setdefault(parity, []).append((t ^ parity) >> 1)
-        return {frozenset(slot_shifts(parity)):
-                RatFn(_poly(frozenset(ts), n.variables), self.den)
-                for parity, ts in classes.items()}
+        return {odd: RatFn(root, self.den)
+                for odd, root in parity_split(self.num * self.den).items()}
 
     def __str__(self) -> str:
         if self.den.is_one:

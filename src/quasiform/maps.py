@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-from .errors import InconsistencyDetected
+from .errors import DimensionMismatch, InconsistencyDetected
 from .fieldtower import FieldTower, TowerElem
 from .forms import QuasilinearForm
+from .sqlinalg import square_combination_vanishes
 
 
 class RationalMap:
@@ -45,11 +46,9 @@ class RationalMap:
             if not certificate.verify():
                 raise InconsistencyDetected(
                     "certificate of an ambient map does not verify")
-        else:
-            value = target.over(source_field).evaluate(coords)
-            if not value.is_zero:
-                raise InconsistencyDetected(
-                    "target form does not vanish on the map's coordinates")
+        elif not _target_vanishes(target, source_field, coords):
+            raise InconsistencyDetected(
+                "target form does not vanish on the map's coordinates")
         object.__setattr__(self, "source_field", source_field)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "target", target)
@@ -63,10 +62,9 @@ class RationalMap:
         """Re-check the vanishing invariant and any attached certificate."""
         if all(c.is_zero for c in self.coords):
             return False
-        if not self.ambient:
-            value = self.target.over(self.source_field).evaluate(self.coords)
-            if not value.is_zero:
-                return False
+        if not self.ambient and not _target_vanishes(
+                self.target, self.source_field, self.coords):
+            return False
         if self.certificate is not None:
             return self.certificate.verify()
         return not self.ambient
@@ -76,6 +74,16 @@ class RationalMap:
 
     def __repr__(self) -> str:
         return f"RationalMap({self} -> {self.target})"
+
+
+def _target_vanishes(target: QuasilinearForm, source_field: FieldTower,
+                     coords: Sequence[TowerElem]) -> bool:
+    """Whether the target form vanishes on coordinates over source_field."""
+    if len(coords) != target.dim:
+        raise DimensionMismatch(
+            f"vector length {len(coords)} != form dimension {target.dim}")
+    return square_combination_vanishes(coords,
+                                       target.over(source_field).coeffs)
 
 
 def projectively_equal(v: Sequence[TowerElem],

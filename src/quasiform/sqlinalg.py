@@ -22,7 +22,11 @@ Each generator owns a block of columns in that system (`_SquareBlocks`).  The
 blocks are built once per query, so a greedy rank loop only selects columns.
 
 Every returned relation is re-verified exactly in the tower before being
-handed out.
+handed out.  The checks run on roots cleared of denominators
+(`clear_denominators`, `square_combination_vanishes`): scaling the roots by
+one nonzero base scalar D scales sum c_i^2 g_i by D^2, so the cleared sum
+vanishes exactly when the original one does, and squaring and multiplying
+polynomial coefficients takes no gcd.
 """
 
 from __future__ import annotations
@@ -31,22 +35,28 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _elim, _gfnum
 from .errors import ZeroGenerator
-from .fieldtower import FieldTower, TowerElem
-from .gf2poly import Poly, RatFn, common_denominator, numerator_over
+from .fieldtower import FieldTower, TowerElem, _elem
+from .gf2poly import (Poly, RatFn, common_denominator, numerator_over,
+                      parity_split)
 # not called here: qbench/tests/test_bench_tracer.py checks with this name
 # that the tracer also rebinds functions imported into other modules
 from .gf2poly import poly_lcm  # noqa: F401
 
 
 def clear_denominators(elems: Sequence[TowerElem]) -> List[TowerElem]:
-    """Scale all elements by one common base scalar to reach polynomial
-    coefficients; scaling a square-coefficient relation through by any
-    nonzero scalar preserves it with the same coefficients."""
+    """The elements times one common base scalar D, the lcm of their
+    denominators, so that every coefficient is a polynomial.
+
+    Each coefficient is one exact division of D by its own denominator;
+    no gcd is taken.  D is nonzero, so identities are decided exactly on
+    the cleared elements: a linear one sum f_i x_i = 0 is scaled by D, and
+    a square-coefficient relation sum x_i^2 g_i = 0 by D^2."""
     den = common_denominator(c for e in elems for c in e.coeffs.values())
     if den.is_one:
         return list(elems)
-    r = RatFn.from_poly(den)
-    return [e.scale(r) for e in elems]
+    return [_elem(e.tower, {m: RatFn.from_poly(numerator_over(c, den))
+                            for m, c in e.coeffs.items()})
+            for e in elems]
 
 
 def square_combination(roots: Sequence[TowerElem],
@@ -56,6 +66,15 @@ def square_combination(roots: Sequence[TowerElem],
     for c, g in zip(roots, gens):
         acc = acc + c.square() * g
     return acc
+
+
+def square_combination_vanishes(roots: Sequence[TowerElem],
+                                *gen_rows: Sequence[TowerElem]) -> bool:
+    """Whether sum_i roots_i^2 * row_i = 0 for every (nonempty) row of
+    generators, decided on the roots cleared of denominators once: that
+    scales each sum by D^2 for one nonzero D."""
+    cleared = clear_denominators(roots)
+    return all(square_combination(cleared, row).is_zero for row in gen_rows)
 
 
 _RowKey = Tuple[int, int, Tuple[str, ...]]
@@ -100,13 +119,12 @@ class _SquareBlocks:
                         num = numerator_over(fn, dens[mu])
                         # split by exponent parity: inside one class every
                         # quantity is a square, so take square roots
-                        coords = RatFn.from_poly(num).square_coordinates()
-                        for parity, root in coords.items():
+                        for parity, root in parity_split(num).items():
                             key = (e, mu, tuple(sorted(parity)))
                             entries = block.get(key)
                             if entries is None:
                                 entries = block[key] = [_ZERO] * nmasks
-                            entries[m] = root.num
+                            entries[m] = root
         self.tower = tower
         self.nmasks = nmasks
         self.blocks = blocks
@@ -188,9 +206,11 @@ def solve_square_system_multi(
     roots = blocks.roots(range(ngens), ngens)
     if roots is None:
         return None
-    for row, target in zip(gen_rows, targets):
-        if square_combination(roots, row) != target:
-            raise AssertionError("semilinear solver produced an invalid relation")
+    # char 2: sum c_i^2 g_i = t exactly when sum c_i^2 g_i + 1^2 t = 0
+    if not square_combination_vanishes(
+            roots + [roots[0].tower.one()],
+            *(list(row) + [t] for row, t in zip(gen_rows, targets))):
+        raise AssertionError("semilinear solver produced an invalid relation")
     return roots
 
 
@@ -237,9 +257,8 @@ def square_nullspace_multi(
     out = []
     for vec in basis:
         roots = _coeff_vectors(vec, ngens, nmasks, tower)
-        for row in gen_rows:
-            if not square_combination(roots, row).is_zero:
-                raise AssertionError("nullspace vector fails to annihilate")
+        if not square_combination_vanishes(roots, *gen_rows):
+            raise AssertionError("nullspace vector fails to annihilate")
         out.append(roots)
     return out
 
@@ -324,7 +343,12 @@ class SquareRelation:
             return False
         if not self.generators:
             return self.target.is_zero
-        return square_combination(self.roots, self.generators) == self.target
+        tower = self.target.tower
+        if any(x.tower != tower for x in self.roots + self.generators):
+            return False
+        # char 2: sum c_i^2 g_i = t exactly when sum c_i^2 g_i + 1^2 t = 0
+        return square_combination_vanishes(self.roots + [tower.one()],
+                                           self.generators + [self.target])
 
     def __repr__(self) -> str:
         return (f"SquareRelation({self.target} = "

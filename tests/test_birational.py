@@ -19,7 +19,12 @@ from quasiform.birational import (
     is_regular_quadric,
     unique_self_map_check,
 )
-from quasiform.errors import DimensionTooSmall, IsotropicInput, NotRuled
+from quasiform.errors import (
+    DimensionMismatch,
+    DimensionTooSmall,
+    IsotropicInput,
+    NotRuled,
+)
 from quasiform.fieldtower import FieldTower
 from quasiform.forms import QuasilinearForm, is_anisotropic
 from quasiform.maps import RationalMap
@@ -239,6 +244,51 @@ class TestRulings:
         assert RulingCertificate(cert.X, fresh, cert.s_basis, cert.pi,
                                  cert.fibers, cert.scale).verify()
         assert ranked.count(fresh.coeffs) == 1
+
+    def test_certificate_over_a_quadric_without_function_field_is_false(
+            self, F, abc):
+        # an isotropic or too small X or Y has no function field, and a Y
+        # over another base field none that holds X: a bad certificate,
+        # not an input error
+        a, b, c = abc
+        cert = construct_ruling(quasi_pfister([a, b], F)).certificate
+        isotropic_y = QuasilinearForm(F, [F.one(), a, a * c.square()])
+        isotropic_x = QuasilinearForm(F, [F.one(), a, b, a * c.square()])
+        point = QuasilinearForm(F, [F.one()])
+        G = FieldTower.rational(("p", "q"))
+        foreign_y = QuasilinearForm(G, [G.one(), G.var("p"), G.var("q")])
+        for X, Y in ((cert.X, isotropic_y), (cert.X, point),
+                     (isotropic_x, cert.Y), (point, cert.Y),
+                     (cert.X, foreign_y)):
+            assert not RulingCertificate(X, Y, cert.s_basis, cert.pi,
+                                         cert.fibers, cert.scale).verify()
+
+    def test_recombination_scales_fibers_and_scale_together(self, F, abc):
+        # the fibers carry denominators; the certificate identity is
+        # linear in (fibers, scale), so a common fraction factor keeps it
+        a, b, _ = abc
+        cert = construct_ruling(quasi_pfister([a, b], F)).certificate
+        assert any(not c.den.is_one
+                   for f in cert.fibers for c in f.coeffs.values())
+        K = cert.scale.tower
+        lam = K.var("b") * (K.var("a") + K.one()).invert()
+        scaled = tuple(f * lam for f in cert.fibers)
+
+        def verifies(fibers, scale):
+            return RulingCertificate(cert.X, cert.Y, cert.s_basis, cert.pi,
+                                     fibers, scale).verify()
+
+        assert verifies(cert.fibers, cert.scale)
+        assert verifies(scaled, cert.scale * lam)
+        assert not verifies(scaled, cert.scale)
+        assert not verifies(cert.fibers, cert.scale * lam)
+
+    def test_projection_rejects_a_wrong_length_vector(self, F, abc):
+        a, b, _ = abc
+        pi = construct_ruling(quasi_pfister([a, b], F)).psi.pi
+        for coords in (pi.coords[:-1], pi.coords + (pi.coords[0],)):
+            with pytest.raises(DimensionMismatch):
+                RationalMap(pi.source_field, coords, pi.target)
 
     def test_input_errors_of_the_first_witt_index(self, F, abc):
         a, _, _ = abc

@@ -338,6 +338,19 @@ class TestMain:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_unwritable_json_fails_before_the_work(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the script ran before the target check")
+
+        monkeypatch.setattr(cli, "parse", never)
+        monkeypatch.setattr(cli, "run", never)
+        script = self.write(tmp_path, "form p = <1>; invariants p;")
+        target = str(tmp_path / "missing" / "out.json")
+        assert cli.main(["run", script, "--json", target]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_deep_nesting_exit(self, tmp_path, capsys):
         deep = "(" * 5000 + "a" + ")" * 5000
         script = self.write(tmp_path, f"field F2(a); form q = <{deep}, 1>;")

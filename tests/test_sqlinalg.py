@@ -7,12 +7,13 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from quasiform import _elim, _gfnum
+from quasiform import _elim, _gfnum, gf2poly
 from quasiform.errors import ZeroGenerator
 from quasiform.fieldtower import FieldTower
-from quasiform.gf2poly import Poly
+from quasiform.gf2poly import Poly, RatFn, common_denominator
 from quasiform.sqlinalg import (
     SquareRelation,
+    clear_denominators,
     greedy_independent,
     isotropic_kernel_basis,
     k2_membership,
@@ -20,6 +21,8 @@ from quasiform.sqlinalg import (
     kernel_from_coefficients,
     solve_square_system,
     span_saturate,
+    square_combination,
+    square_combination_vanishes,
     square_nullspace,
     square_system_solvable,
     tower_linear_solve,
@@ -407,3 +410,119 @@ class TestSpanSaturate:
         for x in span:
             for w in span:
                 assert square_system_solvable(span, x * w)
+
+
+def _rational_base():
+    F = FieldTower.rational(("a", "b", "c"))
+    a, b, c, one = F.var("a"), F.var("b"), F.var("c"), F.one()
+    dens = (one, b + one, a + c, a * b + one)
+    return F, dens, (one,)
+
+
+def _depth_two_tower():
+    F = FieldTower.rational(("a", "b"))
+    a, b, one = F.var("a"), F.var("b"), F.one()
+    K1 = F.extend_inseparable(a * (b + one).invert(), "y")
+    theta = K1.var("b") * (K1.var("a") + K1.one()).invert()
+    K = K1.extend_inseparable(theta, "z")
+    a, b, one = K.var("a"), K.var("b"), K.one()
+    y, z = K.gen_by_name("y"), K.gen_by_name("z")
+    return K, (one, b + one, a + b, a * b + one), (one, y, z, y * z)
+
+
+_TOWERS = {"F2(a,b,c)": _rational_base, "depth 2": _depth_two_tower}
+
+# (monomial exponents, denominator index, generator monomial index)
+_fraction = st.tuples(
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=2),
+    st.integers(0, 3), st.integers(0, 3))
+
+
+def _build(K, dens, monos, spec):
+    terms, den, mono = spec
+    names = K.base_vars
+    num = K.zero()
+    for i, j in terms:
+        num = num + K.var(names[0]) ** i * K.var(names[-1]) ** j
+    return num * dens[den].invert() * monos[mono % len(monos)]
+
+
+class TestChecksOnClearedRoots:
+    """Every identity check in the tower runs on roots cleared of
+    denominators; it must decide exactly what the check on the roots
+    themselves decides."""
+
+    @pytest.mark.parametrize("tower", sorted(_TOWERS))
+    @given(pairs=st.lists(st.tuples(_fraction, _fraction), min_size=1,
+                          max_size=3),
+           closing=_fraction, close=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_vanishing_matches_the_direct_sum(self, tower, pairs, closing,
+                                              close):
+        K, dens, monos = _TOWERS[tower]()
+        roots = [_build(K, dens, monos, r) for r, _ in pairs]
+        gens = [_build(K, dens, monos, g) for _, g in pairs]
+        if close:
+            # one more term r^2 * g that cancels the whole sum
+            r = _build(K, dens, monos, closing)
+            assume(not r.is_zero)
+            gens.append(square_combination(roots, gens) * r.square().invert())
+            roots.append(r)
+        direct = square_combination(roots, gens).is_zero
+        assert square_combination_vanishes(roots, gens) == direct
+        assert direct or not close
+
+    @pytest.mark.parametrize("tower", sorted(_TOWERS))
+    @given(pairs=st.lists(st.tuples(_fraction, _fraction), min_size=1,
+                          max_size=3),
+           error=_fraction)
+    @settings(max_examples=30, deadline=None)
+    def test_relation_check_matches_the_direct_sum(self, tower, pairs,
+                                                   error):
+        K, dens, monos = _TOWERS[tower]()
+        roots = [_build(K, dens, monos, r) for r, _ in pairs]
+        gens = [_build(K, dens, monos, g) for _, g in pairs]
+        # an error term of zero leaves a true relation
+        target = square_combination(roots, gens) + _build(K, dens, monos,
+                                                          error)
+        holds = square_combination(roots, gens) == target
+        try:
+            SquareRelation(target, gens, roots)
+            built = True
+        except AssertionError:
+            built = False
+        assert built == holds
+
+    @pytest.mark.parametrize("tower", sorted(_TOWERS))
+    @given(specs=st.lists(_fraction, min_size=1, max_size=4))
+    @settings(max_examples=30, deadline=None)
+    def test_clearing_takes_no_gcd_and_keeps_the_values(self, tower, specs):
+        K, dens, monos = _TOWERS[tower]()
+        elems = [_build(K, dens, monos, spec) for spec in specs]
+        den = common_denominator(c for e in elems for c in e.coeffs.values())
+        scaled = [e.scale(RatFn.from_poly(den)) for e in elems]
+        cancels = []
+        real = gf2poly._cancel
+
+        def counting(p, q):
+            cancels.append((p, q))
+            return real(p, q)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gf2poly, "_cancel", counting)
+            cleared = clear_denominators(elems)
+        assert cancels == []
+        assert cleared == scaled
+        assert all(c.den.is_one for e in cleared for c in e.coeffs.values())
+
+    def test_relation_with_a_target_in_another_tower_is_false(self, F):
+        a, b = F.var("a"), F.var("b")
+        target = a.square() * b + F.one()
+        rel = k2_membership(target, [b, F.one()])
+        assert rel is not None and rel.verify()
+        G = F.extend_transcendental(("t",))
+        rel.target = F.embed(target, G)
+        assert not rel.verify()
+        rel.target = target
+        rel.roots[0] = F.embed(rel.roots[0], G)
+        assert not rel.verify()
