@@ -65,21 +65,6 @@ def _tables() -> Tuple[array, array]:
     return exp, log
 
 
-def _mul(a: int, b: int) -> int:
-    if not a or not b:
-        return 0
-    exp, log = _tables()
-    return exp[log[a] + log[b]]
-
-
-def _pow(a: int, e: int) -> int:
-    """a^e for any integer e; 0^e is 0 for e != 0."""
-    if not a:
-        return 0 if e else 1
-    exp, log = _tables()
-    return exp[log[a] * e % _ORDER]
-
-
 def _eval_poly(p: Poly, logs: List[Tuple[int, int]], exp: array) -> int:
     """p at the point whose coordinates have the logarithms `logs`, given
     as (slot offset, logarithm) for every variable that may occur."""

@@ -2,9 +2,10 @@
 
 A quasilinear form over a field K of characteristic 2 is a diagonal form
 q(x) = a_1 x_1^2 + ... + a_n x_n^2.  Its isotropic vectors form a K-linear
-subspace, and everything intrinsic reduces to the rank of the coefficient
-list over the subfield of squares: anisotropy, total index, isometry, and
-(through the norm-field algebra) similarity.
+subspace, and everything intrinsic reduces to linear algebra over the
+subfield of squares: anisotropy, total index and isometry read the rank of
+the coefficient list, and similarity solves one square system over the
+span of the target form's coefficients.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .fieldtower import FieldTower, TowerElem, fresh_names
 from .sqlinalg import (
     k2_rank,
     kernel_from_coefficients,
-    span_saturate,
     square_combination,
     square_nullspace_multi,
     square_system_solvable,
@@ -80,6 +80,11 @@ class QuasilinearForm:
 
     def subform(self, indices: Sequence[int]) -> "QuasilinearForm":
         indices = list(indices)
+        # a negative index would name a coordinate twice under two numbers
+        if not all(0 <= i < self.dim for i in indices):
+            raise DimensionMismatch(
+                f"subform indices {indices} out of range for dimension "
+                f"{self.dim}")
         sub = QuasilinearForm(self.field, [self.coeffs[i] for i in indices])
         # a subform on distinct coordinates of a form ranked anisotropic is
         # anisotropic: a zero of it, padded with zeros, is a zero of the form
@@ -156,12 +161,20 @@ def decide_similar(q: QuasilinearForm,
                    q2: QuasilinearForm) -> Optional[TowerElem]:
     """A factor c with c*q isometric to q2, or None when no factor exists.
 
-    Both forms are normalized to represent 1; a factor then lies in the
-    algebra P generated over squares by both coefficient spans (c = c*1 must
-    land in the span of q2's coefficients, which sits in P).  Solving
-    c*span(q) inside span(q2) is finite linear algebra over squares in P,
-    and any nonzero solution works: P is a field, so c is invertible, and
-    the spans have equal dimension, forcing c*span(q) = span(q2).
+    Both forms are normalized to represent 1, as v (v_0 = 1) and w (w_0 = 1).
+    A factor c = c*1 then lies in span(w), so it is written over w itself as
+    c = sum_k e_k^2 w_k, which makes c*v_0 in span(w) hold by construction.
+    Each j = 1..d-1 asks for c*v_j in span(w):
+
+        sum_k e_k^2 (w_k v_j) + sum_k f_{j,k}^2 w_k = 0.
+
+    Any nonzero kernel vector has e != 0: e = 0 would leave
+    sum_k f_{j,k}^2 w_k = 0, and the w_k are independent over squares (q2 is
+    anisotropic), so f = 0 too.  Then c != 0 for the same reason, so c is
+    invertible and c*span(v), of the same dimension as span(w), equals it.
+    Conversely every factor lies in span(w) and solves the system, so the
+    kernel is nonzero exactly when the forms are similar.  For d = 1 there
+    is no equation and c = 1, giving the factor b/a for <a> and <b>.
     """
     if q.field != q2.field:
         raise ValueError("forms live over different towers")
@@ -176,30 +189,18 @@ def decide_similar(q: QuasilinearForm,
     a1, b1 = q.coeffs[0], q2.coeffs[0]
     v = [a1.invert() * c for c in q.coeffs]       # represents 1
     w = [b1.invert() * c for c in q2.coeffs]      # represents 1
-    p_basis = span_saturate(field, list(v[1:]) + list(w[1:]))
-    nb = len(p_basis)
-    nw = len(w)
-    # unknown roots: d_u (coords of c over p_basis), then e_{j,k} per
-    # equation j; each equation j says  c*v_j + sum_k e_{j,k}^2 w_k = 0
-    ncols = nb + q.dim * nw
+    d = q.dim
+    # unknown roots: e_k (c over w), then f_{j,k} per equation j >= 1
     zero = field.zero()
     gen_rows: List[List[TowerElem]] = []
-    for j in range(q.dim):
-        row = [p * v[j] for p in p_basis]
-        row += [zero] * (q.dim * nw)
-        for k in range(nw):
-            row[nb + j * nw + k] = w[k]
+    for j in range(1, d):
+        row = [wk * v[j] for wk in w] + [zero] * ((d - 1) * d)
+        row[j * d:(j + 1) * d] = w
         gen_rows.append(row)
-    kernel = square_nullspace_multi(gen_rows)
+    kernel = square_nullspace_multi(gen_rows) if gen_rows else [[field.one()]]
     if not kernel:
         return None
-    # Any kernel vector gives a factor c != 0.  Were its factor part d zero,
-    # c would be 0 and each equation would read sum_k e_{j,k}^2 w_k = 0;
-    # the w_k are independent over squares because q2 is anisotropic, so
-    # e = 0 and the vector would be zero.  A nonzero d gives c != 0
-    # because p_basis is independent over squares.
-    c = square_combination(kernel[0][:nb], p_basis)
-    factor = c * b1 * a1.invert()
+    factor = square_combination(kernel[0][:d], w) * b1 * a1.invert()
     if not is_isometric(q.scale(factor), q2):
         raise AssertionError("similarity factor failed isometry check")
     return factor

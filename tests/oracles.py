@@ -242,6 +242,25 @@ def parity_rank(coeff_exponents: Sequence[Exponents]) -> int:
     return len(pivots)
 
 
+
+def monomial_similar(coeff_exponents: Sequence[Exponents],
+                     other_exponents: Sequence[Exponents]) -> bool:
+    """Similarity of two anisotropic monomial-coefficient forms: the parity
+    classes T of the second are a translate x + S of the classes S of the
+    first.  A monomial of class x is then a factor.  Conversely, write a
+    factor c over the parity classes and let C be its support: c*m_s lies
+    in span(T) for each s in S, so u + S is inside T for every u in C, and
+    |S| = |T| makes it all of T."""
+    S = {parity_class(e) for e in coeff_exponents}
+    T = {parity_class(e) for e in other_exponents}
+    if len(S) != len(coeff_exponents) or len(T) != len(other_exponents):
+        raise ValueError("the oracle expects anisotropic forms")
+    if len(S) != len(T):
+        return False
+    s0 = next(iter(S))
+    return any({tuple(a ^ b ^ c for a, b, c in zip(s, s0, t)) for s in S} == T
+               for t in T)
+
 # Brute-force isotropy for monomial-coefficient forms: with entries
 # x_i = sum_m c_im m (c in GF(2)), the value sum_i a_i x_i^2 equals
 # sum_im c_im (a_i m^2), linear in the c's.  The kernel is read off by
@@ -339,19 +358,24 @@ def sample_monomial_exponents(rng: random.Random, nvars: int,
 def sample_monomial_form(rng: random.Random, field, dim: int,
                          max_degree: int):
     """A form with monomial coefficients, plus the oracle-side exponents."""
+    nvars = len(field.base_vars)
+    exponents = [sample_monomial_exponents(rng, nvars, max_degree)
+                 for _ in range(dim)]
+    return monomial_form(field, exponents), exponents
+
+
+def monomial_form(field, exponents: Sequence[Exponents]):
+    """The form whose coefficients are the monomials with these exponents
+    over the base variables of a rational tower."""
     from quasiform.forms import QuasilinearForm
 
-    variables = field.base_vars
-    exponents: List[Exponents] = []
     coeffs = []
-    for _ in range(dim):
-        exps = sample_monomial_exponents(rng, len(variables), max_degree)
-        exponents.append(exps)
+    for exps in exponents:
         term = field.one()
-        for var, e in zip(variables, exps):
+        for var, e in zip(field.base_vars, exps):
             term = term * field.var(var) ** e
         coeffs.append(term)
-    return QuasilinearForm(field, coeffs), exponents
+    return QuasilinearForm(field, coeffs)
 
 
 def sample_poly_elem(rng: random.Random, field, max_degree: int,

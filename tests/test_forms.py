@@ -27,8 +27,15 @@ from quasiform.forms import (
     isotropic_vectors_basis,
     total_index,
 )
+from quasiform.splitting import function_field
 
-from oracles import monomial_total_index, sample_monomial_form
+from oracles import (
+    monomial_form,
+    monomial_similar,
+    monomial_total_index,
+    sample_monomial_exponents,
+    sample_monomial_form,
+)
 
 
 @pytest.fixture
@@ -149,6 +156,16 @@ class TestRankOwner:
         assert not is_anisotropic(twice)
         assert ranked == [q.coeffs, twice.coeffs]
 
+    def test_subform_rejects_indices_out_of_range(self, F, elems):
+        one, a, b = elems
+        q = QuasilinearForm(F, [one, a, b])
+        assert is_anisotropic(q)
+        # -2 names coefficient 1 a second time: <a, a> is isotropic
+        with pytest.raises(DimensionMismatch):
+            q.subform([1, -2])
+        with pytest.raises(DimensionMismatch):
+            q.subform([0, 3])
+
     def test_scaled_form_starts_unranked(self, F, elems, ranked):
         one, a, b = elems
         q = QuasilinearForm(F, [one, a, b])
@@ -238,6 +255,63 @@ class TestSimilarity:
         iso = QuasilinearForm(F, [a, a ** 3])
         with pytest.raises(IsotropicInput):
             decide_similar(iso, iso)
+
+    def test_dimension_one_factor_is_the_quotient(self, F, elems):
+        # no equation is left for d = 1: the factor is b/a itself
+        _, a, b = elems
+        factor = decide_similar(QuasilinearForm(F, [a]),
+                                QuasilinearForm(F, [b]))
+        assert factor == b * a.invert()
+
+    def test_against_the_parity_translate_oracle(self):
+        F = FieldTower.rational(("a", "b", "c"))
+        rng = random.Random(41)
+        by_dim = {}
+        for dim in range(1, 6):
+            forms = by_dim[dim] = []
+            while len(forms) < 8:
+                q, exps = sample_monomial_form(rng, F, dim, 3)
+                if not is_anisotropic(q):
+                    continue
+                # a translated copy: every class moved by one shift x, each
+                # coefficient times its own square, in shuffled order
+                x = sample_monomial_exponents(rng, 3, 3)
+                moved = [tuple(e + s + 2 * r for e, s, r in zip(
+                    ex, x, sample_monomial_exponents(rng, 3, 1)))
+                    for ex in exps]
+                rng.shuffle(moved)
+                forms.append((q, exps))
+                forms.append((monomial_form(F, moved), moved))
+        similar = 0
+        for forms in by_dim.values():
+            for i, (p, pe) in enumerate(forms):
+                for q, qe in forms[i + 1:]:
+                    expected = monomial_similar(pe, qe)
+                    similar += expected
+                    for x, y in ((p, q), (q, p)):
+                        factor = decide_similar(x, y)
+                        assert (factor is not None) == expected
+                        if factor is not None:
+                            assert is_isometric(x.scale(factor), y)
+        # both verdicts occur among the 140 pairs
+        assert 0 < similar < 140
+
+    def test_over_a_function_field(self):
+        F = FieldTower.rational(("a", "b", "c"))
+        a, b, c = (F.var(n) for n in "abc")
+        ff = function_field(QuasilinearForm(F, [F.one(), a, b]))
+        K = ff.tower
+        q = QuasilinearForm(F, [F.one(), a, c]).over(K)
+        assert is_anisotropic(q)
+        s = ff.generic_point[-1] + F.embed(c, K)
+        coeffs = list(q.scale(s).coeffs)
+        coeffs = coeffs[1:] + coeffs[:1]
+        q2 = QuasilinearForm(K, coeffs)
+        assert not is_isometric(q, q2)
+        for x, y in ((q, q2), (q2, q)):
+            factor = decide_similar(x, y)
+            assert factor is not None
+            assert is_isometric(x.scale(factor), y)
 
 
 class TestGenericSubform:
