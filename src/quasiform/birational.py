@@ -9,9 +9,9 @@ The ruling of X with first Witt index r writes X birationally as
 Y x P^{r-1}, where Y drops the last r-1 coefficients: the isotropic
 vectors of X over k(Y) form an r-dimensional space with basis s_1,...,s_r,
 giving phi(y, [c_1:...:c_r]) = [sum c_i s_i(y)]; composing the basis with a
-projection pi: X -> Y and solving for fiber functions f_i recovers the
-generic point of X exactly, which is the certificate that phi has an
-inverse.
+projection pi: X -> Y and recombining with fiber functions f_i, read off
+one coordinate of each pulled-back vector, recovers the generic point of X
+exactly, which is the certificate that phi has an inverse.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .sqlinalg import (
     isotropic_kernel_basis,
     span_saturate,
     square_combination_vanishes,
-    tower_linear_solve,
 )
 
 
@@ -195,7 +194,10 @@ class RulingCertificate:
         self.scale = scale
 
     def verify(self) -> bool:
-        if self.scale.is_zero:
+        # one fiber per basis vector, r of each: zip would drop the rest
+        r = self.X.dim - self.Y.dim + 1
+        if (self.scale.is_zero
+                or not len(self.s_basis) == len(self.fibers) == r):
             return False
         try:
             ff_y = function_field(self.Y)
@@ -291,13 +293,26 @@ def construct_ruling(X: QuasilinearForm) -> RulingDecomposition:
 
     pulled = _pull_basis(ff_y, s_basis, pi_coords, K)
     g = list(ff_x.generic_point)
-    fibers = tower_linear_solve(pulled, g)
-    if fibers is None:
-        raise InconsistencyDetected(
-            "generic point is outside the pulled-back isotropic space")
+    # No solve is needed.  s_i is 1 at its own dependent coordinate j_i and
+    # 0 at every other dependent coordinate (kernel_from_coefficients), and
+    # t_i = d^k * hom(D_i * s_i) keeps that zero pattern, since a field map
+    # sends only 0 to 0.  So t_i is nonzero at j_i and every other t_l is
+    # zero there, and coordinate j_i of f_1 t_1 + ... + f_r t_r = g reads
+    # f_i * t_i[j_i] = g[j_i].  The fibers are forced (the t_i are
+    # independent, so they are unique), and _recombines checks every
+    # coordinate.
+    fibers = []
+    for i, t in enumerate(pulled):
+        own = [j for j in range(X.dim) if not t[j].is_zero
+               and all(pulled[l][j].is_zero for l in range(r) if l != i)]
+        if not own:
+            raise InconsistencyDetected(
+                "a pulled-back isotropic vector has no coordinate of its own")
+        fibers.append(g[own[0]] / t[own[0]])
     scale = K.one()
     if not _recombines(fibers, pulled, g, scale):
-        raise InconsistencyDetected("fiber solve failed to re-verify")
+        raise InconsistencyDetected(
+            "fibers read off the isotropic basis fail to recombine")
     certificate = RulingCertificate(X, Y, s_basis, pi, tuple(fibers), scale)
 
     fiber_names = fresh_names(ff_y.tower, "t", r - 1)

@@ -244,8 +244,11 @@ def square_nullspace_multi(
 ) -> List[List[TowerElem]]:
     """Basis of shared root vectors annihilating every equation.  A
     numeric proof of a zero kernel skips exact elimination; every basis
-    vector comes from it."""
-    if not gen_rows or not gen_rows[0]:
+    vector comes from it.  With no equation there are no unknowns to
+    count, so the kernel is undefined: ValueError."""
+    if not gen_rows:
+        raise ValueError("nullspace query needs at least one equation")
+    if not gen_rows[0]:
         return []
     ngens = len(gen_rows[0])
     blocks = _SquareBlocks(list(zip(*gen_rows)))

@@ -3,6 +3,7 @@ fields, domination, stable equivalence, rulings with certificates, unique
 self-maps, and the regularity test."""
 
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -11,6 +12,7 @@ from quasiform.birational import (
     DominationVerdict,
     FiberMap,
     RulingCertificate,
+    _pull_basis,
     construct_ruling,
     decide_birational,
     decide_stably_equivalent,
@@ -30,8 +32,15 @@ from quasiform.forms import QuasilinearForm, is_anisotropic
 from quasiform.maps import RationalMap
 from quasiform.pfister import quasi_pfister
 from quasiform.splitting import first_witt_index, function_field
+from quasiform.sqlinalg import tower_linear_solve
 
-from oracles import FROZEN, sample_monomial_form
+from oracles import (
+    FROZEN,
+    exponent_add,
+    monomial_form,
+    parity_rank,
+    sample_monomial_form,
+)
 
 
 @pytest.fixture
@@ -201,6 +210,23 @@ class TestRulings:
                              cert.pi, cert.fibers, cert.scale)
         assert not swapped.verify()
 
+    def test_certificate_needs_one_fiber_per_basis_vector(self, F, abc):
+        # r = X.dim - Y.dim + 1 of each; extra entries must not be dropped
+        a, b, _ = abc
+        dec = construct_ruling(quasi_pfister([a, b], F))
+        cert = dec.certificate
+        extra_fiber = cert.fibers + (cert.fibers[0],)
+        extra_vector = cert.s_basis + (cert.s_basis[0],)
+        for s_basis, fibers in ((cert.s_basis, extra_fiber),
+                                (extra_vector, cert.fibers)):
+            assert not RulingCertificate(cert.X, cert.Y, s_basis, cert.pi,
+                                         fibers, cert.scale).verify()
+        tampered = RulingCertificate(cert.X, cert.Y, cert.s_basis, cert.pi,
+                                     extra_fiber, cert.scale)
+        assert not replace(dec, psi=FiberMap(cert.pi, extra_fiber),
+                           certificate=tampered).verify()
+        assert cert.verify() and dec.verify()
+
     def test_ruling_over_a_base_with_an_inseparable_generator(self, F, abc):
         # the base generator z of k(Y) maps to itself in the pullback
         _, _, c = abc
@@ -296,6 +322,91 @@ class TestRulings:
             construct_ruling(QuasilinearForm(F, [a]))
         with pytest.raises(IsotropicInput, match="first Witt index"):
             construct_ruling(QuasilinearForm(F, [a, a]))
+
+
+def _sampled_scaled_pfister2(rng, field):
+    """A 2-fold quasi-Pfister form with independent monomial slots of
+    exponent <= 2, scaled by a monomial of exponent <= 1."""
+    nvars = len(field.base_vars)
+    while True:
+        slots = [tuple(rng.randint(0, 2) for _ in range(nvars))
+                 for _ in range(2)]
+        if parity_rank(slots) == 2:
+            break
+    products = [(0,) * nvars]
+    for slot in slots:
+        products += [exponent_add(p, slot) for p in products]
+    scale = tuple(rng.randint(0, 1) for _ in range(nvars))
+    return monomial_form(field, [exponent_add(p, scale) for p in products])
+
+
+class TestFibersReadOffTheBasis:
+    """The fibers are read off one coordinate of each pulled-back vector;
+    the full linear solve over k(X) is the oracle."""
+
+    @staticmethod
+    def solved_fibers(dec):
+        ff_x = function_field(dec.X)
+        pulled = _pull_basis(function_field(dec.Y), dec.s_basis,
+                             dec.psi.pi.coords, ff_x.tower)
+        return tower_linear_solve(pulled, list(ff_x.generic_point))
+
+    def assert_fibers_match_the_solve(self, X):
+        dec = construct_ruling(X)
+        assert list(dec.psi.fibers) == self.solved_fibers(dec)
+        assert dec.verify()
+        return dec
+
+    def test_sampled_two_fold_forms(self):
+        G = FieldTower.rational(("a", "b", "c", "d"))
+        rng = random.Random(2006)
+        for _ in range(4):
+            self.assert_fibers_match_the_solve(
+                _sampled_scaled_pfister2(rng, G))
+
+    def test_neighbours_of_a_three_fold_form(self, F, abc):
+        a, b, c = abc
+        pfister3 = quasi_pfister([a, b, c], F).coeffs
+        for dim, r in ((6, 2), (7, 3)):
+            X = QuasilinearForm(F, pfister3[:dim])
+            assert self.assert_fibers_match_the_solve(X).r == r
+
+    def test_coefficients_with_denominators(self, F, abc):
+        a, b, _ = abc
+        X = QuasilinearForm(F, [a.invert(), b, b / a, F.one()])
+        dec = self.assert_fibers_match_the_solve(X)
+        assert any(not c.den.is_one
+                   for f in dec.psi.fibers for c in f.coeffs.values())
+
+    def test_base_with_an_inseparable_generator(self, F, abc):
+        _, _, c = abc
+        B = F.extend_inseparable(c, "z")
+        self.assert_fibers_match_the_solve(
+            quasi_pfister([B.var("a") * B.gen_by_name("z") + B.one(),
+                           B.var("b")], B))
+
+    def test_construction_makes_no_linear_solve(self, F, abc, monkeypatch):
+        calls = []
+        real = tower_linear_solve
+
+        def recording(columns, rhs):
+            calls.append(len(columns))
+            return real(columns, rhs)
+
+        # every binding of the solver in the library, as the tracer does
+        patched = [name for name, module in list(sys.modules.items())
+                   if name.split(".")[0] == "quasiform"
+                   and getattr(module, "tower_linear_solve", None) is real]
+        for name in patched:
+            monkeypatch.setattr(sys.modules[name], "tower_linear_solve",
+                                recording)
+        assert "quasiform.sqlinalg" in patched
+        a, b, c = abc
+        dec = construct_ruling(quasi_pfister([a, b], F))
+        construct_ruling(QuasilinearForm(
+            F, quasi_pfister([a, b, c], F).coeffs[:7]))
+        assert dec.verify()
+        assert calls == []
 
 
 class TestUniqueSelfMap:

@@ -11,7 +11,9 @@ certificates.  The reports under `tests/golden/` were written by
 
 with the library as it was before the norm field was built by doubling;
 `ruling_pfister3` (the ruling of <<a,b,c>>) with the library as it was
-before polynomials were stored as packed exponent vectors.
+before polynomials were stored as packed exponent vectors;
+`ruling_neighbors` with the library as it was while the fibers of a
+ruling still came from a linear solve over k(X).
 Rewrite them only with a change that is meant to alter an answer.
 """
 
@@ -79,12 +81,33 @@ SCRIPTS = {
         form pfister3 = <1, a, b, a*b, c, a*c, b*c, a*b*c>;
         ruling pfister3;
     """,
+    # rulings whose fibers carry denominators and binomials, and r = 3;
+    # one script per base field, so the report is a list
+    "ruling_neighbors": ("""
+        field F2(a,b,c);
+        form neighbor6 = <1, a, b, a*b, c, a*c>;
+        form neighbor7 = <1, a, b, a*b, c, a*c, b*c>;
+        form fractions = <1/a, b, b/a, 1>;
+        form binomials = <1, a+b, b*c, (a+b)*b*c>;
+        ruling neighbor6; ruling neighbor7; ruling fractions;
+        ruling binomials;
+    """, """
+        field F2(a,b);
+        form scaled = <a+1, (a+1)*b, (a+1)*(a+b), (a+1)*b*(a+b)>;
+        ruling scaled;
+    """),
 }
 
 
 def render(name: str) -> str:
-    """The report as `quasiform run --json` writes it."""
-    report = cli.run(parse(SCRIPTS[name]), verify_certificates=True)
+    """The report as `quasiform run --json` writes it; a tuple of
+    scripts gives the list of their reports."""
+    script = SCRIPTS[name]
+    if isinstance(script, tuple):
+        report = [cli.run(parse(s), verify_certificates=True)
+                  for s in script]
+    else:
+        report = cli.run(parse(script), verify_certificates=True)
     return json.dumps(report, indent=2) + "\n"
 
 

@@ -24,6 +24,7 @@ from quasiform.sqlinalg import (
     square_combination,
     square_combination_vanishes,
     square_nullspace,
+    square_nullspace_multi,
     square_system_solvable,
     tower_linear_solve,
     tower_square_root,
@@ -231,6 +232,16 @@ class TestNullspaceAndKernels:
             for c, g in zip(vec, [a, a ** 3, a ** 5]):
                 acc = acc + c.square() * g
             assert acc.is_zero
+
+    def test_empty_system_has_no_kernel_to_return(self, F):
+        # no equation fixes no set of unknowns; no unknowns give the zero
+        # kernel, and a proved zero kernel is [] as well
+        with pytest.raises(ValueError, match="at least one equation"):
+            square_nullspace_multi([])
+        assert square_nullspace_multi([[]]) == []
+        assert square_nullspace([]) == []
+        a, b = F.var("a"), F.var("b")
+        assert square_nullspace_multi([[F.one(), a, b]]) == []
 
     def test_kernel_matches_total_index(self, F):
         rng = random.Random(55)
