@@ -377,12 +377,11 @@ def _differentials_independent(field: FieldTower,
     given elements, via the Jacobian with respect to the base variables."""
     if not elems:
         return True
-    variables = field.base_vars
-    fns = [e.coeffs.get(0, RatFn.zero(variables)) for e in elems]
+    fns = [e.coeffs.get(0, RatFn.zero()) for e in elems]
     # one row per variable, one column per element; a nonzero nullspace
     # vector is a dependence among the differentials
     rows: List[List[Poly]] = []
-    for v in variables:
+    for v in field.base_vars:
         entries = [fn.derivative(v) for fn in fns]
         den = common_denominator(entries)
         rows.append([numerator_over(d, den) for d in entries])

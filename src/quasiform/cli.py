@@ -155,7 +155,7 @@ def run(script: Script, verify_certificates: bool = False,
             timings.append(time.monotonic() - t0)
     return {
         "version": __version__,
-        "field": list(script.field_vars),
+        "field": list(script.field.base_vars),
         "forms": {fd.name: [str(c) for c in fd.form.coeffs]
                   for fd in script.forms},
         "results": results,

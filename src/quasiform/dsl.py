@@ -111,7 +111,6 @@ class Command:
 
 @dataclass(frozen=True)
 class Script:
-    field_vars: Tuple[str, ...]
     field: FieldTower
     forms: Tuple[FormDef, ...]
     commands: Tuple[Command, ...]
@@ -125,8 +124,8 @@ class Script:
     def render(self) -> str:
         """Canonical text whose parse is equivalent to this script."""
         lines = []
-        if self.field_vars:
-            lines.append("field F2(" + ", ".join(self.field_vars) + ");")
+        if self.field.base_vars:
+            lines.append("field F2(" + ", ".join(self.field.base_vars) + ");")
         for fd in self.forms:
             lines.append(f"form {fd.name} = <" + ", ".join(fd.exprs) + ">;")
         for cmd in self.commands:
@@ -145,7 +144,6 @@ class _Parser:
         self.depth_limit = depth_limit
         self.nesting = 0
         self.field: Optional[FieldTower] = None
-        self.field_vars: Tuple[str, ...] = ()
         self.forms: List[FormDef] = []
         self.form_names: Dict[str, int] = {}
         self.commands: List[Command] = []
@@ -187,8 +185,7 @@ class _Parser:
                 self.parse_command()
             else:
                 self.fail(tok, f"unknown statement {tok.value!r}")
-        return Script(field_vars=self.field_vars,
-                      field=self.current_field(),
+        return Script(field=self.current_field(),
                       forms=tuple(self.forms),
                       commands=tuple(self.commands))
 
@@ -216,8 +213,7 @@ class _Parser:
                 self.next()
         self.expect(")", "')' or ','")
         self.expect(";", "';'")
-        self.field_vars = tuple(names)
-        self.field = FieldTower.rational(self.field_vars,
+        self.field = FieldTower.rational(tuple(names),
                                          depth_limit=self.depth_limit)
 
     def parse_form(self) -> None:
@@ -338,7 +334,7 @@ def parse(text: str, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> Script:
 
 def scripts_equivalent(a: Script, b: Script) -> bool:
     """Same field, same form names with equal coefficients, same commands."""
-    if a.field_vars != b.field_vars or a.field != b.field:
+    if a.field != b.field:
         return False
     if len(a.forms) != len(b.forms):
         return False

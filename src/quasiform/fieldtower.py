@@ -24,7 +24,7 @@ from .errors import (
     UnknownVariable,
     ZeroElement,
 )
-from .gf2poly import Monomial, Poly, RatFn, _power
+from .gf2poly import Monomial, Poly, RatFn, _power, slot_shifts
 
 CoeffMap = Tuple[Tuple[int, RatFn], ...]
 
@@ -155,12 +155,18 @@ class FieldTower:
         return TowerElem(self, {})
 
     def one(self) -> "TowerElem":
-        return TowerElem(self, {0: RatFn.one(self.base_vars)})
+        return TowerElem(self, {0: RatFn.one()})
 
     def scalar(self, value) -> "TowerElem":
-        """Lift a RatFn or Poly over the base variables into the tower."""
+        """Lift a RatFn or Poly over the base variables into the tower;
+        UnknownVariable if its numerator or denominator uses another name."""
         if isinstance(value, Poly):
             value = RatFn.from_poly(value)
+        stray = [v for v in slot_shifts(value.num.packed_or()
+                                        | value.den.packed_or())
+                 if v not in self.base_vars]
+        if stray:
+            raise UnknownVariable(f"undeclared variable(s): {sorted(stray)}")
         return TowerElem(self, {0: value})
 
     def var(self, name: str) -> "TowerElem":
@@ -169,7 +175,7 @@ class FieldTower:
     def gen(self, i: int) -> "TowerElem":
         if not 0 <= i < self.depth:
             raise IndexError("no such generator")
-        return TowerElem(self, {1 << i: RatFn.one(self.base_vars)})
+        return TowerElem(self, {1 << i: RatFn.one()})
 
     def gen_by_name(self, name: str) -> "TowerElem":
         for i, (n, _) in enumerate(self.gens):
@@ -203,7 +209,7 @@ class FieldTower:
         if cached is not None:
             return cached
         if mask == 0:
-            out = {0: RatFn.one(self.base_vars)}
+            out = {0: RatFn.one()}
         else:
             top = mask.bit_length() - 1
             out = self._mul(self._theta_mask(mask ^ (1 << top)),
@@ -352,7 +358,7 @@ class TowerElem:
         t = self.tower
         if self.is_rational:
             return _elem(t, {0: self.coeffs[0].invert()})
-        prod = {0: RatFn.one(t.base_vars)}
+        prod = {0: RatFn.one()}
         z = self.coeffs
         while True:
             prod = t._mul(prod, z)

@@ -7,28 +7,30 @@ Frobenius is additive in characteristic 2).
 A monomial is a packed exponent vector (Monagan and Pearce, "Sparse
 polynomial division using a heap", JSC 2011): one int with each exponent
 in a 16-bit slot.  Every variable name gets one slot for the life of the
-process, interned on first use in the slot table `_SLOT_SHIFT`, so equal
-polynomials over different `variables` tuples have equal packed terms.
-Exponents are at most MAX_EXPONENT = 2^15 - 1, so the top bit of every
-slot is a guard that stays clear: a monomial product is one add, a square
-a shift left by one, the parities are `t & _LOW`, a borrow in a
-subtraction sets a guard (divisibility test), and int order is a lex order
-compatible with products.  A product or square that would pass the limit
-raises `ResourceLimit` rather than carry into the next slot.  `Poly.terms`
-is a view decoding the terms into named monomials: (variable, exponent)
-pairs sorted by name, the constant monomial being ().
+process, interned on first use in the slot table `_SLOT_SHIFT`, so a
+polynomial is its terms alone: the names it uses are the nonzero slots of
+its terms, and the field it lives in (`FieldTower.base_vars`) records the
+declared names.  Exponents are at most MAX_EXPONENT = 2^15 - 1, so the
+top bit of every slot is a guard that stays clear: a monomial product is
+one add, a square a shift left by one, the parities are `t & _LOW`, a
+borrow in a subtraction sets a guard (divisibility test), and int order
+is a lex order compatible with products.  A product or square that would
+pass the limit raises `ResourceLimit` rather than carry into the next
+slot.  `Poly.terms` is a view decoding the terms into named monomials:
+(variable, exponent) pairs sorted by name, the constant monomial being ().
 
 Rational functions are pairs num/den reduced by their polynomial GCD; over
 GF(2) the only unit is 1, so reduced fractions are unique and equality is
 structural.
 
 `Poly(terms, variables)` and `RatFn(num, den)` are the checking public
-constructors (declared names, exponents in range, a gcd).  Results built
-here use the trusted `_poly` and `_ratfn`.  `_poly` is sound for terms the
-kernel computed from checked terms.  `_ratfn` is sound where the fraction
-is reduced by proof: the square, square root and inverse of a reduced
-fraction, a polynomial over 1, and n1*n2 / (d1*d2) after cross-reduction
-(no prime factor of d1*d2 divides n1 or n2).  Values are never mutated.
+constructors (names among `variables`, which is checked against and not
+kept, exponents in range, a gcd).  Results built here use the trusted
+`_poly` and `_ratfn`.  `_poly` is sound for terms the kernel computed from
+checked terms.  `_ratfn` is sound where the fraction is reduced by proof:
+the square, square root and inverse of a reduced fraction, a polynomial
+over 1, and n1*n2 / (d1*d2) after cross-reduction (no prime factor of
+d1*d2 divides n1 or n2).  Values are never mutated.
 """
 
 from __future__ import annotations
@@ -59,8 +61,6 @@ _INTERNING = threading.Lock()
 
 _EMPTY: FrozenSet[int] = frozenset()
 _ONE_T: FrozenSet[int] = frozenset((0,))
-# Poly.one's shared instances, one per variable tuple
-_ONES: Dict[Tuple[str, ...], "Poly"] = {}
 
 
 def _shift(name: str) -> int:
@@ -114,26 +114,23 @@ class _Terms:
         return map(_decode, self.packed)
 
 
-def _poly(packed: FrozenSet[int], variables: Tuple[str, ...],
-          bits: Optional[int] = None) -> "Poly":
+def _poly(packed: FrozenSet[int], bits: Optional[int] = None) -> "Poly":
     """Trusted constructor; `bits` is the OR of the terms when known."""
     p = _new(Poly)
     p.packed = packed
-    p.variables = variables
     p._or = bits
     return p
 
 
 class Poly:
-    """A multivariate polynomial over GF(2).
+    """A multivariate polynomial over GF(2): its packed terms, nothing else.
 
-    `packed` is the frozenset of packed monomials; `variables` records the
-    declared ambient variables (a superset of the names actually used).
-    Equality and hashing look at the terms only, so the same polynomial
-    viewed over a larger variable set compares equal.
+    `packed` is the frozenset of packed monomials; equality, hashing and
+    printing read only it.  `Poly(terms, variables)` and `variable` check
+    every name against `variables` and keep none of them.
     """
 
-    __slots__ = ("packed", "variables", "_or")
+    __slots__ = ("packed", "_or")
 
     def __init__(self, terms: Iterable[Monomial], variables: Tuple[str, ...]):
         variables = tuple(variables)
@@ -149,30 +146,26 @@ class Poly:
                 t += e << _shift(v)
             packed.add(t)
         self.packed = frozenset(packed)
-        self.variables = variables
         self._or = None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(variables: Tuple[str, ...] = ()) -> "Poly":
-        return _poly(_EMPTY, variables, 0)
+    def zero() -> "Poly":
+        return _ZERO
 
     @staticmethod
-    def one(variables: Tuple[str, ...] = ()) -> "Poly":
+    def one() -> "Poly":
         # shared: every reduced fraction with a polynomial value carries
         # it as denominator
-        p = _ONES.get(variables)
-        if p is None:
-            p = _ONES[variables] = _poly(_ONE_T, variables, 0)
-        return p
+        return _ONE
 
     @staticmethod
     def variable(name: str, variables: Tuple[str, ...]) -> "Poly":
         if name not in variables:
             raise UnknownVariable(f"undeclared variable: {name!r}")
         t = 1 << _shift(name)
-        return _poly(frozenset((t,)), variables, t)
+        return _poly(frozenset((t,)), t)
 
     # -- predicates and views ----------------------------------------------
 
@@ -201,39 +194,32 @@ class Poly:
 
     # -- ring operations ---------------------------------------------------
 
-    def _vars_with(self, other: "Poly") -> Tuple[str, ...]:
-        if self.variables == other.variables:
-            return self.variables
-        return tuple(sorted(set(self.variables) | set(other.variables)))
-
     def __add__(self, other: "Poly") -> "Poly":
-        return _poly(self.packed ^ other.packed, self._vars_with(other))
+        return _poly(self.packed ^ other.packed)
 
     __sub__ = __add__  # characteristic 2
 
     def __mul__(self, other: "Poly") -> "Poly":
         a, b = self.packed, other.packed
-        variables = self._vars_with(other)
         if not a or not b:
-            return _poly(_EMPTY, variables, 0)
+            return _ZERO
+        # values are never mutated, so a unit factor returns the other one
         if a == _ONE_T:
-            return _poly(b, variables, other._or)
+            return other
         if b == _ONE_T:
-            return _poly(a, variables, self._or)
-        return _poly(_t_mul(a, b, self.packed_or() | other.packed_or()),
-                     variables)
+            return self
+        return _poly(_t_mul(a, b, self.packed_or() | other.packed_or()))
 
     def square(self) -> "Poly":
         bits = self.packed_or()
         if bits & _HALF:
             raise _overflow()
-        return _poly(frozenset([t << 1 for t in self.packed]),
-                     self.variables, bits << 1)
+        return _poly(frozenset([t << 1 for t in self.packed]), bits << 1)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        return _power(Poly.one(self.variables), self, n)
+        return _power(_ONE, self, n)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.packed == other.packed
@@ -244,20 +230,20 @@ class Poly:
     # -- calculus and squares ----------------------------------------------
 
     def derivative(self, v: str) -> "Poly":
-        """Formal partial derivative; exponents act mod 2."""
-        if v not in self.variables:
-            raise UnknownVariable(f"undeclared variable: {v!r}")
-        unit = 1 << _shift(v)
-        return _poly(frozenset([t - unit for t in self.packed if t & unit]),
-                     self.variables)
+        """Formal partial derivative; exponents act mod 2.  Zero for a name
+        no polynomial uses, which gets no slot."""
+        sh = _SLOT_SHIFT.get(v)
+        if sh is None:
+            return _ZERO
+        unit = 1 << sh
+        return _poly(frozenset([t - unit for t in self.packed if t & unit]))
 
     def square_root(self) -> Optional["Poly"]:
         """The unique square root, if every exponent is even."""
         bits = self.packed_or()
         if bits & _LOW:
             return None
-        return _poly(frozenset([t >> 1 for t in self.packed]),
-                     self.variables, bits >> 1)
+        return _poly(frozenset([t >> 1 for t in self.packed]), bits >> 1)
 
     # -- presentation ------------------------------------------------------
 
@@ -275,6 +261,8 @@ class Poly:
 
 
 _new = object.__new__
+_ZERO = _poly(_EMPTY, 0)
+_ONE = _poly(_ONE_T, 0)
 
 
 def _power(result, base, n: int):
@@ -462,7 +450,7 @@ def strip_monomial_content(row: List[Poly]) -> List[Poly]:
     c = _content(t for p in row for t in p.packed)
     if not c:
         return row
-    return [_poly(_shift_down(p.packed, c), p.variables) for p in row]
+    return [_poly(_shift_down(p.packed, c)) for p in row]
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -476,27 +464,25 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         g = frozenset((_content(b, _content(a)),))
     else:
         g = _t_gcd(a, b)
-    return _poly(g, p._vars_with(q))
+    return _poly(g)
 
 
 def poly_divmod_exact(p: Poly, d: Poly) -> Poly:
     """Exact quotient p/d; raises ValueError when the division is not exact."""
     if d.is_zero:
         raise DivisionByZero("polynomial division by zero")
-    if p.is_zero:
-        return Poly.zero(p.variables)
-    if d.is_one:
+    if p.is_zero or d.is_one:
         return p
     try:
         q = _t_div(p.packed, d.packed)
     except _NotDivisible:
         raise ValueError("inexact polynomial division") from None
-    return _poly(q, p._vars_with(d))
+    return _poly(q)
 
 
 def poly_lcm(p: Poly, q: Poly) -> Poly:
     if p.is_zero or q.is_zero:
-        return Poly.zero(p._vars_with(q))
+        return _ZERO
     return poly_divmod_exact(p * q, poly_gcd(p, q))
 
 
@@ -508,7 +494,7 @@ def common_denominator(fns: Iterable["RatFn"]) -> Poly:
         d = fn.den
         if not d.is_one:
             den = d if den is None else poly_lcm(den, d)
-    return Poly.one() if den is None else den
+    return _ONE if den is None else den
 
 
 def numerator_over(f: "RatFn", den: Poly) -> Poly:
@@ -530,7 +516,7 @@ def parity_split(p: Poly) -> Dict[FrozenSet[str], Poly]:
     for t in p.packed:
         parity = t & _LOW
         classes.setdefault(parity, []).append((t ^ parity) >> 1)
-    return {frozenset(slot_shifts(parity)): _poly(frozenset(ts), p.variables)
+    return {frozenset(slot_shifts(parity)): _poly(frozenset(ts))
             for parity, ts in classes.items()}
 
 
@@ -566,7 +552,7 @@ class RatFn:
         if den.is_zero:
             raise DivisionByZero("rational function with zero denominator")
         if num.is_zero:
-            den = Poly.one(den.variables)
+            den = _ONE
         elif not (den.is_one or num.is_one):
             num, den = _cancel(num, den)
         self.num = num
@@ -575,15 +561,15 @@ class RatFn:
 
     @staticmethod
     def from_poly(p: Poly) -> "RatFn":
-        return _ratfn(p, Poly.one(p.variables))
+        return _ratfn(p, _ONE)
 
     @staticmethod
-    def zero(variables: Tuple[str, ...] = ()) -> "RatFn":
-        return _ratfn(Poly.zero(variables), Poly.one(variables))
+    def zero() -> "RatFn":
+        return _ratfn(_ZERO, _ONE)
 
     @staticmethod
-    def one(variables: Tuple[str, ...] = ()) -> "RatFn":
-        return _ratfn(Poly.one(variables), Poly.one(variables))
+    def one() -> "RatFn":
+        return _ratfn(_ONE, _ONE)
 
     @property
     def is_zero(self) -> bool:
@@ -596,10 +582,6 @@ class RatFn:
     def __bool__(self) -> bool:
         return not self.num.is_zero
 
-    @property
-    def variables(self) -> Tuple[str, ...]:
-        return self.num._vars_with(self.den)
-
     def __add__(self, other: "RatFn") -> "RatFn":
         if self.den == other.den:
             return RatFn(self.num + other.num, self.den)
@@ -611,7 +593,7 @@ class RatFn:
     def __mul__(self, other: "RatFn") -> "RatFn":
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         if not n1.packed or not n2.packed:
-            return RatFn.zero(self.variables)
+            return RatFn.zero()
         if d1.is_one and d2.is_one:
             return _ratfn(n1 * n2, d1)
         # cross-reduce before multiplying: the product is then reduced
@@ -635,7 +617,7 @@ class RatFn:
     def __pow__(self, n: int) -> "RatFn":
         if n < 0:
             return self.invert() ** (-n)
-        return _power(RatFn.one(self.variables), self, n)
+        return _power(RatFn.one(), self, n)
 
     def __eq__(self, other) -> bool:
         # reduced fractions over a UFD with trivial units are unique

@@ -78,7 +78,7 @@ def square_combination_vanishes(roots: Sequence[TowerElem],
 
 
 _RowKey = Tuple[int, int, Tuple[str, ...]]
-_ZERO = Poly.zero(())
+_ZERO = Poly.zero()
 
 
 class _SquareBlocks:
@@ -299,7 +299,7 @@ def tower_linear_solve(
             raise ValueError("column height mismatch")
         per_mask = []
         for m in range(nmasks):
-            ym = {m: RatFn.one(tower.base_vars)}
+            ym = {m: RatFn.one()}
             per_mask.append([tower._mul(ym, v.coeffs) for v in col])
         expanded.append(per_mask)
 
@@ -415,9 +415,7 @@ def greedy_independent(
     return indep, relations
 
 
-def k2_rank(
-    gens: Sequence[TowerElem], K: Optional[FieldTower] = None
-) -> Tuple[int, List[TowerElem]]:
+def k2_rank(gens: Sequence[TowerElem]) -> Tuple[int, List[TowerElem]]:
     """Rank of the generators over the subfield of squares, with the
     earliest maximal independent sub-list.
 
@@ -430,10 +428,6 @@ def k2_rank(
     gens = list(gens)
     if not gens:
         raise ZeroGenerator("rank of an empty generator list")
-    if K is not None:
-        for g in gens:
-            if g.tower != K:
-                raise ValueError("generator outside the stated tower")
     blocks = _generator_blocks(gens)
     indep: List[int] = [0]
     for j in range(1, len(gens)):

@@ -16,9 +16,9 @@ def ranked(monkeypatch):
     calls = []
     real = quasiform.forms.k2_rank
 
-    def recording(gens, K=None):
+    def recording(gens):
         calls.append(tuple(gens))
-        return real(gens, K)
+        return real(gens)
 
     monkeypatch.setattr(quasiform.forms, "k2_rank", recording)
     return calls

@@ -29,6 +29,7 @@ from quasiform.errors import (
 )
 from quasiform.fieldtower import FieldTower
 from quasiform.forms import QuasilinearForm, is_anisotropic
+from quasiform.gf2poly import Poly
 from quasiform.maps import RationalMap
 from quasiform.pfister import quasi_pfister
 from quasiform.splitting import first_witt_index, function_field
@@ -446,6 +447,19 @@ class TestRegularity:
         assert report.differentials_independent
         assert report.generic_splitting
         assert report
+
+    def test_report_ignores_how_a_coefficient_was_built(self, F, abc):
+        a, b, c = abc
+        # `a` as a polynomial declared over ("a",) alone, then lifted
+        narrow = F.scalar(Poly.variable("a", ("a",)))
+        report = is_regular_quadric(
+            QuasilinearForm(F, [narrow, b, c, F.one()]))
+        assert report == is_regular_quadric(
+            QuasilinearForm(F, [a, b, c, F.one()]))
+        assert report.regular
+        assert report.coefficient_products_independent
+        assert report.differentials_independent
+        assert report.generic_splitting
 
     def test_generic_forms_regular(self):
         for n in (2, 3, 4):

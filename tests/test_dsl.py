@@ -45,7 +45,7 @@ class TestTokenizer:
 class TestParser:
     def test_example_script(self):
         s = parse("field F2(a,b); form p = <1,a,b,a*b>; invariants p;")
-        assert s.field_vars == ("a", "b")
+        assert s.field.base_vars == ("a", "b")
         assert [fd.name for fd in s.forms] == ["p"]
         assert s.forms[0].form.dim == 4
         assert [(c.name, c.args) for c in s.commands] == \
@@ -70,7 +70,7 @@ class TestParser:
 
     def test_constants_only_field(self):
         s = parse("form p = <1, 1+1+1>; invariants p;")
-        assert s.field_vars == ()
+        assert s.field.base_vars == ()
         assert s.forms[0].form.dim == 2
 
     def test_command_checks_form_names(self):

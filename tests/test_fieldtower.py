@@ -25,6 +25,7 @@ from quasiform.fieldtower import (
     square,
     tower_substitute,
 )
+from quasiform.gf2poly import Poly, RatFn
 
 from oracles import eval_elem, gf_mul, sample_poly_elem, tower_point
 
@@ -50,6 +51,24 @@ class TestTowerConstruction:
     def test_unknown_variable(self, F):
         with pytest.raises(UnknownVariable):
             F.var("c")
+
+    def test_scalar_rejects_undeclared_names(self, F):
+        z = Poly.variable("z", ("z",))
+        with pytest.raises(UnknownVariable):
+            F.scalar(z)
+        with pytest.raises(UnknownVariable):
+            F.scalar(RatFn(Poly.variable("a", ("a",)), z))
+        with pytest.raises(UnknownVariable):
+            F.extend_transcendental(("u",)).scalar(z)
+
+    def test_scalar_accepts_declared_names(self, F):
+        a = Poly.variable("a", ("a",))
+        ab = Poly.variable("b", ("a", "b")) * a
+        assert F.scalar(a) == F.var("a")
+        assert F.scalar(RatFn(a, ab + Poly.one())) == \
+            F.var("a") / (F.var("a") * F.var("b") + F.one())
+        Fz = F.extend_transcendental(("z",))
+        assert Fz.scalar(Poly.variable("z", ("z",))) == Fz.var("z")
 
     def test_extend_transcendental(self, F):
         K = F.extend_transcendental(("u1", "u2"))

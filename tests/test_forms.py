@@ -2,6 +2,7 @@
 generic subforms, cross-checked against the parity oracle."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -184,6 +185,28 @@ class TestRankOwner:
         base = [g for g in ranked if g[0].tower == p.field]
         assert base.count(p.coeffs) == 1
         assert base.count(q.coeffs) == 1
+
+
+class TestBenchmarkInputPath:
+    """qbench builds its forms as `field.scalar(Poly(monos, names))`
+    (`qbench.workloads._build_form`); the same forms built from `F.var`
+    must come out equal, so a change to that path fails here too."""
+
+    @pytest.mark.parametrize("names", [("a", "b", "c", "d"),
+                                       ("bench_x", "bench_y")])
+    def test_named_monomials_give_the_monomial_form(self, names,
+                                                    monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+        from qbench.workloads import _build_form
+
+        field = FieldTower.rational(names)
+        rng = random.Random(len(names))
+        for _ in range(20):
+            exps = [sample_monomial_exponents(rng, len(names), 4)
+                    for _ in range(rng.randrange(1, 7))]
+            q = _build_form(field, [(e,) for e in exps])
+            assert q.field == field
+            assert q.coeffs == monomial_form(field, exps).coeffs
 
 
 class TestIsometry:

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quasiform import gf2poly
 from quasiform.errors import DivisionByZero, UnknownVariable
 from quasiform.gf2poly import (
     Poly,
@@ -23,8 +24,8 @@ from oracles import GF_ORDER, eval_poly, eval_ratfn, gf_mul
 VARS = ("a", "b")
 A = Poly.variable("a", VARS)
 B = Poly.variable("b", VARS)
-ONE = Poly.one(VARS)
-ZERO = Poly.zero(VARS)
+ONE = Poly.one()
+ZERO = Poly.zero()
 
 
 def polys(max_terms=4, max_exp=3):
@@ -125,6 +126,18 @@ class TestDerivative:
         assert (A * B).derivative("a") == B
         assert (A * B).derivative("b") == A
 
+    def test_constants_have_zero_derivative(self):
+        assert RatFn.one().derivative("a") == RatFn.zero()
+        assert ONE.derivative("b") == ZERO
+
+    def test_unused_name_gets_no_slot(self):
+        # declared but never used by any polynomial
+        p = Poly(((("a", 1),),), ("a", "unused_by_any_poly"))
+        slots = len(gf2poly._SLOT_NAME)
+        assert p.derivative("unused_by_any_poly") == ZERO
+        assert RatFn(ONE, p).derivative("unused_by_any_poly") == RatFn.zero()
+        assert len(gf2poly._SLOT_NAME) == slots
+
     @given(polys(), polys())
     @settings(max_examples=40, deadline=None)
     def test_leibniz(self, p, q):
@@ -215,7 +228,7 @@ class TestRatFn:
 
 VARS3 = ("a", "b", "c")
 A3, B3, C3 = (Poly.variable(v, VARS3) for v in VARS3)
-ONE3 = Poly.one(VARS3)
+ONE3 = Poly.one()
 # denominators are products of these, so that they share factors
 FACTORS = (A3, B3 + ONE3, A3 + C3, A3 * B3 + C3, C3 * C3 + A3 + ONE3)
 
@@ -251,8 +264,8 @@ class TestCommonDenominator:
                     value, eval_poly(den, point))
 
     def test_all_polynomial(self):
-        fns = [RatFn.from_poly(A3 + B3), RatFn.zero(VARS3)]
+        fns = [RatFn.from_poly(A3 + B3), RatFn.zero()]
         assert common_denominator(fns).is_one
         assert common_denominator([]).is_one
         assert [numerator_over(f, common_denominator(fns)) for f in fns] \
-            == [A3 + B3, Poly.zero(VARS3)]
+            == [A3 + B3, Poly.zero()]
