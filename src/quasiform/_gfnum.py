@@ -13,8 +13,8 @@ rank observations at a single point are therefore conclusive:
   zero; this is the verdict asked for when there is no right-hand side.
 
 A point witnessing none of these proves nothing, and the caller must fall
-back to exact elimination.  Points come from a fixed seed, so outcomes are
-reproducible.
+back to exact elimination.  Points come from a fixed seed, drawn once per
+system build (`Witness`), so outcomes are reproducible.
 
 Field arithmetic goes through log and antilog tables of GF(2^15)* with
 respect to x, modulo x^15 + x + 1: a product is EXP[LOG[a] + LOG[b]] and a
@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 from array import array
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .gf2poly import MAX_EXPONENT, Poly, slot_shifts
 
@@ -80,7 +80,8 @@ def _eval_poly(p: Poly, logs: List[Tuple[int, int]], exp: array) -> int:
 def _rank(rows: List[List[int]], exp: array, log: array) -> int:
     rank = 0
     ncols = len(rows[0]) if rows else 0
-    rows = [list(r) for r in rows]
+    # rows are replaced, never changed in place, so the caller's stay intact
+    rows = list(rows)
     for col in range(ncols):
         piv = None
         for i in range(rank, len(rows)):
@@ -104,45 +105,96 @@ def _rank(rows: List[List[int]], exp: array, log: array) -> int:
     return rank
 
 
-def numeric_verdict(matrix: Sequence[Sequence[Poly]],
-                    rhs: Optional[Sequence[Poly]] = None) -> Optional[bool]:
-    """Solvability of matrix * x = rhs when a witness point settles it, or
-    with no rhs, whether the kernel of the matrix is zero.
+class Witness:
+    """The witness points of one system of column blocks, and the block
+    entries evaluated there.
 
-    True and False are proofs; None means no trial point was conclusive
-    and exact elimination must decide.  A zero kernel is only ever proved,
-    so without rhs the verdict is True or None.
+    `blocks[j]` maps a row key to the `width` entries of column block j,
+    as `sqlinalg._SquareBlocks` lays them out.  One generator draws the
+    points over every variable of the blocks, in name order, so all the
+    system's verdicts share them.  Point k is drawn when a verdict first
+    needs it, and block j is evaluated there when a verdict first reads
+    it at point k: each entry at most once per point.
     """
-    nrows = len(matrix)
-    if not nrows:
+
+    __slots__ = ("blocks", "width", "_offsets", "_rng", "_points", "_values")
+
+    def __init__(self, blocks: Sequence[Dict[Hashable, List[Poly]]],
+                 width: int):
+        used = 0
+        for block in blocks:
+            for entries in block.values():
+                for p in entries:
+                    used |= p.packed_or()
+        shifts = slot_shifts(used)
+        self.blocks = blocks
+        self.width = width
+        self._offsets = [shifts[n] for n in sorted(shifts)]
+        self._rng = random.Random(0x51D2)
+        self._points: List[List[Tuple[int, int]]] = []
+        # per point, per block: row key -> entry values, or None
+        self._values: List[List[Optional[Dict[Hashable, List[int]]]]] = []
+
+    def at(self, k: int, j: int) -> Dict[Hashable, List[int]]:
+        """Block j's entries at point k, keyed by row."""
+        while len(self._points) <= k:
+            # the log of a uniform point of GF(2^15)*, per variable
+            self._points.append([(sh, self._rng.randrange(_ORDER))
+                                 for sh in self._offsets])
+            self._values.append([None] * len(self.blocks))
+        values = self._values[k][j]
+        if values is None:
+            logs, exp = self._points[k], _tables()[0]
+            values = self._values[k][j] = {
+                key: [_eval_poly(p, logs, exp) for p in entries]
+                for key, entries in self.blocks[j].items()}
+        return values
+
+
+def numeric_verdict(witness: Witness, cols: Sequence[int],
+                    target: Optional[int] = None) -> Optional[bool]:
+    """Solvability of the system in the unknowns of the blocks `cols` with
+    the first entries of block `target` as right-hand side, when a witness
+    point settles it; with no target, whether the kernel is zero.
+
+    The rows are those of `sqlinalg._SquareBlocks.system(cols, target)`,
+    assembled from the values the witness stores.  True and False are
+    proofs; None means no trial point was conclusive and exact elimination
+    must decide.  A zero kernel is only ever proved, so without target the
+    verdict is True or None.
+    """
+    blocks = witness.blocks
+    keys = set()
+    for j in cols:
+        keys.update(blocks[j])
+    if target is not None:
+        keys.update(key for key, entries in blocks[target].items()
+                    if entries[0])
+    nrows = len(keys)
+    ncols = len(cols) * witness.width
+    if not nrows or (target is None and nrows < ncols):
         return None
-    ncols = len(matrix[0])
-    if rhs is None and nrows < ncols:
-        return None
+    rows = list(keys)
     exp, log = _tables()
-    used = 0
-    for row in matrix:
-        for e in row:
-            used |= e.packed_or()
-    for e in rhs or ():
-        used |= e.packed_or()
-    shifts = slot_shifts(used)
-    names = sorted(shifts)
-    rng = random.Random(0x51D2)
-    for _ in range(_TRIALS):
-        # one point coordinate per variable, drawn in name order
-        logs = [(shifts[n], log[rng.randrange(1, _ORDER + 1)])
-                for n in names]
-        plain = [[_eval_poly(e, logs, exp) for e in row] for row in matrix]
+    pad = [0] * witness.width
+    for k in range(_TRIALS):
+        at = [witness.at(k, j) for j in cols]
+        plain = []
+        for key in rows:
+            row: List[int] = []
+            for values in at:
+                row.extend(values.get(key, pad))
+            plain.append(row)
         r = _rank(plain, exp, log)
-        if rhs is None:
+        if target is None:
             if r == ncols:
                 return True
         elif r == nrows:
             return True
         elif r == ncols and ncols < nrows:
-            augmented = [row + [_eval_poly(b, logs, exp)]
-                         for row, b in zip(plain, rhs)]
+            rhs = witness.at(k, target)
+            augmented = [row + [rhs.get(key, pad)[0]]
+                         for row, key in zip(plain, rows)]
             if _rank(augmented, exp, log) == ncols + 1:
                 return False
     return None

@@ -149,6 +149,9 @@ class FieldTower:
     # -- elements ----------------------------------------------------------
 
     def element(self, coeffs: Dict[int, RatFn]) -> "TowerElem":
+        """The element sum_m coeffs[m] * y^m; UnknownVariable if a
+        coefficient uses a name outside the base variables."""
+        self._check_names(coeffs.values())
         return TowerElem(self, coeffs)
 
     def zero(self) -> "TowerElem":
@@ -162,12 +165,18 @@ class FieldTower:
         UnknownVariable if its numerator or denominator uses another name."""
         if isinstance(value, Poly):
             value = RatFn.from_poly(value)
-        stray = [v for v in slot_shifts(value.num.packed_or()
-                                        | value.den.packed_or())
-                 if v not in self.base_vars]
+        self._check_names((value,))
+        return TowerElem(self, {0: value})
+
+    def _check_names(self, fns: Iterable[RatFn]) -> None:
+        """UnknownVariable if a numerator or denominator among `fns` uses
+        a name outside the base variables."""
+        used = 0
+        for fn in fns:
+            used |= fn.num.packed_or() | fn.den.packed_or()
+        stray = [v for v in slot_shifts(used) if v not in self.base_vars]
         if stray:
             raise UnknownVariable(f"undeclared variable(s): {sorted(stray)}")
-        return TowerElem(self, {0: value})
 
     def var(self, name: str) -> "TowerElem":
         return self.scalar(Poly.variable(name, self.base_vars))
@@ -552,7 +561,9 @@ class TowerHom:
             groups.setdefault(assigned, []).append(rest)
         parts: List[Tuple[TowerElem, int]] = []
         for assigned, rests in groups.items():
-            part = self.target.scalar(Poly(rests, self.target.base_vars))
+            # Poly checks every name against the target's base variables
+            part = TowerElem(self.target, {
+                0: RatFn.from_poly(Poly(rests, self.target.base_vars))})
             for n, e in assigned:
                 part = part * self._power(n, e)
             parts.append((part, sum(e for _, e in assigned)))

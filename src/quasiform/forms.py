@@ -26,7 +26,7 @@ from .sqlinalg import (
     kernel_from_coefficients,
     square_combination,
     square_nullspace_multi,
-    square_system_solvable,
+    square_span_contains,
 )
 
 
@@ -154,7 +154,7 @@ def is_isometric(q: QuasilinearForm, q2: QuasilinearForm) -> bool:
     basis1, basis2 = q.independent(), q2.independent()
     if len(basis1) != len(basis2):
         return False
-    return all(square_system_solvable(basis1, c) for c in basis2)
+    return square_span_contains(basis1, basis2)
 
 
 def decide_similar(q: QuasilinearForm,

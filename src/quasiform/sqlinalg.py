@@ -20,6 +20,9 @@ Reduction to commutative linear algebra over F = GF(2)(base variables):
 
 Each generator owns a block of columns in that system (`_SquareBlocks`).  The
 blocks are built once per query, so a greedy rank loop only selects columns.
+Every decision on them reads one numeric witness (`_gfnum.Witness`); the
+polynomial system is assembled only for exact elimination: a decision no
+witness point settles, and every root vector or kernel basis.
 
 Every returned relation is re-verified exactly in the tower before being
 handed out.  The checks run on roots cleared of denominators
@@ -93,10 +96,12 @@ class _SquareBlocks:
     `blocks[j]` maps a row key (e, mu, parity class) to the nmasks entries
     of column j's unknowns x_{j,m}, the coefficient of x_{j,m}^2 being
     (Theta_m * columns[j][e])_mu; a target column contributes its m = 0
-    entry.  Only keys with a nonzero entry are stored.
+    entry.  Only keys with a nonzero entry are stored.  `witness` holds the
+    blocks evaluated at its points, and `system` assembles the polynomial
+    rows that exact elimination needs.
     """
 
-    __slots__ = ("tower", "nmasks", "blocks")
+    __slots__ = ("tower", "nmasks", "blocks", "witness")
 
     def __init__(self, columns: Sequence[Sequence[TowerElem]]):
         tower = columns[0][0].tower
@@ -128,6 +133,7 @@ class _SquareBlocks:
         self.tower = tower
         self.nmasks = nmasks
         self.blocks = blocks
+        self.witness = _gfnum.Witness(blocks, nmasks)
 
     def system(self, cols: Sequence[int], target: Optional[int] = None
                ) -> Tuple[List[List[Poly]], List[Poly]]:
@@ -153,23 +159,21 @@ class _SquareBlocks:
         return matrix, rhs
 
     def solvable(self, cols: Sequence[int], target: int) -> bool:
-        """Decision only: the numeric witness when it settles the system,
-        exact elimination otherwise."""
-        matrix, rhs = self.system(cols, target)
-        verdict = _gfnum.numeric_verdict(matrix, rhs)
+        """Decision only: the witness when it settles the system, exact
+        elimination on the built system otherwise."""
+        verdict = _gfnum.numeric_verdict(self.witness, cols, target)
         if verdict is not None:
             return verdict
-        return _elim.solvable(matrix, rhs)
+        return _elim.solvable(*self.system(cols, target))
 
     def roots(self, cols: Sequence[int],
-              target: Optional[int]) -> Optional[List[TowerElem]]:
+              target: int) -> Optional[List[TowerElem]]:
         """Roots c_j for the columns in `cols`, or None when unsolvable.
-        A numeric proof of unsolvability skips the exact solve; a solution
+        A witness proof of unsolvability skips the exact solve; a solution
         always comes from exact elimination."""
-        matrix, rhs = self.system(cols, target)
-        if _gfnum.numeric_verdict(matrix, rhs) is False:
+        if _gfnum.numeric_verdict(self.witness, cols, target) is False:
             return None
-        sol = _elim.solve(matrix, rhs)
+        sol = _elim.solve(*self.system(cols, target))
         if sol is None:
             return None
         return _coeff_vectors(sol, len(cols), self.nmasks, self.tower)
@@ -235,8 +239,18 @@ def square_system_solvable(
     """
     if not gens:
         return target.is_zero
-    blocks = _SquareBlocks([(g,) for g in gens] + [(target,)])
-    return blocks.solvable(range(len(gens)), len(gens))
+    return square_span_contains(gens, [target])
+
+
+def square_span_contains(gens: Sequence[TowerElem],
+                         elems: Sequence[TowerElem]) -> bool:
+    """Whether every element lies in the span of the (nonempty) gens over
+    the squares.  One square system holds gens and elems as columns, so
+    its witness points serve every decision: each element is one target
+    against the columns of gens."""
+    blocks = _SquareBlocks([(g,) for g in gens] + [(e,) for e in elems])
+    cols = range(len(gens))
+    return all(blocks.solvable(cols, len(gens) + k) for k in range(len(elems)))
 
 
 def square_nullspace_multi(
@@ -252,10 +266,10 @@ def square_nullspace_multi(
         return []
     ngens = len(gen_rows[0])
     blocks = _SquareBlocks(list(zip(*gen_rows)))
-    matrix, _ = blocks.system(range(ngens))
-    if _gfnum.numeric_verdict(matrix):
+    if _gfnum.numeric_verdict(blocks.witness, range(ngens)):
         return []
     tower, nmasks = blocks.tower, blocks.nmasks
+    matrix, _ = blocks.system(range(ngens))
     basis = _elim.nullspace(matrix, ngens * nmasks)
     out = []
     for vec in basis:

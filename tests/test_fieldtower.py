@@ -16,6 +16,7 @@ from quasiform.errors import (
 )
 from quasiform.fieldtower import (
     FieldTower,
+    TowerElem,
     TowerHom,
     extend_inseparable,
     extend_transcendental,
@@ -60,6 +61,14 @@ class TestTowerConstruction:
             F.scalar(RatFn(Poly.variable("a", ("a",)), z))
         with pytest.raises(UnknownVariable):
             F.extend_transcendental(("u",)).scalar(z)
+
+    def test_element_rejects_undeclared_names(self, F, K):
+        z = RatFn.from_poly(Poly.variable("z", ("z",)))
+        with pytest.raises(UnknownVariable):
+            F.element({0: z})
+        with pytest.raises(UnknownVariable):
+            K.element({0: RatFn.one(), 1: RatFn(Poly.one(), z.num)})
+        assert K.element({1: F.var("a").coeffs[0]}) == K.gen(0) * K.var("a")
 
     def test_scalar_accepts_declared_names(self, F):
         a = Poly.variable("a", ("a",))
@@ -222,6 +231,17 @@ class TestTowerHom:
     def test_unknown_assignment_rejected(self, F, K):
         with pytest.raises(UnknownVariable):
             TowerHom(K, F, {"nope": F.one()})
+
+    def test_image_naming_a_variable_outside_the_target_rejected(self, F):
+        # an element of F2(a,b) that names z, built past the checks of
+        # scalar and element: z is neither assigned nor in the target
+        K = F.extend_transcendental(("u",))
+        stray = TowerElem(K, {0: RatFn.from_poly(
+            Poly.variable("z", ("z",)) * Poly.variable("u", ("u",)))})
+        hom = TowerHom(K, F, {"u": F.var("a")})
+        with pytest.raises(UnknownVariable):
+            hom.apply(stray)
+        assert hom.apply(K.var("u") * K.var("b")) == F.var("a") * F.var("b")
 
     def test_wrong_tower_value_rejected(self, F, K):
         with pytest.raises(ValueError):

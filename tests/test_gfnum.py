@@ -1,16 +1,19 @@
 """The GF(2^15) witness: table arithmetic against the bitwise oracle, and
-numeric verdicts against exact elimination on the systems that rank
-queries, square solves and similarity decisions build."""
+every verdict the library takes on the systems that rank queries, square
+solves and similarity decisions build, re-decided by exact elimination."""
 
+import itertools
 import random
+from pathlib import Path
 
-import quasiform.forms
-from quasiform import _elim, _gfnum
+import pytest
+
+from quasiform import _elim, _gfnum, total_index
 from quasiform.fieldtower import FieldTower
 from quasiform.forms import decide_similar, is_anisotropic
 from quasiform.sqlinalg import (
-    _generator_blocks,
     _SquareBlocks,
+    k2_rank,
     solve_square_system_multi,
 )
 
@@ -55,34 +58,59 @@ def test_tables_prove_x_primitive():
         assert log[exp[i]] == i and exp[i + ORDER] == exp[i]
 
 
-def _rank_systems(gens):
-    """Every system k2_rank decides for gens, in order, with the exact
-    verdict that drives the greedy loop."""
-    blocks = _generator_blocks(gens)
-    indep = [0]
-    for j in range(1, len(gens)):
-        matrix, rhs = blocks.system(indep, j)
-        exact = _elim.solvable(matrix, rhs)
-        yield matrix, rhs, exact
-        if not exact:
-            indep.append(j)
+@pytest.fixture
+def verdicts(monkeypatch):
+    """Every witness verdict the library takes, re-decided as it is taken
+    by exact elimination on the system it stands for, which must agree
+    with a conclusive verdict.  Records (has rhs, verdict, exact, tower
+    depth); exact is the solvability of the system with a right-hand
+    side, and without one whether the kernel is zero."""
+    built = {}
+    init = _SquareBlocks.__init__
 
+    def recording_init(self, columns):
+        init(self, columns)
+        built[id(self.witness)] = self
 
-def _checked_outcomes(gens):
-    """Exact outcomes of every system k2_rank decides for gens, after
-    checking that each conclusive witness verdict agrees with them."""
-    outcomes = []
-    for matrix, rhs, exact in _rank_systems(gens):
-        verdict = _gfnum.numeric_verdict(matrix, rhs)
+    records = []
+    verdict_of = _gfnum.numeric_verdict
+
+    def checking(witness, cols, target=None):
+        verdict = verdict_of(witness, cols, target)
+        blocks = built[id(witness)]
+        matrix, rhs = blocks.system(cols, target)
+        if target is None:
+            assert verdict in (True, None)
+            exact = not _elim.nullspace(matrix, len(cols) * blocks.nmasks)
+        else:
+            exact = _elim.solvable(matrix, rhs)
         assert verdict is None or verdict == exact
-        outcomes.append((verdict, exact))
-    return outcomes
+        records.append((target is not None, verdict, exact,
+                        blocks.tower.depth))
+        return verdict
+
+    monkeypatch.setattr(_SquareBlocks, "__init__", recording_init)
+    monkeypatch.setattr(_gfnum, "numeric_verdict", checking)
+    return records
 
 
-def test_verdicts_agree_with_elimination_on_monomial_and_binomial_forms():
+def test_verdicts_agree_with_elimination_on_rank_stream_forms(
+        verdicts, monkeypatch):
+    """The benchmark's own rank-stream inputs: monomial and binomial forms
+    over F2(a,b,c,d), built by `qbench.workloads._build_form`."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from qbench.workloads import WORKLOADS
+
+    for query in itertools.islice(WORKLOADS["rank-stream"].timed(3), 400):
+        total_index(query.payload)
+    assert len(verdicts) > 1000
+    assert {v for _, v, _, _ in verdicts} == {True, False, None}
+
+
+def test_verdicts_agree_with_elimination_on_monomial_and_binomial_forms(
+        verdicts):
     F = FieldTower.rational(("a", "b", "c", "d"))
     rng = random.Random(15)
-    verdicts = set()
     for _ in range(40):
         q, _ = sample_monomial_form(rng, F, rng.randrange(2, 8), 3)
         coeffs = list(q.coeffs)
@@ -91,8 +119,44 @@ def test_verdicts_agree_with_elimination_on_monomial_and_binomial_forms():
         if coeffs[slot].is_zero:
             coeffs[slot] = F.one()
         for gens in (list(q.coeffs), coeffs):
-            verdicts.update(v for v, _ in _checked_outcomes(gens))
-    assert verdicts == {True, False, None}
+            k2_rank(gens)
+    assert {v for _, v, _, _ in verdicts} == {True, False, None}
+
+
+def test_one_rank_takes_one_verdict_per_step_from_one_point_set(
+        monkeypatch):
+    """The benchmark counts `gfnum.calls` as decisions: k2_rank on a dim-8
+    form takes one verdict per greedy step, all on one witness whose
+    points come from one generator, each coordinate drawn once."""
+    F = FieldTower.rational(("a", "b", "c", "d"))
+    q, _ = sample_monomial_form(random.Random(8), F, 8, 3)
+    witnesses = []
+    verdict_of = _gfnum.numeric_verdict
+
+    def counting(witness, cols, target=None):
+        witnesses.append(witness)
+        return verdict_of(witness, cols, target)
+
+    seeds, draws = [], []
+
+    class CountingRandom(random.Random):
+        def __init__(self, seed):
+            seeds.append(seed)
+            super().__init__(seed)
+
+        def randrange(self, *args):
+            draws.append(args)
+            return super().randrange(*args)
+
+    monkeypatch.setattr(_gfnum, "numeric_verdict", counting)
+    monkeypatch.setattr(_gfnum.random, "Random", CountingRandom)
+    k2_rank(q.coeffs)
+    assert len(witnesses) == 7
+    witness = witnesses[0]
+    assert all(w is witness for w in witnesses)
+    assert len(seeds) == 1 and witness._offsets
+    assert 1 <= len(witness._points) <= _gfnum._TRIALS
+    assert len(draws) == len(witness._points) * len(witness._offsets)
 
 
 def _depth_two_sampler(seed):
@@ -120,10 +184,10 @@ def _depth_two_sampler(seed):
     return K, rng, fraction, element
 
 
-def test_verdicts_agree_with_elimination_over_a_tower_with_denominators():
+def test_verdicts_agree_with_elimination_over_a_tower_with_denominators(
+        verdicts):
     K, rng, fraction, element = _depth_two_sampler(16)
 
-    exact = set()
     for _ in range(6):
         gens = [element() for _ in range(rng.randrange(2, 4))]
         # a generator in the span over squares, with rational roots
@@ -134,8 +198,8 @@ def test_verdicts_agree_with_elimination_over_a_tower_with_denominators():
             gens.insert(rng.randrange(2, len(gens) + 1), combo)
         assert any(not fn.den.is_one for g in gens
                    for fn in g.coeffs.values())
-        exact.update(e for _, e in _checked_outcomes(gens))
-    assert exact == {True, False}
+        k2_rank(gens)
+    assert {e for _, _, e, _ in verdicts} == {True, False}
 
 
 def _square_systems(seed):
@@ -165,37 +229,29 @@ def _square_systems(seed):
         yield rows, targets
 
 
-def test_square_solves_are_none_exactly_when_elimination_finds_no_solution():
-    verdicts, exact_outcomes = set(), set()
+def test_square_solves_are_none_exactly_when_elimination_finds_no_solution(
+        verdicts):
+    outcomes = set()
     for seed in (18, 20):
         for rows, targets in _square_systems(seed):
-            ngens = len(rows[0])
-            blocks = _SquareBlocks(list(zip(*rows)) + [targets])
-            matrix, rhs = blocks.system(range(ngens), ngens)
-            exact = _elim.solvable(matrix, rhs)
-            verdicts.add(_gfnum.numeric_verdict(matrix, rhs))
-            exact_outcomes.add((blocks.tower.depth, exact))
-            assert (solve_square_system_multi(rows, targets) is None) == \
-                (not exact)
+            del verdicts[:]
+            solved = solve_square_system_multi(rows, targets)
+            # one verdict per solve
+            [(_, verdict, exact, depth)] = verdicts
+            assert (solved is None) == (not exact)
+            outcomes.add((verdict, depth, exact))
     # the witness proved unsolvability, and both answers occurred over
     # both fields
-    assert False in verdicts
-    assert exact_outcomes == {(0, True), (0, False), (2, True), (2, False)}
+    assert False in {v for v, _, _ in outcomes}
+    assert {(depth, e) for _, depth, e in outcomes} == \
+        {(0, True), (0, False), (2, True), (2, False)}
 
 
 def test_zero_kernel_proofs_agree_with_nullspace_on_similarity_systems(
-        monkeypatch):
-    """Every similarity system that decide_similar builds for sampled
-    compare pairs: a zero-kernel verdict must match an empty exact
-    nullspace."""
-    systems = []
-    original = quasiform.forms.square_nullspace_multi
-
-    def recording(gen_rows):
-        systems.append(gen_rows)
-        return original(gen_rows)
-
-    monkeypatch.setattr(quasiform.forms, "square_nullspace_multi", recording)
+        verdicts):
+    """Every system that decide_similar decides for sampled compare pairs:
+    the isometry tests, and the similarity systems, where a zero-kernel
+    verdict must match an empty exact nullspace."""
     F = FieldTower.rational(("a", "b", "c"))
     rng = random.Random(20)
     forms = []
@@ -205,19 +261,11 @@ def test_zero_kernel_proofs_agree_with_nullspace_on_similarity_systems(
             forms.append(q)
             # a monomial multiple is similar, so its kernel is nonzero
             forms.append(q.scale(sample_poly_elem(rng, F, 2, 1)))
+    del verdicts[:]
     for i, p in enumerate(forms):
         for q in forms[i + 1:]:
             if p.dim == q.dim:
                 decide_similar(p, q)
-    outcomes = set()
-    for gen_rows in systems:
-        ngens = len(gen_rows[0])
-        blocks = _SquareBlocks(list(zip(*gen_rows)))
-        matrix, _ = blocks.system(range(ngens))
-        verdict = _gfnum.numeric_verdict(matrix)
-        assert verdict in (True, None)
-        kernel = _elim.nullspace(matrix, ngens * blocks.nmasks)
-        if verdict:
-            assert kernel == []
-        outcomes.add((verdict, bool(kernel)))
-    assert (True, False) in outcomes and (None, True) in outcomes
+    kernels = {(v, zero) for rhs, v, zero, _ in verdicts if not rhs}
+    assert (True, True) in kernels and (None, False) in kernels
+    assert {e for rhs, _, e, _ in verdicts if rhs} == {True, False}
