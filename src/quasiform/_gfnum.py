@@ -33,7 +33,8 @@ from __future__ import annotations
 import random
 from array import array
 from functools import lru_cache
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (Collection, Dict, Hashable, List, Optional, Sequence,
+                    Tuple)
 
 from .gf2poly import MAX_EXPONENT, Poly, slot_shifts
 
@@ -109,15 +110,17 @@ class Witness:
     """The witness points of one system of column blocks, and the block
     entries evaluated there.
 
-    `blocks[j]` maps a row key to the `width` entries of column block j,
-    as `sqlinalg._SquareBlocks` lays them out.  One generator draws the
-    points over every variable of the blocks, in name order, so all the
-    system's verdicts share them.  Point k is drawn when a verdict first
-    needs it, and block j is evaluated there when a verdict first reads
-    it at point k: each entry at most once per point.
+    `blocks[j]` maps a row key to the `width` polynomial entries of column
+    block j; a key missing from a block is a zero row there.  One
+    generator draws the points over every variable of the blocks, in name
+    order, so all the system's verdicts share them.  Point k is drawn when
+    a verdict first needs it, and an entry of block j is evaluated there
+    when a verdict first reads it at point k: each entry at most once per
+    point, and of a block read only as right-hand side only the first.
     """
 
-    __slots__ = ("blocks", "width", "_offsets", "_rng", "_points", "_values")
+    __slots__ = ("blocks", "width", "_offsets", "_rng", "_points", "_values",
+                 "_evaluated")
 
     def __init__(self, blocks: Sequence[Dict[Hashable, List[Poly]]],
                  width: int):
@@ -132,49 +135,56 @@ class Witness:
         self._offsets = [shifts[n] for n in sorted(shifts)]
         self._rng = random.Random(0x51D2)
         self._points: List[List[Tuple[int, int]]] = []
-        # per point, per block: row key -> entry values, or None
+        # per point, per block: row key -> the entry values evaluated so
+        # far, or None, and how many entries per key that is
         self._values: List[List[Optional[Dict[Hashable, List[int]]]]] = []
+        self._evaluated: List[List[int]] = []
 
-    def at(self, k: int, j: int) -> Dict[Hashable, List[int]]:
-        """Block j's entries at point k, keyed by row."""
+    def at(self, k: int, j: int, width: Optional[int] = None
+           ) -> Dict[Hashable, List[int]]:
+        """Block j's first `width` entries (all by default) at point k,
+        keyed by row."""
+        if width is None:
+            width = self.width
         while len(self._points) <= k:
             # the log of a uniform point of GF(2^15)*, per variable
             self._points.append([(sh, self._rng.randrange(_ORDER))
                                  for sh in self._offsets])
             self._values.append([None] * len(self.blocks))
+            self._evaluated.append([0] * len(self.blocks))
         values = self._values[k][j]
-        if values is None:
+        done = self._evaluated[k][j]
+        if done < width:
             logs, exp = self._points[k], _tables()[0]
-            values = self._values[k][j] = {
-                key: [_eval_poly(p, logs, exp) for p in entries]
-                for key, entries in self.blocks[j].items()}
+            if values is None:
+                values = self._values[k][j] = {
+                    key: [_eval_poly(p, logs, exp) for p in entries[:width]]
+                    for key, entries in self.blocks[j].items()}
+            else:
+                for key, entries in self.blocks[j].items():
+                    values[key].extend(
+                        _eval_poly(p, logs, exp) for p in entries[done:width])
+            self._evaluated[k][j] = width
         return values
 
 
-def numeric_verdict(witness: Witness, cols: Sequence[int],
+def numeric_verdict(witness: Witness, rows: Collection[Hashable],
+                    cols: Sequence[int],
                     target: Optional[int] = None) -> Optional[bool]:
-    """Solvability of the system in the unknowns of the blocks `cols` with
-    the first entries of block `target` as right-hand side, when a witness
-    point settles it; with no target, whether the kernel is zero.
+    """Solvability of the system with the row keys `rows`, in the unknowns
+    of the blocks `cols`, with the first entries of block `target` as
+    right-hand side, when a witness point settles it; with no target,
+    whether the kernel is zero.
 
-    The rows are those of `sqlinalg._SquareBlocks.system(cols, target)`,
-    assembled from the values the witness stores.  True and False are
-    proofs; None means no trial point was conclusive and exact elimination
-    must decide.  A zero kernel is only ever proved, so without target the
-    verdict is True or None.
+    True and False are proofs; None means no trial point was conclusive
+    and exact elimination must decide.  A zero kernel is only ever proved,
+    so without target the verdict is True or None.
     """
-    blocks = witness.blocks
-    keys = set()
-    for j in cols:
-        keys.update(blocks[j])
-    if target is not None:
-        keys.update(key for key, entries in blocks[target].items()
-                    if entries[0])
-    nrows = len(keys)
+    nrows = len(rows)
     ncols = len(cols) * witness.width
     if not nrows or (target is None and nrows < ncols):
         return None
-    rows = list(keys)
+    rows = list(rows)
     exp, log = _tables()
     pad = [0] * witness.width
     for k in range(_TRIALS):
@@ -192,8 +202,8 @@ def numeric_verdict(witness: Witness, cols: Sequence[int],
         elif r == nrows:
             return True
         elif r == ncols and ncols < nrows:
-            rhs = witness.at(k, target)
-            augmented = [row + [rhs.get(key, pad)[0]]
+            rhs = witness.at(k, target, 1)
+            augmented = [row + [rhs[key][0] if key in rhs else 0]
                          for row, key in zip(plain, rows)]
             if _rank(augmented, exp, log) == ncols + 1:
                 return False

@@ -34,7 +34,7 @@ polynomial coefficients takes no gcd.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import _elim, _gfnum
 from .errors import ZeroGenerator
@@ -96,9 +96,10 @@ class _SquareBlocks:
     `blocks[j]` maps a row key (e, mu, parity class) to the nmasks entries
     of column j's unknowns x_{j,m}, the coefficient of x_{j,m}^2 being
     (Theta_m * columns[j][e])_mu; a target column contributes its m = 0
-    entry.  Only keys with a nonzero entry are stored.  `witness` holds the
-    blocks evaluated at its points, and `system` assembles the polynomial
-    rows that exact elimination needs.
+    entry.  Only keys with a nonzero entry are stored.  `rows` is the one
+    rule for which keys a choice of unknowns and target has; `witness`
+    holds the blocks evaluated at its points, and `system` assembles the
+    polynomial rows that exact elimination needs.
     """
 
     __slots__ = ("tower", "nmasks", "blocks", "witness")
@@ -135,17 +136,31 @@ class _SquareBlocks:
         self.blocks = blocks
         self.witness = _gfnum.Witness(blocks, nmasks)
 
-    def system(self, cols: Sequence[int], target: Optional[int] = None
-               ) -> Tuple[List[List[Poly]], List[Poly]]:
-        """Matrix in the unknowns of `cols` (column-major, as
-        _coeff_vectors reads a solution) and the rhs of column `target`;
-        rows zero in both are dropped."""
+    def rows(self, cols: Sequence[int], target: Optional[int] = None
+             ) -> Set[_RowKey]:
+        """The row keys of the system in the unknowns of `cols` with the
+        rhs of column `target`: every key of a selected block, and every
+        key where the target's m = 0 entry is nonzero.  The other rows are
+        zero in both."""
         blocks = self.blocks
         keys = set()
         for j in cols:
             keys.update(blocks[j])
+        if target is not None:
+            keys.update(k for k, v in blocks[target].items()
+                        if not v[0].is_zero)
+        return keys
+
+    def system(self, cols: Sequence[int], target: Optional[int] = None,
+               keys: Optional[Set[_RowKey]] = None
+               ) -> Tuple[List[List[Poly]], List[Poly]]:
+        """Matrix in the unknowns of `cols` (column-major, as
+        _coeff_vectors reads a solution) and the rhs of column `target`,
+        on the rows `keys` (by default `rows(cols, target)`)."""
+        blocks = self.blocks
+        if keys is None:
+            keys = self.rows(cols, target)
         rhs_block = blocks[target] if target is not None else {}
-        keys.update(k for k, v in rhs_block.items() if not v[0].is_zero)
         pad = [_ZERO] * self.nmasks
         matrix: List[List[Poly]] = []
         rhs: List[Poly] = []
@@ -161,19 +176,21 @@ class _SquareBlocks:
     def solvable(self, cols: Sequence[int], target: int) -> bool:
         """Decision only: the witness when it settles the system, exact
         elimination on the built system otherwise."""
-        verdict = _gfnum.numeric_verdict(self.witness, cols, target)
+        keys = self.rows(cols, target)
+        verdict = _gfnum.numeric_verdict(self.witness, keys, cols, target)
         if verdict is not None:
             return verdict
-        return _elim.solvable(*self.system(cols, target))
+        return _elim.solvable(*self.system(cols, target, keys))
 
     def roots(self, cols: Sequence[int],
               target: int) -> Optional[List[TowerElem]]:
         """Roots c_j for the columns in `cols`, or None when unsolvable.
         A witness proof of unsolvability skips the exact solve; a solution
         always comes from exact elimination."""
-        if _gfnum.numeric_verdict(self.witness, cols, target) is False:
+        keys = self.rows(cols, target)
+        if _gfnum.numeric_verdict(self.witness, keys, cols, target) is False:
             return None
-        sol = _elim.solve(*self.system(cols, target))
+        sol = _elim.solve(*self.system(cols, target, keys))
         if sol is None:
             return None
         return _coeff_vectors(sol, len(cols), self.nmasks, self.tower)
@@ -266,10 +283,11 @@ def square_nullspace_multi(
         return []
     ngens = len(gen_rows[0])
     blocks = _SquareBlocks(list(zip(*gen_rows)))
-    if _gfnum.numeric_verdict(blocks.witness, range(ngens)):
+    keys = blocks.rows(range(ngens))
+    if _gfnum.numeric_verdict(blocks.witness, keys, range(ngens)):
         return []
     tower, nmasks = blocks.tower, blocks.nmasks
-    matrix, _ = blocks.system(range(ngens))
+    matrix, _ = blocks.system(range(ngens), keys=keys)
     basis = _elim.nullspace(matrix, ngens * nmasks)
     out = []
     for vec in basis:
