@@ -36,9 +36,9 @@ from .maps import RationalMap, projectively_equal
 from .splitting import (
     essential_dimension,
     function_field,
+    over_own_function_field,
     splitting_pattern,
     total_index_over,
-    witt_function_field,
 )
 from .sqlinalg import (
     clear_denominators,
@@ -268,9 +268,9 @@ def construct_ruling(X: QuasilinearForm) -> RulingDecomposition:
     ruling exists along this route).  Every step is verified exactly;
     impossible failures raise InconsistencyDetected.
     """
-    ff_x = witt_function_field(X)
+    ff_x, X_over_K = over_own_function_field(X)
     K = ff_x.tower
-    r = total_index_over(X, K)
+    r = total_index(X_over_K)
     if r < 2:
         raise NotRuled("first Witt index is 1")
     Y = X.subform(range(X.dim - (r - 1)))

@@ -11,6 +11,12 @@ the form object owns (`QuasilinearForm.independent`), so a form that was
 ranked before, or that is known anisotropic by construction (an
 anisotropic part, a subform of a form ranked anisotropic), pays nothing
 for it.
+
+`over_own_function_field` is the one rule for q over k(q), which every
+level of the splitting pattern, the first Witt index and the r of a
+ruling read.  The generic point of k(q) is a zero of q, so q's last
+coefficient is in the span of the others over the squares there, and only
+the first dim - 1 coefficients are ranked.
 """
 
 from __future__ import annotations
@@ -20,7 +26,13 @@ from typing import List, Tuple
 
 from .errors import DimensionTooSmall, IsotropicInput
 from .fieldtower import FieldTower, TowerElem, fresh_names
-from .forms import QuasilinearForm, anisotropic_part, is_anisotropic
+from .forms import (
+    QuasilinearForm,
+    anisotropic_part,
+    is_anisotropic,
+    total_index,
+)
+from .sqlinalg import k2_rank
 
 
 @dataclass(frozen=True)
@@ -72,7 +84,9 @@ def function_field(q: QuasilinearForm) -> FunctionFieldData:
     # anisotropic over F stays anisotropic over the purely transcendental
     # extension K.  The generic point is a zero of q by the definition of
     # theta: a_1 + sum a_i u_i^2 + a_d y^2 = a_1 + sum a_i u_i^2 + a_d theta
-    # = 0.  Neither fact is tested again here.
+    # = 0.  Neither fact is tested again here.  The second also makes q's
+    # last coefficient dependent over k(q), which over_own_function_field
+    # uses to rank only the others.
     base = q.field
     unames = fresh_names(base, "u", d - 2)
     yname = fresh_names(base, "y", 1)[0]
@@ -96,31 +110,52 @@ def total_index_over(q: QuasilinearForm, K_ext: FieldTower) -> int:
     return q.dim - len(q.over(K_ext).independent())
 
 
+def over_own_function_field(
+        q: QuasilinearForm) -> Tuple[FunctionFieldData, QuasilinearForm]:
+    """k(q) and q over it, ranked without its last coefficient.
+
+    The generic point (1, u_1, ..., u_{d-2}, y) of k(q) is a zero of q
+    (function_field), and y is not zero, so over k(q)
+
+        a_d = y^-2 (a_1 + a_2 u_1^2 + ... + a_{d-1} u_{d-2}^2)
+
+    lies in the span of a_1, ..., a_{d-1} over the squares.  The greedy
+    rank keeps a coefficient only when it is outside the span of those
+    before it, so it never keeps a_d: the independent sub-list of q over
+    k(q) is that of its first d - 1 coefficients, and only they are
+    ranked.  The field is built here from q itself, so the rank is never
+    paired with another form's field, and the form returned is a new
+    object (k(q) is never q's own field), so the caller's q is not marked.
+    Raises as the first Witt index does on a form of dimension < 2 or an
+    isotropic form.
+    """
+    if q.dim < 2:
+        raise DimensionTooSmall(
+            f"first Witt index needs dimension >= 2, got {q.dim}")
+    if not is_anisotropic(q):
+        raise IsotropicInput("first Witt index expects an anisotropic form")
+    ff = function_field(q)
+    over = q.over(ff.tower)
+    # a_d is dependent over k(q) by the proof above: rank the others only
+    object.__setattr__(over, "_independent",
+                       tuple(k2_rank(over.coeffs[:-1])[1]))
+    return ff, over
+
+
 def splitting_pattern(q: QuasilinearForm) -> SplittingPattern:
     """Dimensions (dim q_0, ..., dim q_h) of the iterated anisotropic parts
     over the tower of function fields, down to dimension <= 1."""
     current = anisotropic_part(q)
     dims: List[int] = [current.dim]
     while current.dim >= 2:
-        ff = function_field(current)
-        current = anisotropic_part(current.over(ff.tower))
+        current = anisotropic_part(over_own_function_field(current)[1])
         dims.append(current.dim)
     return SplittingPattern(tuple(dims))
 
 
-def witt_function_field(q: QuasilinearForm) -> FunctionFieldData:
-    """function_field(q), after the input checks of the first Witt index."""
-    if q.dim < 2:
-        raise DimensionTooSmall(
-            f"first Witt index needs dimension >= 2, got {q.dim}")
-    if not is_anisotropic(q):
-        raise IsotropicInput("first Witt index expects an anisotropic form")
-    return function_field(q)
-
-
 def first_witt_index(q: QuasilinearForm) -> int:
     """Total index of q over its own function field."""
-    return total_index_over(q, witt_function_field(q).tower)
+    return total_index(over_own_function_field(q)[1])
 
 
 def essential_dimension(q: QuasilinearForm) -> int:

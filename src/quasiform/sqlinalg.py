@@ -407,13 +407,17 @@ def k2_membership(
     return SquareRelation(target, list(gens), roots)
 
 
-def _generator_blocks(gens: Sequence[TowerElem]) -> _SquareBlocks:
+def _generator_blocks(gens: Sequence[TowerElem]) -> Optional[_SquareBlocks]:
     """Column blocks of one equation with every generator as a column;
     each greedy step then selects the independent columns found so far,
-    with the next generator's own block as the right-hand side."""
+    with the next generator's own block as the right-hand side.  A single
+    nonzero generator is independent and takes no step, so it gets no
+    system (None)."""
     for j, g in enumerate(gens):
         if g.is_zero:
             raise ZeroGenerator(f"generator {j} is zero")
+    if len(gens) == 1:
+        return None
     return _SquareBlocks([(g,) for g in gens])
 
 
@@ -451,11 +455,12 @@ def k2_rank(gens: Sequence[TowerElem]) -> Tuple[int, List[TowerElem]]:
     """Rank of the generators over the subfield of squares, with the
     earliest maximal independent sub-list.
 
-    Builds the square system once for all generators, as
-    greedy_independent does, and makes each step a decision-only test on
-    the selected columns: the numeric witness when it is conclusive, exact
-    elimination otherwise.  No relation certificates are materialized;
-    greedy_independent produces those when they are needed.
+    Builds the square system once for all generators (none for a single
+    one), as greedy_independent does, and makes each step a decision-only
+    test on the selected columns: the numeric witness when it is
+    conclusive, exact elimination otherwise.  No relation certificates
+    are materialized; greedy_independent produces those when they are
+    needed.
     """
     gens = list(gens)
     if not gens:

@@ -403,6 +403,36 @@ def sample_form(rng: random.Random, field, dim: int, max_degree: int = 2):
         field, [sample_poly_elem(rng, field, max_degree) for _ in range(dim)])
 
 
+def tower_sampler(seed: int, depth: int = 2):
+    """The tower F2(a,b,c)(y)(z), or its first `depth` steps, with
+    denominators in both defining elements, and samplers of fractions and
+    of fractions times a generator monomial in it."""
+    from quasiform.fieldtower import FieldTower
+
+    F = FieldTower.rational(("a", "b", "c"))
+    a, b, c = F.var("a"), F.var("b"), F.var("c")
+    K = F
+    if depth >= 1:
+        K = F.extend_inseparable(a * (b + F.one()).invert(), "y")
+    if depth >= 2:
+        theta = F.embed(b * (c + F.one()).invert(), K) + K.gen(0)
+        K = K.extend_inseparable(theta, "z")
+    rng = random.Random(seed)
+
+    def fraction(degree):
+        return (sample_poly_elem(rng, K, degree, 2)
+                * sample_poly_elem(rng, K, 1, 2).invert())
+
+    def element(degree=2):
+        mono = K.one()
+        for i in range(K.depth):
+            if rng.random() < 0.5:
+                mono = mono * K.gen(i)
+        return fraction(degree) * mono
+
+    return K, rng, fraction, element
+
+
 # Frozen expected values, derived by hand before the implementation ran:
 # splitting patterns of the standard examples, their first Witt indices,
 # and their norm degrees.

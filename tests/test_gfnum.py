@@ -17,7 +17,13 @@ from quasiform.sqlinalg import (
     solve_square_system_multi,
 )
 
-from oracles import gf_mul, gf_pow, sample_monomial_form, sample_poly_elem
+from oracles import (
+    gf_mul,
+    gf_pow,
+    sample_monomial_form,
+    sample_poly_elem,
+    tower_sampler,
+)
 
 ORDER = _gfnum._ORDER
 
@@ -160,34 +166,9 @@ def test_one_rank_takes_one_verdict_per_step_from_one_point_set(
     assert len(draws) == len(witness._points) * len(witness._offsets)
 
 
-def _depth_two_sampler(seed):
-    """The tower F2(a,b,c)(y)(z) with denominators in both defining
-    elements, and samplers of fractions and of fractions times a
-    generator monomial in it."""
-    F = FieldTower.rational(("a", "b", "c"))
-    a, b, c = F.var("a"), F.var("b"), F.var("c")
-    K1 = F.extend_inseparable(a * (b + F.one()).invert(), "y")
-    theta = F.embed(b * (c + F.one()).invert(), K1) + K1.gen(0)
-    K = K1.extend_inseparable(theta, "z")
-    rng = random.Random(seed)
-
-    def fraction(degree):
-        return (sample_poly_elem(rng, K, degree, 2)
-                * sample_poly_elem(rng, K, 1, 2).invert())
-
-    def element():
-        mono = K.one()
-        for i in range(K.depth):
-            if rng.random() < 0.5:
-                mono = mono * K.gen(i)
-        return fraction(2) * mono
-
-    return K, rng, fraction, element
-
-
 def test_verdicts_agree_with_elimination_over_a_tower_with_denominators(
         verdicts):
-    K, rng, fraction, element = _depth_two_sampler(16)
+    K, rng, fraction, element = tower_sampler(16)
 
     for _ in range(6):
         gens = [element() for _ in range(rng.randrange(2, 4))]
@@ -216,7 +197,7 @@ def _square_systems(seed):
         return lambda: sample_poly_elem(rng, F, degree, terms)
 
     cases = [(rng, poly(3, 2), poly(2, 1), poly(3, 2))] * 30
-    K, krng, fraction, element = _depth_two_sampler(seed + 1)
+    K, krng, fraction, element = tower_sampler(seed + 1)
     cases += [(krng, element, lambda: fraction(1), element)] * 8
     for r, entry, root, target in cases:
         rows = [[entry() for _ in range(r.randrange(1, 4))]]

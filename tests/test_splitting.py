@@ -1,14 +1,23 @@
 """Function fields of quadrics, splitting patterns, and Witt indices,
 checked against hand-derived frozen values and structural properties."""
 
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from quasiform.errors import DimensionTooSmall, IsotropicInput
+from quasiform import cli, dsl, splitting, sqlinalg
+from quasiform.birational import construct_ruling
+from quasiform.errors import DimensionTooSmall, IsotropicInput, NotRuled
 from quasiform.fieldtower import FieldTower
-from quasiform.forms import QuasilinearForm, is_anisotropic, total_index
+from quasiform.forms import (
+    QuasilinearForm,
+    anisotropic_part,
+    is_anisotropic,
+    total_index,
+)
 from quasiform.pfister import quasi_pfister
 from quasiform.splitting import (
     check_hl_bound,
@@ -16,12 +25,18 @@ from quasiform.splitting import (
     first_witt_index,
     function_field,
     hl_bound,
+    over_own_function_field,
     splitting_pattern,
     total_index_over,
 )
 from quasiform.sqlinalg import tower_square_root
 
-from oracles import FROZEN, sample_monomial_form
+from oracles import (
+    FROZEN,
+    sample_monomial_form,
+    sample_poly_elem,
+    tower_sampler,
+)
 
 
 @pytest.fixture
@@ -238,3 +253,179 @@ class TestHLBound:
     def test_pfister_forms_attain_the_bound(self, F):
         q = pfister2(F)
         assert first_witt_index(q) == hl_bound(q.dim)
+
+
+def _own_field_forms():
+    """Anisotropic forms: monomial and binomial ones of dim 2-6 over
+    F2(a,b,c), and fractions times generator monomials of dim 2-5 over the
+    depth-1 and depth-2 towers of `tower_sampler`, the first anisotropic
+    one of each dimension."""
+    F = FieldTower.rational(("a", "b", "c"))
+    forms = []
+    for dim in range(2, 7):
+        rng = random.Random(dim)
+        for binomial in (False, False, True, True):
+            while True:
+                q, _ = sample_monomial_form(rng, F, dim, 3)
+                if binomial:
+                    coeffs = list(q.coeffs)
+                    slot = rng.randrange(dim)
+                    coeffs[slot] += sample_poly_elem(rng, F, 3, 1)
+                    if coeffs[slot].is_zero:
+                        continue
+                    q = QuasilinearForm(F, coeffs)
+                if is_anisotropic(q):
+                    forms.append(q)
+                    break
+    for dim in range(2, 6):
+        for depth in (1, 2):
+            K, _, _, element = tower_sampler(dim, depth)
+            while True:
+                q = QuasilinearForm(K, [element(1) for _ in range(dim)])
+                if is_anisotropic(q):
+                    forms.append(q)
+                    break
+    return forms
+
+
+def _old_pattern(q):
+    """The splitting pattern with every level ranked in full."""
+    current = anisotropic_part(q)
+    dims = [current.dim]
+    while current.dim >= 2:
+        current = anisotropic_part(current.over(function_field(current).tower))
+        dims.append(current.dim)
+    return tuple(dims)
+
+
+class TestOverOwnFunctionField:
+    """q over k(q) is ranked without its last coefficient, which the
+    generic point proves dependent.  The shortcut must give the full rank
+    and every invariant that reads it."""
+
+    def test_rule_and_invariants_equal_the_full_rank(self, ranked):
+        shapes, indices = set(), set()
+        for q in _own_field_forms():
+            ff, over = over_own_function_field(q)
+            assert over is not q and over.field == ff.tower
+            assert ff == function_field(q)
+            # the old formula: q.over(k(q)) ranked in all its coefficients,
+            # as total_index_over(q, function_field(q).tower) ranks it
+            full = q.over(ff.tower)
+            assert over.independent() == full.independent()
+            assert ranked[-1] == full.coeffs
+            old_i1 = q.dim - len(full.independent())
+            # the caller's form keeps its own rank
+            assert q.independent() == q.coeffs
+            old_pattern = (q.dim,) + _old_pattern(anisotropic_part(full))
+            assert splitting_pattern(q).dims == old_pattern
+            assert first_witt_index(q) == old_i1
+            assert essential_dimension(q) == (q.dim - 2) - (old_i1 - 1)
+            if old_i1 < 2:
+                with pytest.raises(NotRuled):
+                    construct_ruling(q)
+            else:
+                assert construct_ruling(q).r == old_i1
+            shapes.add((q.field.depth, q.dim))
+            indices.add(old_i1)
+        assert shapes == ({(0, n) for n in range(2, 7)}
+                          | {(d, n) for d in (1, 2) for n in range(2, 6)})
+        assert {1, 2} <= indices
+
+    def test_errors_are_those_of_the_first_witt_index(self, F):
+        a = F.var("a")
+        with pytest.raises(DimensionTooSmall,
+                           match="first Witt index needs dimension >= 2, "
+                                 "got 1"):
+            over_own_function_field(QuasilinearForm(F, [a]))
+        with pytest.raises(IsotropicInput,
+                           match="first Witt index expects an anisotropic"):
+            over_own_function_field(QuasilinearForm(F, [a, a ** 3]))
+
+
+@pytest.fixture
+def systems(monkeypatch):
+    """Every square system built, as (tower, first entry of each column),
+    and the right-hand side of every greedy step k2_rank takes."""
+    built, steps = [], []
+
+    class Recording(sqlinalg._SquareBlocks):
+        def __init__(self, columns):
+            super().__init__(columns)
+            built.append((self.tower, [col[0] for col in columns]))
+
+        def solvable(self, cols, target):
+            steps.append(target)
+            return super().solvable(cols, target)
+
+    monkeypatch.setattr(sqlinalg, "_SquareBlocks", Recording)
+    return built, steps
+
+
+@pytest.fixture
+def levels(monkeypatch):
+    """(form, function field) for every function field built."""
+    out = []
+    build = splitting.function_field
+
+    def recording(q):
+        ff = build(q)
+        out.append((q, ff))
+        return ff
+
+    monkeypatch.setattr(splitting, "function_field", recording)
+    return out
+
+
+def _generic(n):
+    G = FieldTower.rational(tuple(f"t{i}" for i in range(1, n + 1)))
+    return QuasilinearForm(G, [G.var(f"t{i}") for i in range(1, n + 1)])
+
+
+class TestOwnFieldSystems:
+    """The systems that rank a form over its own function field: none has
+    the form's last coefficient as a column, a dim-2 level has none, and
+    the first Witt index of a dim-d form takes d - 2 greedy steps."""
+
+    def test_splitting_pattern_never_ranks_the_last_coefficient(
+            self, F, systems, levels):
+        built, _ = systems
+        for q in (_generic(4), pfister2(F)):
+            del built[:], levels[:]
+            dims = splitting_pattern(q).dims
+            assert [p.dim for p, _ in levels] == list(dims[:-1])
+            for p, ff in levels:
+                last = p.field.embed(p.coeffs[-1], ff.tower)
+                own = [cols for tower, cols in built if tower == ff.tower]
+                assert all(last not in cols for cols in own)
+                if p.dim == 2:
+                    assert own == []
+                else:
+                    assert [len(cols) for cols in own] == [p.dim - 1]
+
+    def test_first_witt_index_takes_dim_minus_two_steps(
+            self, F, systems):
+        built, steps = systems
+        for q in [_generic(n) for n in (2, 3, 4, 5)] + [pfister2(F)]:
+            q.independent()
+            del built[:], steps[:]
+            first_witt_index(q)
+            assert len(steps) == q.dim - 2
+            assert len(built) == (q.dim > 2)
+
+
+def test_invariants_tower_queries_pass_their_oracle(monkeypatch):
+    """The benchmark's own `invariants-tower` inputs, monomial forms of dim
+    3 and 4 whose splitting patterns reach towers of depth 3, through
+    dsl.parse and cli.run, each answer checked by its oracle."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from qbench.oracles import check_invariants
+    from qbench.workloads import WORKLOADS
+
+    patterns = set()
+    for query in itertools.islice(WORKLOADS["invariants-tower"].timed(3), 60):
+        answer = cli.run(dsl.parse(query.payload))["results"][0]
+        assert check_invariants([c for (c,) in query.coeffs], answer) == []
+        patterns.add(tuple(answer["splitting_pattern"]))
+    assert {len(p) for p in patterns} >= {3, 4}
+    assert {p[0] for p in patterns} == {3, 4}

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from quasiform import _elim, _gfnum, gf2poly
+from quasiform import _elim, _gfnum, gf2poly, sqlinalg
 from quasiform.errors import ZeroGenerator
 from quasiform.fieldtower import FieldTower
 from quasiform.gf2poly import Poly, RatFn, common_denominator
@@ -88,6 +88,33 @@ class TestRankAgainstParityOracle:
             greedy_independent([F.one(), F.zero()])
         with pytest.raises(ZeroGenerator):
             k2_rank([])
+
+
+class TestOneGenerator:
+    """One nonzero generator is independent, so neither greedy rank builds
+    a square system for it; a zero one is rejected as before."""
+
+    @pytest.fixture(autouse=True)
+    def no_system(self, monkeypatch):
+        def refuse(columns):
+            raise AssertionError("built a square system")
+
+        monkeypatch.setattr(sqlinalg, "_SquareBlocks", refuse)
+
+    def test_k2_rank_of_one_nonzero_generator(self, F):
+        a = F.var("a") * (F.var("b") + F.one()).invert()
+        assert k2_rank([a]) == (1, [a])
+
+    def test_greedy_independent_of_one_nonzero_generator(self, F):
+        assert greedy_independent([F.var("a")]) == ([0], {})
+
+    def test_k2_rank_of_one_zero_generator(self, F):
+        with pytest.raises(ZeroGenerator, match="^generator 0 is zero$"):
+            k2_rank([F.zero()])
+
+    def test_greedy_independent_of_one_zero_generator(self, F):
+        with pytest.raises(ZeroGenerator, match="^generator 0 is zero$"):
+            greedy_independent([F.zero()])
 
 
 def _per_step_rank(gens):
