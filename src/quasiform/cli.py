@@ -33,6 +33,10 @@ EXIT_ASSERTION = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
+# signal.setitimer rejects NaN and overflows near 9.2e9 s (its nanosecond
+# count); a budget of about 31 years bounds any run well inside that
+MAX_TIMEOUT_SECONDS = 1e9
+
 Result = Dict[str, object]
 
 
@@ -244,7 +248,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                       help="re-run all symbolic identity checks on "
                            "constructed certificates")
     runp.add_argument("--timeout-seconds", type=float, default=None,
-                      metavar="T", help="abort after T seconds of wall time")
+                      metavar="T",
+                      help="abort after T seconds of wall time "
+                           f"(0 < T <= {MAX_TIMEOUT_SECONDS:g})")
     args = parser.parse_args(argv)
 
     try:
@@ -254,8 +260,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    if args.timeout_seconds is not None and args.timeout_seconds <= 0:
-        print("error: --timeout-seconds must be positive", file=sys.stderr)
+    # written so that NaN, which compares false, fails it too
+    if args.timeout_seconds is not None and not (
+            0 < args.timeout_seconds <= MAX_TIMEOUT_SECONDS):
+        print("error: --timeout-seconds must be positive and at most "
+              f"{MAX_TIMEOUT_SECONDS:g}", file=sys.stderr)
         return EXIT_INPUT
     if args.max_tower_depth < 1:
         print("error: --max-tower-depth must be at least 1", file=sys.stderr)

@@ -28,8 +28,8 @@ from .maps import RationalMap
 from .splitting import function_field
 from .sqlinalg import (
     SquareRelation,
+    _saturate,
     k2_membership,
-    span_saturate,
     square_combination,
 )
 
@@ -136,12 +136,24 @@ class NormField:
 
 def norm_degree(q: QuasilinearForm) -> Tuple[int, NormField]:
     """Dimension over squares of the algebra generated by the coefficients
-    of q normalized to represent 1, together with that algebra."""
+    of q normalized to represent 1, together with that algebra.
+
+    The first two doublings of the saturation need no test.  q is
+    anisotropic exactly when a_1, ..., a_d are independent over K^2, and
+    multiplying by a_1^-1 is a K^2-linear bijection of K, so
+    1, e_1, ..., e_{d-1} (e_i = a_{i+1}/a_1) are independent too.  Then
+    e_1 lies outside span(1) and e_2 outside span(1, e_1), so saturating
+    by them always adjoins both, giving [1, e_1, e_2, e_2 e_1], the
+    expansion of <<e_1, e_2>>.  No third step is implied: <<e_1, e_2>>
+    contains e_1 e_2, so e_3 may already lie in it.  Only e_3, ... are
+    tested, by the loop span_saturate runs.
+    """
     if not is_anisotropic(q):
         raise IsotropicInput("norm degree expects an anisotropic form")
     inv = q.coeffs[0].invert()
     normalized = [inv * c for c in q.coeffs[1:]]
-    basis = span_saturate(q.field, normalized)
+    basis = _saturate(QuasiPfisterForm(q.field, normalized[:2]).expansion,
+                      normalized[2:])
     degree = len(basis)
     if degree & (degree - 1):
         raise InconsistencyDetected(

@@ -508,9 +508,18 @@ def span_saturate(field: FieldTower,
     binary counter order: the element at index m is the product of the
     adjoined elements over the set bits of m, as in
     QuasiPfisterForm.expansion, and the adjoined elements sit at the
-    powers of two.
+    powers of two.  The loop is `_saturate`, started here from [1];
+    `pfister.norm_degree` starts it from a basis it has already proved.
     """
-    basis: List[TowerElem] = [field.one()]
+    return _saturate([field.one()], elements)
+
+
+def _saturate(basis: Sequence[TowerElem],
+              elements: Sequence[TowerElem]) -> List[TowerElem]:
+    """Extend `basis`, a basis over squares of a field L with
+    K^2 <= L <= K in binary counter order, by each element outside the
+    span so far (see span_saturate)."""
+    basis = list(basis)
     for e in elements:
         if not e.is_zero and not square_system_solvable(basis, e):
             basis = basis + [e * s for s in basis]

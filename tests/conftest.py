@@ -22,3 +22,24 @@ def ranked(monkeypatch):
 
     monkeypatch.setattr(quasiform.forms, "k2_rank", recording)
     return calls
+
+
+@pytest.fixture
+def systems(monkeypatch):
+    """Every square system built, as (tower, first entry of each column),
+    and the right-hand side of every greedy step k2_rank takes."""
+    from quasiform import sqlinalg
+
+    built, steps = [], []
+
+    class Recording(sqlinalg._SquareBlocks):
+        def __init__(self, columns):
+            super().__init__(columns)
+            built.append((self.tower, [col[0] for col in columns]))
+
+        def solvable(self, cols, target):
+            steps.append(target)
+            return super().solvable(cols, target)
+
+    monkeypatch.setattr(sqlinalg, "_SquareBlocks", Recording)
+    return built, steps

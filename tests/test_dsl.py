@@ -373,13 +373,18 @@ class TestMain:
         script = self.write(tmp_path,
                             "field F2(t1,t2,t3,t4,t5);"
                             "form g = <t1,t2,t3,t4,t5>; invariants g;")
-        code = cli.main(["run", script, "--timeout-seconds", "0.000001"])
-        assert code == 3
-        assert "resource limit" in capsys.readouterr().err
+        for value in ["0.000001", "1e-300"]:
+            code = cli.main(["run", script, "--timeout-seconds", value])
+            assert code == 3
+            assert "resource limit" in capsys.readouterr().err
 
-    def test_bad_flag_values(self, tmp_path):
+    def test_bad_flag_values(self, tmp_path, capsys):
         script = self.write(tmp_path, "form p = <1>;")
-        assert cli.main(["run", script, "--timeout-seconds", "0"]) == 2
+        # nan, inf and 1e10 are floats that signal.setitimer rejects
+        for value in ["0", "nan", "inf", "1e10"]:
+            assert cli.main(["run", script, "--timeout-seconds", value]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "--timeout-seconds" in err
         assert cli.main(["run", script, "--max-tower-depth", "0"]) == 2
 
     def test_corpus_failure_exit(self, tmp_path, monkeypatch, capsys):

@@ -22,8 +22,9 @@ from quasiform.pfister import (
     quasi_pfister,
     special_neighbor_ruling,
 )
+from quasiform.sqlinalg import span_saturate
 
-from oracles import FROZEN
+from oracles import FROZEN, tower_sampler
 
 
 @pytest.fixture
@@ -113,6 +114,63 @@ class TestNormDegree:
         nf = NormField(F, [F.one(), a, b, c, a * b, a * c, b * c, a * b * c])
         with pytest.raises(InconsistencyDetected):
             norm_field_slots(nf)
+
+
+def _anisotropic_chain(K, element, dim):
+    """Anisotropic forms of dim 1..dim over K, each the one before plus a
+    drawn element; a draw that makes the form isotropic is dropped."""
+    forms, coeffs = [], []
+    for _ in range(20 * dim):
+        if len(coeffs) == dim:
+            break
+        q = QuasilinearForm(K, coeffs + [element(1)])
+        if is_anisotropic(q):
+            forms.append(q)
+            coeffs = list(q.coeffs)
+    assert len(coeffs) == dim
+    return forms
+
+
+class TestNormDegreeStartsFromTheRank:
+    """norm_degree takes <<e_1, e_2>> from the anisotropy it has just
+    checked and saturates only by e_3, ...; the basis is the one
+    span_saturate builds from [1] over all of e_1, e_2, …"""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("depth,dim", [(0, 6), (1, 5), (2, 5)])
+    def test_basis_equals_span_saturate(self, seed, depth, dim):
+        K, _, _, element = tower_sampler(seed, depth)
+        for q in _anisotropic_chain(K, element, dim):
+            inv = q.coeffs[0].invert()
+            expected = span_saturate(q.field,
+                                     [inv * a for a in q.coeffs[1:]])
+            degree, nf = norm_degree(q)
+            assert list(nf.basis) == expected
+            assert degree == len(expected)
+
+    def test_builds_a_system_only_past_the_second_doubling(self, F, systems):
+        built, _ = systems
+        a, b, c = F.var("a"), F.var("b"), F.var("c")
+        forms = [[a], [F.one(), a], [F.one(), a, b], [F.one(), a, b, a * b],
+                 [c, a * c, b * c ** 3, a * b * c], [F.one(), a, b, c, a * b],
+                 [F.one(), a, b, a * b, c, a * c]]
+        for coeffs in forms:
+            q = QuasilinearForm(F, coeffs)
+            assert is_anisotropic(q)
+            del built[:]
+            norm_degree(q)
+            assert len(built) == max(0, q.dim - 3)
+
+    def test_isotropic_form_builds_nothing_after_its_rank(self, F, systems):
+        built, _ = systems
+        a, b = F.var("a"), F.var("b")
+        for coeffs in [[a, a ** 3], [F.one(), a, b, a * b ** 2]]:
+            q = QuasilinearForm(F, coeffs)
+            q.independent()
+            del built[:]
+            with pytest.raises(IsotropicInput):
+                norm_degree(q)
+            assert built == []
 
 
 class TestNeighborDetection:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from quasiform import cli, dsl, splitting, sqlinalg
+from quasiform import cli, dsl, splitting
 from quasiform.birational import construct_ruling
 from quasiform.errors import DimensionTooSmall, IsotropicInput, NotRuled
 from quasiform.fieldtower import FieldTower
@@ -344,25 +344,6 @@ class TestOverOwnFunctionField:
 
 
 @pytest.fixture
-def systems(monkeypatch):
-    """Every square system built, as (tower, first entry of each column),
-    and the right-hand side of every greedy step k2_rank takes."""
-    built, steps = [], []
-
-    class Recording(sqlinalg._SquareBlocks):
-        def __init__(self, columns):
-            super().__init__(columns)
-            built.append((self.tower, [col[0] for col in columns]))
-
-        def solvable(self, cols, target):
-            steps.append(target)
-            return super().solvable(cols, target)
-
-    monkeypatch.setattr(sqlinalg, "_SquareBlocks", Recording)
-    return built, steps
-
-
-@pytest.fixture
 def levels(monkeypatch):
     """(form, function field) for every function field built."""
     out = []
@@ -423,9 +404,15 @@ def test_invariants_tower_queries_pass_their_oracle(monkeypatch):
     from qbench.workloads import WORKLOADS
 
     patterns = set()
+    dim4_norm_degrees = set()
     for query in itertools.islice(WORKLOADS["invariants-tower"].timed(3), 60):
         answer = cli.run(dsl.parse(query.payload))["results"][0]
         assert check_invariants([c for (c,) in query.coeffs], answer) == []
         patterns.add(tuple(answer["splitting_pattern"]))
+        if len(query.coeffs) == 4:
+            dim4_norm_degrees.add(answer["norm_degree"])
     assert {len(p) for p in patterns} >= {3, 4}
     assert {p[0] for p in patterns} == {3, 4}
+    # a dim-4 form is the one case where norm_degree still decides a
+    # doubling (e_3 in <<e_1, e_2>> or not), so the oracle checks both
+    assert dim4_norm_degrees == {4, 8}
