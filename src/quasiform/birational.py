@@ -12,6 +12,9 @@ giving phi(y, [c_1:...:c_r]) = [sum c_i s_i(y)]; composing the basis with a
 projection pi: X -> Y and recombining with fiber functions f_i, read off
 one coordinate of each pulled-back vector, recovers the generic point of X
 exactly, which is the certificate that phi has an inverse.
+
+`construct_ruling` only builds: the RationalMap constructor proves that pi
+and phi vanish, and `RulingDecomposition.verify` proves the rest, once.
 """
 
 from __future__ import annotations
@@ -167,6 +170,23 @@ def _recombines(fibers: Sequence[TowerElem],
     return True
 
 
+def _ruling_map(s_basis: Sequence[Sequence[TowerElem]]
+                ) -> Tuple[FieldTower, Tuple[TowerElem, ...]]:
+    """The product field k(Y)(t_1,...,t_{r-1}) and the coordinates of
+    phi = s_1 + t_1*s_2 + ... + t_{r-1}*s_r on it."""
+    base = s_basis[0][0].tower
+    names = fresh_names(base, "t", len(s_basis) - 1)
+    P = base.extend_transcendental(names)
+    ts = [P.var(n) for n in names]
+    coords = []
+    for j in range(len(s_basis[0])):
+        acc = base.embed(s_basis[0][j], P)
+        for t, s in zip(ts, s_basis[1:]):
+            acc = acc + t * base.embed(s[j], P)
+        coords.append(acc)
+    return P, tuple(coords)
+
+
 class RulingCertificate:
     """Exact identity behind a ruling decomposition.
 
@@ -177,7 +197,7 @@ class RulingCertificate:
         f_1*(s_1 o pi) + ... + f_r*(s_r o pi) = scale * g.
 
     verify() recomputes the composition from scratch, including the
-    isotropy of every s_i and of pi.
+    isotropy of every s_i; pi's vanishing is proved by its constructor.
     """
 
     __slots__ = ("X", "Y", "s_basis", "pi", "fibers", "scale")
@@ -212,13 +232,13 @@ class RulingCertificate:
                 return False
             if not square_combination_vanishes(s, x_coeffs):
                 return False
-        if self.pi.source_field != ff_x.tower or not self.pi.verify():
-            return False
-        if self.pi.coords[0].is_zero:
+        pi = self.pi
+        if (not isinstance(pi, RationalMap) or pi.ambient
+                or pi.source_field != ff_x.tower or pi.target != self.Y
+                or pi.coords[0].is_zero):
             return False
         try:
-            pulled = _pull_basis(ff_y, self.s_basis, self.pi.coords,
-                                 ff_x.tower)
+            pulled = _pull_basis(ff_y, self.s_basis, pi.coords, ff_x.tower)
         except (DivisionByZero, EmbeddingFailure, ValueError):
             return False
         return _recombines(self.fibers, pulled, ff_x.generic_point,
@@ -231,11 +251,13 @@ class RulingCertificate:
 
 @dataclass(frozen=True)
 class RulingDecomposition:
-    """A verified birational decomposition X ~ Y x P^{r-1}.
+    """A birational decomposition X ~ Y x P^{r-1}; verify() checks it.
 
     `phi` maps the product into X by combining the isotropic basis with
     projective fiber coordinates; `psi` is the inverse data (projection to
     Y plus fiber functions); `certificate` proves phi(psi(x)) = scale * x.
+    verify() rebuilds phi from s_basis, whose isotropy the certificate
+    proves, so phi vanishes on X because the form is additive.
     """
 
     X: QuasilinearForm
@@ -251,13 +273,15 @@ class RulingDecomposition:
             return False
         if len(self.s_basis) != self.r:
             return False
-        # the certificate speaks only of its own data; it verifies pi
-        cert = self.certificate
+        # the certificate speaks only of its own data; it checks pi and s_basis
+        cert, phi = self.certificate, self.phi
         if (self.psi.pi is not cert.pi or self.psi.fibers != cert.fibers
                 or cert.X != self.X or cert.Y != self.Y
-                or cert.s_basis != self.s_basis):
+                or cert.s_basis != self.s_basis
+                or not isinstance(phi, RationalMap) or phi.ambient
+                or phi.target != self.X or not cert.verify()):
             return False
-        return self.phi.verify() and cert.verify()
+        return (phi.source_field, phi.coords) == _ruling_map(self.s_basis)
 
 
 def construct_ruling(X: QuasilinearForm) -> RulingDecomposition:
@@ -265,8 +289,8 @@ def construct_ruling(X: QuasilinearForm) -> RulingDecomposition:
     r = first_witt_index(X) and Y drops the last r-1 coefficients.
 
     Raises NotRuled when r = 1 (the decomposition would be trivial and no
-    ruling exists along this route).  Every step is verified exactly;
-    impossible failures raise InconsistencyDetected.
+    ruling exists along this route).  It only builds; verify() proves the
+    identities.  Impossible failures raise InconsistencyDetected.
     """
     ff_x, X_over_K = over_own_function_field(X)
     K = ff_x.tower
@@ -299,8 +323,8 @@ def construct_ruling(X: QuasilinearForm) -> RulingDecomposition:
     # sends only 0 to 0.  So t_i is nonzero at j_i and every other t_l is
     # zero there, and coordinate j_i of f_1 t_1 + ... + f_r t_r = g reads
     # f_i * t_i[j_i] = g[j_i].  The fibers are forced (the t_i are
-    # independent, so they are unique), and _recombines checks every
-    # coordinate.
+    # independent, so they are unique), and the certificate's _recombines
+    # checks every coordinate.
     fibers = []
     for i, t in enumerate(pulled):
         own = [j for j in range(X.dim) if not t[j].is_zero
@@ -309,24 +333,8 @@ def construct_ruling(X: QuasilinearForm) -> RulingDecomposition:
             raise InconsistencyDetected(
                 "a pulled-back isotropic vector has no coordinate of its own")
         fibers.append(g[own[0]] / t[own[0]])
-    scale = K.one()
-    if not _recombines(fibers, pulled, g, scale):
-        raise InconsistencyDetected(
-            "fibers read off the isotropic basis fail to recombine")
-    certificate = RulingCertificate(X, Y, s_basis, pi, tuple(fibers), scale)
-
-    fiber_names = fresh_names(ff_y.tower, "t", r - 1)
-    product_field = ff_y.tower.extend_transcendental(fiber_names)
-    ts = [product_field.var(n) for n in fiber_names]
-    phi_coords: List[TowerElem] = []
-    for j in range(X.dim):
-        acc = ff_y.tower.embed(s_basis[0][j], product_field)
-        for i in range(1, r):
-            acc = acc + ts[i - 1] * ff_y.tower.embed(s_basis[i][j],
-                                                     product_field)
-        phi_coords.append(acc)
-    phi = RationalMap(product_field, phi_coords, X)
-
+    certificate = RulingCertificate(X, Y, s_basis, pi, tuple(fibers), K.one())
+    phi = RationalMap(*_ruling_map(s_basis), X)
     return RulingDecomposition(X=X, r=r, Y=Y, s_basis=s_basis, phi=phi,
                                psi=FiberMap(pi, tuple(fibers)),
                                certificate=certificate)

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+from quasiform import birational, maps
 from quasiform.birational import (
     DominationVerdict,
     FiberMap,
@@ -258,6 +259,73 @@ class TestRulings:
         other = construct_ruling(quasi_pfister([a, b], F))
         assert not replace(dec, psi=other.psi).verify()
         assert dec.verify()
+
+    def test_decomposition_rejects_a_phi_not_built_from_its_basis(
+            self, F, abc):
+        # s_2 + t*s_1 vanishes on X as s_1 + t*s_2 does, but is not phi
+        a, b, c = abc
+        dec = construct_ruling(quasi_pfister([a, b], F))
+        P = dec.phi.source_field
+        base = dec.s_basis[0][0].tower
+        (t,) = set(P.base_vars) - set(base.base_vars)
+        s1, s2 = dec.s_basis
+        swapped = RationalMap(P, [base.embed(y, P)
+                                  + P.var(t) * base.embed(x, P)
+                                  for x, y in zip(s1, s2)], dec.X)
+        assert not replace(dec, phi=swapped).verify()
+        rescaled = RationalMap(P, dec.phi.coords, dec.X.scale(c.square()))
+        assert not replace(dec, phi=rescaled).verify()
+        assert dec.verify()
+
+    def test_certificate_rejects_a_projection_off_its_subquadric(
+            self, F, abc):
+        a, b, c = abc
+        cert = construct_ruling(quasi_pfister([a, b], F)).certificate
+        pi = cert.pi
+
+        class AlwaysTrue:
+            def verify(self):
+                return True
+
+        rescaled = RationalMap(pi.source_field, pi.coords,
+                               cert.Y.scale(c.square()))
+        ambient = RationalMap(pi.source_field, pi.coords, cert.Y,
+                              certificate=AlwaysTrue(), ambient=True)
+        for bad in (rescaled, ambient):
+            assert not RulingCertificate(cert.X, cert.Y, cert.s_basis, bad,
+                                         cert.fibers, cert.scale).verify()
+        assert cert.verify()
+
+    def test_each_identity_is_proved_once(self, F, abc, monkeypatch):
+        calls = []
+
+        def recording(real):
+            def spy(*args):
+                calls.append((real.__name__, args))
+                return real(*args)
+            return spy
+
+        # every binding in the library, as the tracer patches them
+        for real in (birational._recombines, maps._target_vanishes):
+            for name, module in list(sys.modules.items()):
+                if (name.split(".")[0] == "quasiform"
+                        and getattr(module, real.__name__, None) is real):
+                    monkeypatch.setattr(module, real.__name__,
+                                        recording(real))
+        monkeypatch.setattr(RationalMap, "verify",
+                            recording(RationalMap.verify))
+        a, b, c = abc
+        for X in (quasi_pfister([a, b], F), QuasilinearForm(
+                F, quasi_pfister([a, b, c], F).coeffs[:7])):
+            del calls[:]
+            dec = construct_ruling(X)
+            assert dec.verify()
+            names = [name for name, _ in calls]
+            assert names.count("_recombines") == 1
+            assert "verify" not in names
+            # one vanishing proof per map built: pi into Y, phi into X
+            assert [args[0] for name, args in calls
+                    if name == "_target_vanishes"] == [dec.Y, dec.X]
 
     def test_certificate_ranks_a_subquadric_built_by_its_caller(
             self, F, abc, ranked):

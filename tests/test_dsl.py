@@ -395,7 +395,7 @@ class TestMain:
             lambda: [{"name": "stub", "ok": False, "mismatches": []}])
         assert cli.main(["run", script]) == 1
 
-    def test_failed_certificate_exit(self, tmp_path, monkeypatch):
+    def test_failed_certificate_exit(self, tmp_path, monkeypatch, capsys):
         script = self.write(tmp_path,
                             "field F2(a,b); form p = <1,a,b,a*b>;"
                             "ruling p;")
@@ -416,5 +416,10 @@ class TestMain:
         monkeypatch.setattr(cli, "construct_ruling",
                             lambda form: Lying(real(form)))
         assert cli.main(["run", script, "--verify-certificates"]) == 1
-        # without the flag nothing is asserted
-        assert cli.main(["run", script]) == 0
+        # without the flag the certificate is still checked, and a failing
+        # verdict is reported
+        assert cli.main(["run", script]) == 1
+        capsys.readouterr()
+        assert cli.main(["run", script, "--json", "-"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"][0]["certificate_verified"] is False

@@ -117,6 +117,21 @@ def test_report_matches_golden(name):
     assert render(name) == expected
 
 
+@pytest.mark.parametrize(
+    "name", sorted(n for n in SCRIPTS if n.startswith("ruling")))
+def test_plain_ruling_report_omits_only_the_verdict(name):
+    # a plain run checks the certificate too, and reports a passing one by
+    # leaving the verdict out
+    script = SCRIPTS[name]
+    for text in script if isinstance(script, tuple) else (script,):
+        parsed = parse(text)
+        verified = cli.run(parsed, verify_certificates=True)
+        for entry in verified["results"]:
+            if entry["ruled"]:
+                assert entry.pop("certificate_verified") is True
+        assert json.dumps(cli.run(parsed)) == json.dumps(verified)
+
+
 if __name__ == "__main__":
     for name in sys.argv[1:] or sorted(SCRIPTS):
         (GOLDEN / f"{name}.json").write_text(render(name), encoding="utf-8")
