@@ -11,7 +11,8 @@ vectors of X over k(Y) form an r-dimensional space with basis s_1,...,s_r,
 giving phi(y, [c_1:...:c_r]) = [sum c_i s_i(y)]; composing the basis with a
 projection pi: X -> Y and recombining with fiber functions f_i, read off
 one coordinate of each pulled-back vector, recovers the generic point of X
-exactly, which is the certificate that phi has an inverse.
+exactly, which is the certificate that phi has an inverse.  Each s_i and
+pi is one relation already known to exist; no kernel is searched for.
 
 `construct_ruling` only builds: the RationalMap constructor proves that pi
 and phi vanish, and `RulingDecomposition.verify` proves the rest, once.
@@ -46,6 +47,7 @@ from .splitting import (
 from .sqlinalg import (
     clear_denominators,
     isotropic_kernel_basis,
+    solve_square_system,
     span_saturate,
     square_combination_vanishes,
 )
@@ -288,6 +290,11 @@ def construct_ruling(X: QuasilinearForm) -> RulingDecomposition:
     """Decompose the quadric of X birationally as Y x P^{r-1}, where
     r = first_witt_index(X) and Y drops the last r-1 coefficients.
 
+    With a_1..a_n the coefficients of X and d = dim Y: s_1 is Y's generic
+    point over its last coordinate, s_i (i >= 2) the relation of a_{d-1+i}
+    over a_1..a_{d-1} in k(Y), pi that of the first a_j which X's rank
+    over k(X) skipped, over a_1..a_{j-1}, and f_i is read at d-1+i.
+
     Raises NotRuled when r = 1 (the decomposition would be trivial and no
     ruling exists along this route).  It only builds; verify() proves the
     identities.  Impossible failures raise InconsistencyDetected.
@@ -297,46 +304,49 @@ def construct_ruling(X: QuasilinearForm) -> RulingDecomposition:
     r = total_index(X_over_K)
     if r < 2:
         raise NotRuled("first Witt index is 1")
-    Y = X.subform(range(X.dim - (r - 1)))
+    d = X.dim - (r - 1)
+    Y = X.subform(range(d))
     ff_y = function_field(Y)
-    s_lists = isotropic_kernel_basis(X, ff_y.tower)
-    if len(s_lists) != r:
-        raise InconsistencyDetected(
-            "isotropic space over the subquadric has the wrong dimension")
+    a = X.over(ff_y.tower).coeffs
+    zero, one = ff_y.tower.zero(), ff_y.tower.one()
+    # Y's generic point over y, padded with zeros, is a zero of X.  X and Y
+    # are stably equivalent (Y is in X, and an r-dimensional isotropic
+    # space of X over k(X) meets Y's coordinates, of codimension r - 1),
+    # and dim - i1 is invariant, so i1(Y) = 1: a_1..a_{d-1} are
+    # independent over k(Y), and each later a_j has one relation over
+    # them (X has index r over k(Y)(X) = k(X)(Y), so over k(Y) too).
+    y_inv = ff_y.generic_point[-1].invert()
+    s_lists = [[c * y_inv for c in ff_y.generic_point] + [zero] * (r - 1)]
+    for j in range(d, X.dim):
+        s_lists.append(solve_square_system(a[:d - 1], a[j])
+                       + [zero] * (j - d + 1) + [one]
+                       + [zero] * (X.dim - 1 - j))
     s_basis = tuple(tuple(s) for s in s_lists)
 
-    pi_candidates = isotropic_kernel_basis(Y, K)
-    if not pi_candidates:
-        raise InconsistencyDetected(
-            "subform stayed anisotropic over the function field")
-    pi_coords = pi_candidates[0]
+    # X's rank over k(X) keeps a_1..a_j and skips a_{j+1}: one relation.
+    # It keeps n - r = d - 1 coefficients, so j < d: a zero of Y.
+    coeffs, kept = X_over_K.coeffs, X_over_K.independent()
+    j = next((j for j, c in enumerate(kept) if c != coeffs[j]), len(kept))
+    roots = solve_square_system(coeffs[:j], coeffs[j])
+    if roots is None:
+        raise InconsistencyDetected("subform stayed anisotropic over k(X)")
+    pi_coords = roots + [K.one()] + [K.zero()] * (d - 1 - j)
     if pi_coords[0].is_zero:
         raise InconsistencyDetected(
             "projection chart degenerates: leading coordinate is zero")
     pi = RationalMap(K, pi_coords, Y)
 
     pulled = _pull_basis(ff_y, s_basis, pi_coords, K)
-    g = list(ff_x.generic_point)
-    # No solve is needed.  s_i is 1 at its own dependent coordinate j_i and
-    # 0 at every other dependent coordinate (kernel_from_coefficients), and
-    # t_i = d^k * hom(D_i * s_i) keeps that zero pattern, since a field map
-    # sends only 0 to 0.  So t_i is nonzero at j_i and every other t_l is
-    # zero there, and coordinate j_i of f_1 t_1 + ... + f_r t_r = g reads
-    # f_i * t_i[j_i] = g[j_i].  The fibers are forced (the t_i are
-    # independent, so they are unique), and the certificate's _recombines
-    # checks every coordinate.
-    fibers = []
-    for i, t in enumerate(pulled):
-        own = [j for j in range(X.dim) if not t[j].is_zero
-               and all(pulled[l][j].is_zero for l in range(r) if l != i)]
-        if not own:
-            raise InconsistencyDetected(
-                "a pulled-back isotropic vector has no coordinate of its own")
-        fibers.append(g[own[0]] / t[own[0]])
-    certificate = RulingCertificate(X, Y, s_basis, pi, tuple(fibers), K.one())
+    g = ff_x.generic_point
+    # s_i is 1 at d-1+i and 0 at X's other last r coordinates, and so is
+    # t_i = d^k * hom(D_i * s_i) (a field map sends only 0 to 0): there,
+    # f_1 t_1 + ... + f_r t_r = g reads f_i * t_i[d-1+i] = g[d-1+i].  The
+    # certificate's _recombines checks every coordinate.
+    fibers = tuple(g[d - 1 + i] / t[d - 1 + i] for i, t in enumerate(pulled))
+    certificate = RulingCertificate(X, Y, s_basis, pi, fibers, K.one())
     phi = RationalMap(*_ruling_map(s_basis), X)
     return RulingDecomposition(X=X, r=r, Y=Y, s_basis=s_basis, phi=phi,
-                               psi=FiberMap(pi, tuple(fibers)),
+                               psi=FiberMap(pi, fibers),
                                certificate=certificate)
 
 

@@ -10,7 +10,8 @@ A script is a field declaration, form definitions, and commands:
 
 Coefficient expressions use +, *, /, ^, parentheses, the constants 0 and 1,
 and declared variables; integer literals appear only as exponents.  Lines
-starting with # (to end of line) are comments.
+starting with # (to end of line) are comments.  A coefficient larger than
+MAX_TERMS terms raises ResourceLimit; a power, before it is taken.
 """
 
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     DslSyntaxError,
+    ResourceLimit,
     UndeclaredVariable,
     ZeroCoefficient,
 )
@@ -37,6 +39,9 @@ _KEYWORDS = frozenset(COMMAND_ARITY) | {"field", "form"}
 # each level of parentheses costs the recursive descent four frames, so
 # this keeps deep input well inside the interpreter's recursion limit
 MAX_NESTING = 100
+# the most terms a coefficient's numerator and denominator hold together,
+# so no product in a script multiplies more than MAX_TERMS^2 term pairs
+MAX_TERMS = 1024
 _PUNCT = frozenset("()<>,;=+*/^")
 
 
@@ -167,6 +172,20 @@ class _Parser:
     def fail(self, tok: Token, message: str):
         raise DslSyntaxError(message, tok.line, tok.column)
 
+    def bounded(self, tok: Token, value: TowerElem,
+                power: int = 1) -> TowerElem:
+        """`value`, or ResourceLimit at `tok` if it has more than
+        MAX_TERMS terms.  With power = k, the bound is on value^n for any
+        n with k bits set: value is one fraction N/D (a script's field is
+        F2(names)), value^n = N^n / D^n, and N^n is a product of k powers
+        N^(2^i), each with as many terms as N."""
+        if sum([len(f.num.packed) ** power + len(f.den.packed) ** power
+                for f in value.coeffs.values()]) > MAX_TERMS:
+            raise ResourceLimit(
+                f"line {tok.line}, column {tok.column}: coefficient above "
+                f"{MAX_TERMS} terms, the most a script coefficient holds")
+        return value
+
     def current_field(self) -> FieldTower:
         if self.field is None:
             self.field = FieldTower.rational((), depth_limit=self.depth_limit)
@@ -266,8 +285,8 @@ class _Parser:
     def parse_expr(self) -> TowerElem:
         value = self.parse_term()
         while self.peek().kind == "+":
-            self.next()
-            value = value + self.parse_term()
+            op = self.next()
+            value = self.bounded(op, value + self.parse_term())
         return value
 
     def parse_term(self) -> TowerElem:
@@ -276,19 +295,19 @@ class _Parser:
             op = self.next()
             rhs = self.parse_factor()
             if op.kind == "*":
-                value = value * rhs
+                value = self.bounded(op, value * rhs)
             else:
                 if rhs.is_zero:
                     self.fail(op, "division by zero")
-                value = value * rhs.invert()
+                value = self.bounded(op, value * rhs.invert())
         return value
 
     def parse_factor(self) -> TowerElem:
         value = self.parse_atom()
         if self.peek().kind == "^":
-            self.next()
-            exp = self.expect("int", "an integer exponent")
-            value = value ** int(exp.value)
+            op = self.next()
+            exp = int(self.expect("int", "an integer exponent").value)
+            value = self.bounded(op, value, exp.bit_count()) ** exp
         return value
 
     def parse_atom(self) -> TowerElem:

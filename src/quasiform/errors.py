@@ -91,5 +91,6 @@ class UndeclaredVariable(QuasiformError):
 
 
 class ResourceLimit(QuasiformError):
-    """A resource limit was exceeded: the time budget, or the largest
-    exponent a polynomial holds (`gf2poly.MAX_EXPONENT`)."""
+    """A resource limit was exceeded: the time budget, the largest
+    exponent a polynomial holds (`gf2poly.MAX_EXPONENT`), or the most
+    terms a script coefficient holds (`dsl.MAX_TERMS`)."""

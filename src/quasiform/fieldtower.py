@@ -603,29 +603,3 @@ class TowerHom:
         (N, k) among its entries: numerators over one power of d."""
         return self._over_common([self._image(e) for e in vector])[0]
 
-
-def tower_substitute(elem: TowerElem, target: FieldTower,
-                     assignments: Dict[str, TowerElem]) -> TowerElem:
-    """One-off image of `elem` under the field map given by `assignments`;
-    see TowerHom for the contract and for the reusable form."""
-    return TowerHom(elem.tower, target, assignments).apply(elem)
-
-
-def extend_transcendental(K: FieldTower, names: Iterable[str]) -> FieldTower:
-    return K.extend_transcendental(names)
-
-
-def extend_inseparable(K: FieldTower, theta: TowerElem, name: str) -> FieldTower:
-    return K.extend_inseparable(theta, name)
-
-
-def invert(x: TowerElem) -> TowerElem:
-    return x.invert()
-
-
-def square(x: TowerElem) -> TowerElem:
-    return x.square()
-
-
-def sqrt_in_tower(x: TowerElem) -> Optional[TowerElem]:
-    return x.sqrt_in_tower()

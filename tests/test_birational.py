@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from quasiform import birational, maps
+from quasiform import _elim, birational, maps, sqlinalg
 from quasiform.birational import (
     DominationVerdict,
     FiberMap,
@@ -22,6 +22,7 @@ from quasiform.birational import (
     is_regular_quadric,
     unique_self_map_check,
 )
+from quasiform.dsl import parse
 from quasiform.errors import (
     DimensionMismatch,
     DimensionTooSmall,
@@ -34,7 +35,7 @@ from quasiform.gf2poly import Poly
 from quasiform.maps import RationalMap
 from quasiform.pfister import quasi_pfister
 from quasiform.splitting import first_witt_index, function_field
-from quasiform.sqlinalg import tower_linear_solve
+from quasiform.sqlinalg import isotropic_kernel_basis, tower_linear_solve
 
 from oracles import (
     FROZEN,
@@ -42,7 +43,9 @@ from oracles import (
     monomial_form,
     parity_rank,
     sample_monomial_form,
+    tower_sampler,
 )
+from test_golden_reports import SCRIPTS
 
 
 @pytest.fixture
@@ -476,6 +479,112 @@ class TestFibersReadOffTheBasis:
             F, quasi_pfister([a, b, c], F).coeffs[:7]))
         assert dec.verify()
         assert calls == []
+
+
+def _sampled_scaled_pfister3(rng, field):
+    """The products of three square-free monomial slots of independent
+    parities, times a square-free monomial: the exponents of the
+    coefficients of a scaled 3-fold quasi-Pfister form."""
+    nvars = len(field.base_vars)
+    while True:
+        slots = [tuple(rng.randint(0, 1) for _ in range(nvars))
+                 for _ in range(3)]
+        if parity_rank(slots) == 3:
+            break
+    products = [(0,) * nvars]
+    for slot in slots:
+        products += [exponent_add(p, slot) for p in products]
+    scale = tuple(rng.randint(0, 1) for _ in range(nvars))
+    return [exponent_add(p, scale) for p in products]
+
+
+class TestRulingReadsKnownRelations:
+    """Each vector of a ruling is one relation over a prefix of
+    coefficients known to be independent; the greedy kernel search over
+    all coefficients is the reference."""
+
+    @staticmethod
+    def assert_matches_the_kernel(X):
+        dec = construct_ruling(X)
+        assert [list(s) for s in dec.s_basis] == isotropic_kernel_basis(
+            X, function_field(dec.Y).tower)
+        assert list(dec.psi.pi.coords) == isotropic_kernel_basis(
+            dec.Y, function_field(X).tower)[0]
+        return dec
+
+    def test_forms_of_the_ruling_goldens(self):
+        ruled = 0
+        for name in sorted(n for n in SCRIPTS if n.startswith("ruling")):
+            texts = SCRIPTS[name]
+            for text in texts if isinstance(texts, tuple) else (texts,):
+                script = parse(text)
+                for command in script.commands:
+                    X = script.form_by_name(command.args[0]).form
+                    if first_witt_index(X) > 1:
+                        self.assert_matches_the_kernel(X)
+                        ruled += 1
+        assert ruled == 8
+
+    def test_monomial_forms_over_four_variables(self):
+        G = FieldTower.rational(("a", "b", "c", "d"))
+        rng = random.Random(2006)
+        for _ in range(3):
+            self.assert_matches_the_kernel(_sampled_scaled_pfister2(rng, G))
+            coeffs = _sampled_scaled_pfister3(rng, G)
+            for dim, r in ((6, 2), (7, 3)):
+                dec = self.assert_matches_the_kernel(
+                    monomial_form(G, coeffs[:dim]))
+                assert dec.r == r
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_scaled_two_fold_forms_over_a_tower(self, seed):
+        K, _, _, element = tower_sampler(seed, 1)
+        while True:
+            X = quasi_pfister([element(1), element(1)], K).scale(element(1))
+            if is_anisotropic(X):
+                break
+        assert self.assert_matches_the_kernel(X).r == 2
+
+    def test_each_vector_takes_one_solve(self, F, abc, monkeypatch):
+        solves, kernels, systems = [], [], []
+
+        def recording(real, calls):
+            def spy(*args):
+                calls.append(args)
+                return real(*args)
+            return spy
+
+        # every binding in the library, as the tracer patches them
+        for real, calls in ((_elim.solve, solves),
+                            (sqlinalg.kernel_from_coefficients, kernels)):
+            for name, module in list(sys.modules.items()):
+                if (name.split(".")[0] == "quasiform"
+                        and getattr(module, real.__name__, None) is real):
+                    monkeypatch.setattr(module, real.__name__,
+                                        recording(real, calls))
+        build = sqlinalg._SquareBlocks.__init__
+        monkeypatch.setattr(sqlinalg._SquareBlocks, "__init__",
+                            lambda blocks, columns: systems.append(columns)
+                            or build(blocks, columns))
+        a, b, c = abc
+        pfister3 = quasi_pfister([a, b, c], F)
+        for X, r in ((quasi_pfister([a, b], F), 2),
+                     (QuasilinearForm(F, pfister3.coeffs[:7]), 3),
+                     (pfister3, 4)):
+            for calls in (solves, kernels, systems):
+                del calls[:]
+            dec = construct_ruling(X)
+            assert dec.r == r
+            assert len(solves) == r
+            assert kernels == []
+            # r - 1 systems over k(Y), none with Y's last coefficient
+            L = function_field(dec.Y).tower
+            last = dec.Y.over(L).coeffs[-1]
+            over_ky = [columns for columns in systems
+                       if columns[0][0].tower == L]
+            assert len(over_ky) == r - 1
+            assert all(last not in column
+                       for columns in over_ky for column in columns)
 
 
 class TestUniqueSelfMap:

@@ -10,14 +10,21 @@ from hypothesis import given, settings, strategies as st
 import quasiform.cli as cli
 from quasiform.birational import decide_birational
 from quasiform.corpus import CASES, run_corpus
-from quasiform.dsl import MAX_NESTING, parse, scripts_equivalent, tokenize
+from quasiform.dsl import (
+    MAX_NESTING,
+    MAX_TERMS,
+    parse,
+    scripts_equivalent,
+    tokenize,
+)
 from quasiform.errors import (
     DslSyntaxError,
     IsotropicInput,
+    ResourceLimit,
     UndeclaredVariable,
     ZeroCoefficient,
 )
-from quasiform.fieldtower import FieldTower
+from quasiform.fieldtower import FieldTower, TowerElem
 from quasiform.forms import QuasilinearForm, invariants, is_anisotropic
 from quasiform.pfister import norm_degree
 from quasiform.splitting import essential_dimension, first_witt_index
@@ -106,6 +113,27 @@ class TestParser:
     def test_division_by_zero_expression(self):
         with pytest.raises(DslSyntaxError):
             parse("field F2(a); form p = <1/(a+a)>;")
+
+    def test_coefficient_terms_are_bounded(self, monkeypatch):
+        field = "field F2(a,b,c,d); form p = <1, {}>;"
+        # (a+b)^511 has 512 terms, over a denominator of 512 terms
+        at_limit = parse(field.format("(a+b)^511/(c+d)^511"))
+        fn = at_limit.forms[0].form.coeffs[1].coeffs[0]
+        assert len(fn.num.terms) + len(fn.den.terms) == MAX_TERMS
+        # one term over the limit, found after a product and after a sum
+        for expr, column in (("(a+b)^511*(c+d)", 42),
+                             ("(a+b)^511+(c+d)^511", 42)):
+            with pytest.raises(ResourceLimit, match=f"column {column}: "
+                               f"coefficient above {MAX_TERMS} terms"):
+                parse(field.format(expr))
+        # a power is refused on the bound 4^8 + 1 before it is taken
+        powers = []
+        real = TowerElem.__pow__
+        monkeypatch.setattr(TowerElem, "__pow__",
+                            lambda x, n: powers.append(n) or real(x, n))
+        with pytest.raises(ResourceLimit, match=f"above {MAX_TERMS} terms"):
+            parse(field.format("(a+b+c+1)^255"))
+        assert powers == []
 
     def test_render_round_trip(self):
         text = ("field F2(a, b, c);\n"
@@ -361,6 +389,14 @@ class TestMain:
         script = self.write(tmp_path,
                             f"field F2(a); form q = <{at_limit}, 1>;")
         assert cli.main(["run", script]) == 0
+
+    def test_coefficient_size_exit(self, tmp_path, capsys):
+        script = self.write(tmp_path, "field F2(a,b,c);"
+                            "form q = <1, a, (a+b+c+1)^255>; invariants q;")
+        assert cli.main(["run", script]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit: ")
+        assert f"above {MAX_TERMS} terms" in err
 
     def test_depth_limit_exit(self, tmp_path, capsys):
         script = self.write(tmp_path,
