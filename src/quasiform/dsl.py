@@ -9,13 +9,14 @@ A script is a field declaration, form definitions, and commands:
     compare q1 q2;
 
 Coefficient expressions use +, *, /, ^, parentheses, the constants 0 and 1,
-and declared variables; integer literals appear only as exponents.  Lines
-starting with # (to end of line) are comments.  A coefficient larger than
-MAX_TERMS terms raises ResourceLimit; a power, before it is taken.
+and declared variables, evaluated in F2(declared names); integer literals
+appear only as exponents, at most gf2poly.MAX_EXPONENT.  Lines starting
+with # (to end of line) are comments.  A coefficient larger than MAX_TERMS
+terms raises ResourceLimit; a power, before it is taken.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import (
     DslSyntaxError,
@@ -25,6 +26,7 @@ from .errors import (
 )
 from .fieldtower import DEFAULT_DEPTH_LIMIT, FieldTower, TowerElem
 from .forms import QuasilinearForm
+from .gf2poly import MAX_EXPONENT, Poly, RatFn
 
 COMMAND_ARITY = {
     "invariants": 1,
@@ -35,7 +37,7 @@ COMMAND_ARITY = {
     "corpus": 0,
 }
 
-_KEYWORDS = frozenset(COMMAND_ARITY) | {"field", "form"}
+_KEYWORDS = frozenset(COMMAND_ARITY) | {"field", "form", "F2"}
 # each level of parentheses costs the recursive descent four frames, so
 # this keeps deep input well inside the interpreter's recursion limit
 MAX_NESTING = 100
@@ -81,9 +83,9 @@ def tokenize(text: str) -> List[Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(Token("int", text[i:j], line, start_col))
             col += j - i
@@ -139,16 +141,16 @@ class Script:
 
 
 class _Parser:
-    """Recursive descent over the token list; evaluates coefficient
-    expressions directly to tower elements."""
+    """Recursive descent over the token list; evaluates each coefficient
+    expression in F2(declared names) and lifts the result into the field."""
 
     def __init__(self, tokens: List[Token],
                  depth_limit: int = DEFAULT_DEPTH_LIMIT):
         self.tokens = tokens
         self.pos = 0
-        self.depth_limit = depth_limit
         self.nesting = 0
-        self.field: Optional[FieldTower] = None
+        self.field = FieldTower.rational((), depth_limit=depth_limit)
+        self.field_declared = False
         self.forms: List[FormDef] = []
         self.form_names: Dict[str, int] = {}
         self.commands: List[Command] = []
@@ -164,32 +166,24 @@ class _Parser:
     def expect(self, kind: str, what: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise DslSyntaxError(
-                f"expected {what}, found {tok.value or 'end of input'!r}",
-                tok.line, tok.column)
+            self.fail(tok, f"expected {what}, found "
+                           f"{tok.value or 'end of input'!r}")
         return self.next()
 
     def fail(self, tok: Token, message: str):
         raise DslSyntaxError(message, tok.line, tok.column)
 
-    def bounded(self, tok: Token, value: TowerElem,
-                power: int = 1) -> TowerElem:
+    def bounded(self, tok: Token, value: RatFn, power: int = 1) -> RatFn:
         """`value`, or ResourceLimit at `tok` if it has more than
         MAX_TERMS terms.  With power = k, the bound is on value^n for any
-        n with k bits set: value is one fraction N/D (a script's field is
-        F2(names)), value^n = N^n / D^n, and N^n is a product of k powers
-        N^(2^i), each with as many terms as N."""
-        if sum([len(f.num.packed) ** power + len(f.den.packed) ** power
-                for f in value.coeffs.values()]) > MAX_TERMS:
+        n with k bits set: value^n = N^n / D^n, and N^n is a product of
+        k powers N^(2^i), each with as many terms as N."""
+        if (len(value.num.packed) ** power
+                + len(value.den.packed) ** power > MAX_TERMS):
             raise ResourceLimit(
                 f"line {tok.line}, column {tok.column}: coefficient above "
                 f"{MAX_TERMS} terms, the most a script coefficient holds")
         return value
-
-    def current_field(self) -> FieldTower:
-        if self.field is None:
-            self.field = FieldTower.rational((), depth_limit=self.depth_limit)
-        return self.field
 
     def parse_script(self) -> Script:
         while self.peek().kind != "eof":
@@ -204,13 +198,13 @@ class _Parser:
                 self.parse_command()
             else:
                 self.fail(tok, f"unknown statement {tok.value!r}")
-        return Script(field=self.current_field(),
+        return Script(field=self.field,
                       forms=tuple(self.forms),
                       commands=tuple(self.commands))
 
     def parse_field(self) -> None:
         kw = self.next()
-        if self.field is not None:
+        if self.field_declared:
             self.fail(kw, "duplicate field declaration")
         if self.forms:
             self.fail(kw, "field must be declared before any form")
@@ -222,7 +216,7 @@ class _Parser:
         if self.peek().kind != ")":
             while True:
                 v = self.expect("ident", "a variable name")
-                if v.value in _KEYWORDS or v.value == "F2":
+                if v.value in _KEYWORDS:
                     self.fail(v, f"{v.value!r} cannot name a variable")
                 if v.value in names:
                     self.fail(v, f"duplicate variable {v.value!r}")
@@ -233,12 +227,13 @@ class _Parser:
         self.expect(")", "')' or ','")
         self.expect(";", "';'")
         self.field = FieldTower.rational(tuple(names),
-                                         depth_limit=self.depth_limit)
+                                         depth_limit=self.field.depth_limit)
+        self.field_declared = True
 
     def parse_form(self) -> None:
         self.next()
         name = self.expect("ident", "a form name")
-        if name.value in _KEYWORDS or name.value == "F2":
+        if name.value in _KEYWORDS:
             self.fail(name, f"{name.value!r} cannot name a form")
         if name.value in self.form_names:
             self.fail(name, f"form {name.value!r} is already defined")
@@ -255,13 +250,13 @@ class _Parser:
                 raise ZeroCoefficient(
                     f"coefficient {len(exprs)} of form {name.value!r} "
                     f"is zero")
-            coeffs.append(value)
+            coeffs.append(self.field.scalar(value))
             if self.peek().kind != ",":
                 break
             self.next()
         self.expect(">", "'>' or ','")
         self.expect(";", "';'")
-        form = QuasilinearForm(self.current_field(), coeffs)
+        form = QuasilinearForm(self.field, coeffs)
         self.form_names[name.value] = len(self.forms)
         self.forms.append(FormDef(name=name.value, exprs=tuple(exprs),
                                   form=form))
@@ -282,14 +277,14 @@ class _Parser:
     # expression grammar: expr := term (+ term)*; term := factor ((*|/)
     # factor)*; factor := atom (^ INT)?; atom := 0 | 1 | ident | ( expr )
 
-    def parse_expr(self) -> TowerElem:
+    def parse_expr(self) -> RatFn:
         value = self.parse_term()
         while self.peek().kind == "+":
             op = self.next()
             value = self.bounded(op, value + self.parse_term())
         return value
 
-    def parse_term(self) -> TowerElem:
+    def parse_term(self) -> RatFn:
         value = self.parse_factor()
         while self.peek().kind in ("*", "/"):
             op = self.next()
@@ -299,38 +294,41 @@ class _Parser:
             else:
                 if rhs.is_zero:
                     self.fail(op, "division by zero")
-                value = self.bounded(op, value * rhs.invert())
+                value = self.bounded(op, value / rhs)
         return value
 
-    def parse_factor(self) -> TowerElem:
+    def parse_factor(self) -> RatFn:
         value = self.parse_atom()
         if self.peek().kind == "^":
             op = self.next()
-            exp = int(self.expect("int", "an integer exponent").value)
+            tok = self.expect("int", "an integer exponent")
+            lit = tok.value.lstrip("0") or "0"
+            # int() refuses more than 4,300 digits, so count them first
+            if len(lit) > len(str(MAX_EXPONENT)) or int(lit) > MAX_EXPONENT:
+                raise ResourceLimit(f"line {tok.line}, column {tok.column}: "
+                                    f"exponent above {MAX_EXPONENT}")
+            exp = int(lit)
             value = self.bounded(op, value, exp.bit_count()) ** exp
         return value
 
-    def parse_atom(self) -> TowerElem:
+    def parse_atom(self) -> RatFn:
         tok = self.peek()
         if tok.kind == "int":
-            if tok.value == "0":
+            if tok.value in ("0", "1"):
                 self.next()
-                return self.current_field().zero()
-            if tok.value == "1":
-                self.next()
-                return self.current_field().one()
+                return RatFn.one() if tok.value == "1" else RatFn.zero()
             self.fail(tok, "integers other than 0 and 1 are only "
                            "allowed as exponents")
         if tok.kind == "ident":
             self.next()
-            if tok.value in _KEYWORDS or tok.value == "F2":
-                self.fail(tok, f"{tok.value!r} cannot appear in an "
-                               f"expression")
-            if tok.value not in self.current_field().base_vars:
+            if tok.value in _KEYWORDS:
+                self.fail(tok, f"{tok.value!r} cannot appear in an expression")
+            if tok.value not in self.field.base_vars:
                 raise UndeclaredVariable(
                     f"line {tok.line}, column {tok.column}: variable "
                     f"{tok.value!r} is not declared")
-            return self.current_field().var(tok.value)
+            return RatFn.from_poly(
+                Poly.variable(tok.value, self.field.base_vars))
         if tok.kind == "(":
             if self.nesting == MAX_NESTING:
                 self.fail(tok, f"parentheses nested deeper than "

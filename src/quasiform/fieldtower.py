@@ -179,7 +179,8 @@ class FieldTower:
             raise UnknownVariable(f"undeclared variable(s): {sorted(stray)}")
 
     def var(self, name: str) -> "TowerElem":
-        return self.scalar(Poly.variable(name, self.base_vars))
+        return TowerElem(
+            self, {0: RatFn.from_poly(Poly.variable(name, self.base_vars))})
 
     def gen(self, i: int) -> "TowerElem":
         if not 0 <= i < self.depth:

@@ -3,6 +3,7 @@ command-line entry point with its exit codes."""
 
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from quasiform.errors import (
 )
 from quasiform.fieldtower import FieldTower, TowerElem
 from quasiform.forms import QuasilinearForm, invariants, is_anisotropic
+from quasiform.gf2poly import MAX_EXPONENT, RatFn
 from quasiform.pfister import norm_degree
 from quasiform.splitting import essential_dimension, first_witt_index
 
@@ -47,6 +49,14 @@ class TestTokenizer:
     def test_comments_skipped(self):
         toks = tokenize("# a comment\nfield # mid\nF2")
         assert [t.value for t in toks] == ["field", "F2", ""]
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff13"])
+    def test_integers_are_ascii_digits(self, digit):
+        # superscript two, Arabic-Indic three, fullwidth three
+        with pytest.raises(DslSyntaxError,
+                           match="unexpected character") as exc:
+            parse(f"field F2(a);\nform p = <1, a^{digit}>;")
+        assert exc.value.line == 2 and exc.value.column == 16
 
 
 class TestParser:
@@ -89,7 +99,7 @@ class TestParser:
     def test_duplicate_and_ordering_rules(self):
         with pytest.raises(DslSyntaxError):
             parse("field F2(a); field F2(b);")
-        with pytest.raises(DslSyntaxError):
+        with pytest.raises(DslSyntaxError, match="before any form"):
             parse("form p = <1>; field F2(a);")
         with pytest.raises(DslSyntaxError):
             parse("field F2(a); form p = <a>; form p = <1>;")
@@ -128,12 +138,95 @@ class TestParser:
                 parse(field.format(expr))
         # a power is refused on the bound 4^8 + 1 before it is taken
         powers = []
-        real = TowerElem.__pow__
-        monkeypatch.setattr(TowerElem, "__pow__",
+        real = RatFn.__pow__
+        monkeypatch.setattr(RatFn, "__pow__",
                             lambda x, n: powers.append(n) or real(x, n))
         with pytest.raises(ResourceLimit, match=f"above {MAX_TERMS} terms"):
             parse(field.format("(a+b+c+1)^255"))
         assert powers == []
+
+    def test_exponent_literals_are_bounded(self):
+        with pytest.raises(ResourceLimit, match=f"line 1, column 26: "
+                           f"exponent above {MAX_EXPONENT}"):
+            parse(f"field F2(a); form p = <1^{MAX_EXPONENT + 1}>;")
+        # leading zeros do not count towards the bound
+        s = parse("field F2(a); form p = <a^" + "0" * 5000 + "3>;")
+        assert s.forms[0].form.coeffs[0] == s.field.var("a") ** 3
+
+    def test_coefficients_are_lifted_once(self, monkeypatch):
+        calls = Counter()
+
+        def count(cls, name):
+            real = getattr(cls, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(cls, name, counted)
+
+        for name in ("__add__", "__mul__", "invert", "__pow__"):
+            count(TowerElem, name)
+        count(FieldTower, "scalar")
+        parse("field F2(a,b,c); form p = <(a+b)^3/c, a*(b+1)^2, 1/(a+c)>;"
+              "form q = <1, ((a*b)^2 + c)/(b+c)^0>;")
+        assert calls == {"scalar": 5}
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_coefficients_match_tower_arithmetic(self, data):
+        """Reference: the same expression evaluated with FieldTower.var and
+        TowerElem arithmetic."""
+        F = FieldTower.rational(("a", "b", "c"))
+        atoms = st.sampled_from(["0", "1", "a", "b", "c"])
+
+        def exprs(depth):
+            if depth == 0:
+                return atoms
+            sub = exprs(depth - 1)
+            return st.one_of(atoms,
+                             st.tuples(st.sampled_from("+*/"), sub, sub),
+                             st.tuples(st.just("^"), sub,
+                                       st.integers(0, 5)))
+
+        def text(e):
+            return e if isinstance(e, str) else f"({render(e)})"
+
+        def render(e):
+            if isinstance(e, str):
+                return e
+            op, x, y = e
+            return f"{text(x)}{op}{y if op == '^' else text(y)}"
+
+        def value(e):
+            if e in ("0", "1"):
+                return F.one() if e == "1" else F.zero()
+            if isinstance(e, str):
+                return F.var(e)
+            op, x, y = e
+            if op == "^":
+                return value(x) ** y
+            x, y = value(x), value(y)
+            if op == "+":
+                return x + y
+            if op == "*":
+                return x * y
+            if y.is_zero:
+                raise ZeroDivisionError
+            return x * y.invert()
+
+        expr = data.draw(exprs(3))
+        script = f"field F2(a, b, c); form p = <{render(expr)}>;"
+        try:
+            expected = value(expr)
+        except ZeroDivisionError:
+            with pytest.raises(DslSyntaxError, match="division by zero"):
+                parse(script)
+            return
+        if expected.is_zero:
+            with pytest.raises(ZeroCoefficient):
+                parse(script)
+            return
+        assert parse(script).forms[0].form.coeffs == (expected,)
 
     def test_render_round_trip(self):
         text = ("field F2(a, b, c);\n"
@@ -397,6 +490,21 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("resource limit: ")
         assert f"above {MAX_TERMS} terms" in err
+
+    @pytest.mark.parametrize("exponent, code, message", [
+        pytest.param("9" * 5000, 3, f"exponent above {MAX_EXPONENT}",
+                     id="5000-digits"),
+        pytest.param("\u00b2", 2, "line 1, column 29: unexpected character",
+                     id="superscript-two"),
+    ])
+    def test_exponent_literal_exit(self, tmp_path, capsys, exponent, code,
+                                   message):
+        script = self.write(tmp_path, "field F2(a); form q = <1, a^"
+                            f"{exponent}>; invariants q;")
+        assert cli.main(["run", script]) == code
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_depth_limit_exit(self, tmp_path, capsys):
         script = self.write(tmp_path,
