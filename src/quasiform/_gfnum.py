@@ -1,20 +1,23 @@
 """One-sided numeric certificates for polynomial linear systems.
 
 Evaluating a polynomial matrix at a point of GF(2^15)^n can only lower
-ranks: every minor that vanishes identically vanishes at the point.  Two
-rank observations at a single point are therefore conclusive:
+ranks: every minor that vanishes identically vanishes at the point.  One
+elimination of the augmented matrix [A|b] at a point gives rank A(p), its
+pivots among the columns of A, and rank [A|b](p) together, and three
+observations are conclusive:
 
 * rank A(p) = #rows forces rank A = #rows symbolically, and the rank of
-  the augmented matrix [A|b] is squeezed to the same value, so A x = b is
-  solvable over the rational function field.
-* rank A(p) = #cols together with rank [A|b](p) = #cols + 1 forces
-  rank [A|b] > rank A symbolically, so A x = b is unsolvable.
-* rank A(p) = #cols alone forces rank A = #cols, so the kernel of A is
-  zero; this is the verdict asked for when there is no right-hand side.
+  [A|b] is squeezed to the same value, so A x = b is solvable over the
+  rational function field.
+* rank [A|b](p) = #cols + 1 forces rank [A|b] = #cols + 1 symbolically,
+  above rank A <= #cols, so A x = b is unsolvable.
+* rank A(p) = #cols forces rank A = #cols, so the kernel of A is zero;
+  this is the verdict asked for when there is no right-hand side.
 
 A point witnessing none of these proves nothing, and the caller must fall
 back to exact elimination.  Points come from a fixed seed, drawn once per
-system build (`Witness`), so outcomes are reproducible.
+system build (`Witness`) when a verdict first needs them, so outcomes are
+reproducible; every entry of the system is evaluated once at each.
 
 Field arithmetic goes through log and antilog tables of GF(2^15)* with
 respect to x, modulo x^15 + x + 1: a product is EXP[LOG[a] + LOG[b]] and a
@@ -78,8 +81,12 @@ def _eval_poly(p: Poly, logs: List[Tuple[int, int]], exp: array) -> int:
     return acc
 
 
-def _rank(rows: List[List[int]], exp: array, log: array) -> int:
-    rank = 0
+def _rank(rows: List[List[int]], split: int, exp: array, log: array
+          ) -> Tuple[int, int]:
+    """(rank of the first `split` columns, rank of all columns) of `rows`,
+    from one elimination: pivots are taken column by column, so those among
+    the first `split` columns count the rank of that block."""
+    rank = left = 0
     ncols = len(rows[0]) if rows else 0
     # rows are replaced, never changed in place, so the caller's stay intact
     rows = list(rows)
@@ -103,24 +110,23 @@ def _rank(rows: List[List[int]], exp: array, log: array) -> int:
                 rows[i] = [e ^ exp[lf + log[pe]] if pe else e
                            for e, pe in zip(rows[i], prow)]
         rank += 1
-    return rank
+        left += col < split
+    return left, rank
 
 
 class Witness:
-    """The witness points of one system of column blocks, and the block
-    entries evaluated there.
+    """The witness points of one system of column blocks, and every block
+    entry evaluated there.
 
     `blocks[j]` maps a row key to the `width` polynomial entries of column
     block j; a key missing from a block is a zero row there.  One
     generator draws the points over every variable of the blocks, in name
     order, so all the system's verdicts share them.  Point k is drawn when
-    a verdict first needs it, and an entry of block j is evaluated there
-    when a verdict first reads it at point k: each entry at most once per
-    point, and of a block read only as right-hand side only the first.
+    a verdict first needs it, and every entry of every block is evaluated
+    there at once: each entry once per point.
     """
 
-    __slots__ = ("blocks", "width", "_offsets", "_rng", "_points", "_values",
-                 "_evaluated")
+    __slots__ = ("blocks", "width", "_offsets", "_rng", "_values")
 
     def __init__(self, blocks: Sequence[Dict[Hashable, List[Poly]]],
                  width: int):
@@ -134,38 +140,20 @@ class Witness:
         self.width = width
         self._offsets = [shifts[n] for n in sorted(shifts)]
         self._rng = random.Random(0x51D2)
-        self._points: List[List[Tuple[int, int]]] = []
-        # per point, per block: row key -> the entry values evaluated so
-        # far, or None, and how many entries per key that is
-        self._values: List[List[Optional[Dict[Hashable, List[int]]]]] = []
-        self._evaluated: List[List[int]] = []
+        # per point drawn, per block: row key -> the entry values there
+        self._values: List[List[Dict[Hashable, List[int]]]] = []
 
-    def at(self, k: int, j: int, width: Optional[int] = None
-           ) -> Dict[Hashable, List[int]]:
-        """Block j's first `width` entries (all by default) at point k,
-        keyed by row."""
-        if width is None:
-            width = self.width
-        while len(self._points) <= k:
+    def at(self, k: int) -> List[Dict[Hashable, List[int]]]:
+        """Every block's entries at point k, keyed by row."""
+        exp = _tables()[0]
+        while len(self._values) <= k:
             # the log of a uniform point of GF(2^15)*, per variable
-            self._points.append([(sh, self._rng.randrange(_ORDER))
-                                 for sh in self._offsets])
-            self._values.append([None] * len(self.blocks))
-            self._evaluated.append([0] * len(self.blocks))
-        values = self._values[k][j]
-        done = self._evaluated[k][j]
-        if done < width:
-            logs, exp = self._points[k], _tables()[0]
-            if values is None:
-                values = self._values[k][j] = {
-                    key: [_eval_poly(p, logs, exp) for p in entries[:width]]
-                    for key, entries in self.blocks[j].items()}
-            else:
-                for key, entries in self.blocks[j].items():
-                    values[key].extend(
-                        _eval_poly(p, logs, exp) for p in entries[done:width])
-            self._evaluated[k][j] = width
-        return values
+            logs = [(sh, self._rng.randrange(_ORDER)) for sh in self._offsets]
+            self._values.append([
+                {key: [_eval_poly(p, logs, exp) for p in entries]
+                 for key, entries in block.items()}
+                for block in self.blocks])
+        return self._values[k]
 
 
 def numeric_verdict(witness: Witness, rows: Collection[Hashable],
@@ -184,27 +172,26 @@ def numeric_verdict(witness: Witness, rows: Collection[Hashable],
     ncols = len(cols) * witness.width
     if not nrows or (target is None and nrows < ncols):
         return None
-    rows = list(rows)
     exp, log = _tables()
     pad = [0] * witness.width
     for k in range(_TRIALS):
-        at = [witness.at(k, j) for j in cols]
-        plain = []
+        at = witness.at(k)
+        selected = [at[j] for j in cols]
+        matrix = []
         for key in rows:
             row: List[int] = []
-            for values in at:
+            for values in selected:
                 row.extend(values.get(key, pad))
-            plain.append(row)
-        r = _rank(plain, exp, log)
+            if target is not None:
+                row.append(at[target].get(key, pad)[0])
+            matrix.append(row)
+        # rank [A|b] = ncols + 1 already forces rank A = ncols < nrows
+        rank_a, rank_ab = _rank(matrix, ncols, exp, log)
         if target is None:
-            if r == ncols:
+            if rank_a == ncols:
                 return True
-        elif r == nrows:
+        elif rank_a == nrows:
             return True
-        elif r == ncols and ncols < nrows:
-            rhs = witness.at(k, target, 1)
-            augmented = [row + [rhs[key][0] if key in rhs else 0]
-                         for row, key in zip(plain, rows)]
-            if _rank(augmented, exp, log) == ncols + 1:
-                return False
+        elif rank_ab == ncols + 1:
+            return False
     return None

@@ -18,6 +18,7 @@ from quasiform.sqlinalg import (
 )
 
 from oracles import (
+    gf_matrix_rank,
     gf_mul,
     gf_pow,
     sample_monomial_form,
@@ -162,8 +163,103 @@ def test_one_rank_takes_one_verdict_per_step_from_one_point_set(
     witness = witnesses[0]
     assert all(w is witness for w in witnesses)
     assert len(seeds) == 1 and witness._offsets
-    assert 1 <= len(witness._points) <= _gfnum._TRIALS
-    assert len(draws) == len(witness._points) * len(witness._offsets)
+    assert 1 <= len(witness._values) <= _gfnum._TRIALS
+    assert len(draws) == len(witness._values) * len(witness._offsets)
+
+
+def test_a_verdict_ranks_one_matrix_per_point_and_each_point_is_evaluated_once(
+        monkeypatch):
+    """At each point a verdict tries it ranks [A | b] once, and a witness
+    evaluates every entry of every block exactly once at each point it
+    draws: k2_rank on a dim-8 form over F2(a,b,c,d), and on a form with a
+    dependent coefficient over a depth-1 tower, whose greedy step proves
+    unsolvability."""
+    ranks = [0]
+    tried = set()           # the points the running verdict reads
+    drawn, evaluated = {}, {}
+    reading = []            # the witness whose `at` is running
+    verdicts = []
+    rank_of, eval_of = _gfnum._rank, _gfnum._eval_poly
+    at_of, verdict_of = _gfnum.Witness.at, _gfnum.numeric_verdict
+
+    def rank(*args):
+        ranks[0] += 1
+        return rank_of(*args)
+
+    def evaluate(*args):
+        evaluated[reading[-1]] = evaluated.get(reading[-1], 0) + 1
+        return eval_of(*args)
+
+    def at(self, k, *args):
+        tried.add(k)
+        drawn.setdefault(self, set()).add(k)
+        reading.append(self)
+        try:
+            return at_of(self, k, *args)
+        finally:
+            reading.pop()
+
+    def verdict(witness, rows, cols, target=None):
+        tried.clear()
+        before = ranks[0]
+        v = verdict_of(witness, rows, cols, target)
+        verdicts.append((v, ranks[0] - before, set(tried)))
+        return v
+
+    monkeypatch.setattr(_gfnum, "_rank", rank)
+    monkeypatch.setattr(_gfnum, "_eval_poly", evaluate)
+    monkeypatch.setattr(_gfnum.Witness, "at", at)
+    monkeypatch.setattr(_gfnum, "numeric_verdict", verdict)
+
+    F = FieldTower.rational(("a", "b", "c", "d"))
+    q, _ = sample_monomial_form(random.Random(8), F, 8, 3)
+    k2_rank(q.coeffs)
+    _, _, fraction, element = tower_sampler(19, depth=1)
+    gens = [element() for _ in range(3)]
+    gens.append(fraction(1).square() * gens[0] + fraction(1).square() * gens[2])
+    k2_rank(gens)
+
+    assert False in {v for v, _, _ in verdicts}
+    for _, count, points in verdicts:
+        assert points == set(range(len(points)))
+        assert count == len(points)
+    assert len(drawn) >= 2 and set(evaluated) == set(drawn)
+    for witness, points in drawn.items():
+        entries = sum(len(e) for block in witness.blocks
+                      for e in block.values())
+        assert evaluated[witness] == len(points) * entries
+
+
+def test_one_elimination_ranks_a_and_the_augmented_matrix():
+    """_rank gives the rank of the first `split` columns and of all of
+    them, as the bitwise oracle finds them, on seeded GF(2^15) matrices
+    with zero rows, zero columns, dependent rows and every split."""
+    exp, log = _gfnum._tables()
+    rng = random.Random(1915)
+    gaps = set()
+    for _ in range(300):
+        nrows, width = rng.randrange(0, 6), rng.randrange(1, 7)
+        rows = [[rng.randrange(1 << 15) if rng.random() < 0.7 else 0
+                 for _ in range(width)] for _ in range(nrows)]
+        if nrows >= 3 and rng.random() < 0.5:
+            # a combination of two other rows
+            c, d = rng.randrange(1, 1 << 15), rng.randrange(1, 1 << 15)
+            rows[2] = [gf_mul(c, x) ^ gf_mul(d, y)
+                       for x, y in zip(rows[0], rows[1])]
+        if nrows and rng.random() < 0.3:
+            rows[rng.randrange(nrows)] = [0] * width
+        if rng.random() < 0.3:
+            col = rng.randrange(width)
+            for row in rows:
+                row[col] = 0
+        copy = [list(row) for row in rows]
+        full = gf_matrix_rank(rows)
+        for split in range(width + 1):
+            left = gf_matrix_rank([row[:split] for row in rows])
+            assert _gfnum._rank(rows, split, exp, log) == (left, full)
+            gaps.add((split < width and nrows > width, full - left))
+        assert rows == copy
+    assert {(True, 0), (True, 1)} <= gaps
 
 
 def test_verdicts_agree_with_elimination_over_a_tower_with_denominators(
