@@ -20,9 +20,10 @@ Reduction to commutative linear algebra over F = GF(2)(base variables):
 
 Each generator owns a block of columns in that system (`_SquareBlocks`).  The
 blocks are built once per query, so a greedy rank loop only selects columns.
-Every decision on them reads one numeric witness (`_gfnum.Witness`); the
-polynomial system is assembled only for exact elimination: a decision no
-witness point settles, and every root vector or kernel basis.
+Every decision on them first reads the blocks' values at one witness point
+(`_gfnum`); the polynomial system is assembled only for exact elimination:
+a decision the point does not settle, and every root vector or kernel
+basis.  Both are laid out by one rule (`_SquareBlocks._layout`).
 
 Every returned relation is re-verified exactly in the tower before being
 handed out.  The checks run on roots cleared of denominators
@@ -97,12 +98,13 @@ class _SquareBlocks:
     of column j's unknowns x_{j,m}, the coefficient of x_{j,m}^2 being
     (Theta_m * columns[j][e])_mu; a target column contributes its m = 0
     entry.  Only keys with a nonzero entry are stored.  `rows` is the one
-    rule for which keys a choice of unknowns and target has; `witness`
-    holds the blocks evaluated at its points, and `system` assembles the
-    polynomial rows that exact elimination needs.
+    rule for which keys a choice of unknowns and target has, and `_layout`
+    the one rule for the rows [A | b] on them: from the polynomial blocks
+    for exact elimination (`system`), and from their values at the witness
+    point for a verdict (`verdict`).
     """
 
-    __slots__ = ("tower", "nmasks", "blocks", "witness")
+    __slots__ = ("tower", "nmasks", "blocks", "_point")
 
     def __init__(self, columns: Sequence[Sequence[TowerElem]]):
         tower = columns[0][0].tower
@@ -134,7 +136,7 @@ class _SquareBlocks:
         self.tower = tower
         self.nmasks = nmasks
         self.blocks = blocks
-        self.witness = _gfnum.Witness(blocks, nmasks)
+        self._point: Optional[List[Dict[_RowKey, List[int]]]] = None
 
     def rows(self, cols: Sequence[int], target: Optional[int] = None
              ) -> Set[_RowKey]:
@@ -151,36 +153,51 @@ class _SquareBlocks:
                         if not v[0].is_zero)
         return keys
 
-    def system(self, cols: Sequence[int], target: Optional[int] = None,
-               keys: Optional[Set[_RowKey]] = None
-               ) -> Tuple[List[List[Poly]], List[Poly]]:
-        """Matrix in the unknowns of `cols` (column-major, as
-        _coeff_vectors reads a solution) and the rhs of column `target`,
-        on the rows `keys` (by default `rows(cols, target)`)."""
-        blocks = self.blocks
-        if keys is None:
-            keys = self.rows(cols, target)
-        rhs_block = blocks[target] if target is not None else {}
-        pad = [_ZERO] * self.nmasks
-        matrix: List[List[Poly]] = []
-        rhs: List[Poly] = []
-        for key in sorted(keys):
-            row: List[Poly] = []
+    def _layout(self, blocks, zero, keys, cols, target):
+        """The rows [A | b] on `keys`, read off the polynomial blocks or
+        their values at the witness point (`zero` fills a missing entry):
+        A in the unknowns of `cols`, column-major as _coeff_vectors reads a
+        solution, then b, the m = 0 entry of column `target` if given."""
+        pad = [zero] * self.nmasks
+        rows = []
+        for key in keys:
+            row = []
             for j in cols:
                 row.extend(blocks[j].get(key, pad))
-            matrix.append(row)
-            entries = rhs_block.get(key)
-            rhs.append(entries[0] if entries is not None else _ZERO)
-        return matrix, rhs
+            if target is not None:
+                row.append(blocks[target].get(key, pad)[0])
+            rows.append(row)
+        return rows
+
+    def system(self, keys: Set[_RowKey], cols: Sequence[int],
+               target: Optional[int] = None
+               ) -> Tuple[List[List[Poly]], Optional[List[Poly]]]:
+        """A and b (None without target) on `keys`, in key order, for
+        exact elimination."""
+        rows = self._layout(self.blocks, _ZERO, sorted(keys), cols, target)
+        if target is None:
+            return rows, None
+        return [row[:-1] for row in rows], [row[-1] for row in rows]
+
+    def verdict(self, keys: Set[_RowKey], cols: Sequence[int],
+                target: Optional[int] = None) -> Optional[bool]:
+        """The witness verdict (`_gfnum.numeric_verdict`) on the system on
+        `keys`, read at the witness point; the first verdict evaluates
+        every block there."""
+        if self._point is None:
+            self._point = _gfnum.evaluate(self.blocks)
+        return _gfnum.numeric_verdict(
+            self._layout(self._point, 0, keys, cols, target),
+            len(cols) * self.nmasks)
 
     def solvable(self, cols: Sequence[int], target: int) -> bool:
         """Decision only: the witness when it settles the system, exact
         elimination on the built system otherwise."""
         keys = self.rows(cols, target)
-        verdict = _gfnum.numeric_verdict(self.witness, keys, cols, target)
+        verdict = self.verdict(keys, cols, target)
         if verdict is not None:
             return verdict
-        return _elim.solvable(*self.system(cols, target, keys))
+        return _elim.solvable(*self.system(keys, cols, target))
 
     def roots(self, cols: Sequence[int],
               target: int) -> Optional[List[TowerElem]]:
@@ -188,9 +205,9 @@ class _SquareBlocks:
         A witness proof of unsolvability skips the exact solve; a solution
         always comes from exact elimination."""
         keys = self.rows(cols, target)
-        if _gfnum.numeric_verdict(self.witness, keys, cols, target) is False:
+        if self.verdict(keys, cols, target) is False:
             return None
-        sol = _elim.solve(*self.system(cols, target, keys))
+        sol = _elim.solve(*self.system(keys, cols, target))
         if sol is None:
             return None
         return _coeff_vectors(sol, len(cols), self.nmasks, self.tower)
@@ -263,7 +280,7 @@ def square_span_contains(gens: Sequence[TowerElem],
                          elems: Sequence[TowerElem]) -> bool:
     """Whether every element lies in the span of the (nonempty) gens over
     the squares.  One square system holds gens and elems as columns, so
-    its witness points serve every decision: each element is one target
+    its witness point serves every decision: each element is one target
     against the columns of gens."""
     blocks = _SquareBlocks([(g,) for g in gens] + [(e,) for e in elems])
     cols = range(len(gens))
@@ -273,10 +290,13 @@ def square_span_contains(gens: Sequence[TowerElem],
 def square_nullspace_multi(
     gen_rows: Sequence[Sequence[TowerElem]],
 ) -> List[List[TowerElem]]:
-    """Basis of shared root vectors annihilating every equation.  A
-    numeric proof of a zero kernel skips exact elimination; every basis
-    vector comes from it.  With no equation there are no unknowns to
-    count, so the kernel is undefined: ValueError."""
+    """Basis over the rational base field F, not over the tower K, of the
+    shared root vectors annihilating every equation: 2^depth vectors per
+    dimension of the kernel over K, so K-dependent at depth >= 1.  Over
+    F(y), y^2 = a, [1, a, b, y b] gives (y, 1, 0, 0) and y (y, 1, 0, 0).
+    A numeric proof of a zero kernel skips exact elimination; every vector
+    comes from it.  With no equation there are no unknowns to count, so
+    the kernel is undefined: ValueError."""
     if not gen_rows:
         raise ValueError("nullspace query needs at least one equation")
     if not gen_rows[0]:
@@ -284,10 +304,10 @@ def square_nullspace_multi(
     ngens = len(gen_rows[0])
     blocks = _SquareBlocks(list(zip(*gen_rows)))
     keys = blocks.rows(range(ngens))
-    if _gfnum.numeric_verdict(blocks.witness, keys, range(ngens)):
+    if blocks.verdict(keys, range(ngens)):
         return []
     tower, nmasks = blocks.tower, blocks.nmasks
-    matrix, _ = blocks.system(range(ngens), keys=keys)
+    matrix, _ = blocks.system(keys, range(ngens))
     basis = _elim.nullspace(matrix, ngens * nmasks)
     out = []
     for vec in basis:
@@ -299,7 +319,9 @@ def square_nullspace_multi(
 
 
 def square_nullspace(gens: Sequence[TowerElem]) -> List[List[TowerElem]]:
-    """Basis of the root vectors (c_1,...,c_k) with sum c_i^2 g_i = 0."""
+    """Basis over the rational base field of the root vectors (c_1,...,c_k)
+    with sum c_i^2 g_i = 0: 2^depth * (k - rank) of them (see
+    square_nullspace_multi); kernel_from_coefficients gives k - rank."""
     if not gens:
         return []
     return square_nullspace_multi([list(gens)])

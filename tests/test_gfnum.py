@@ -11,6 +11,7 @@ import pytest
 from quasiform import _elim, _gfnum, total_index
 from quasiform.fieldtower import FieldTower
 from quasiform.forms import decide_similar, is_anisotropic
+from quasiform.gf2poly import slot_shifts
 from quasiform.sqlinalg import (
     _SquareBlocks,
     k2_rank,
@@ -72,21 +73,13 @@ def verdicts(monkeypatch):
     with a conclusive verdict.  Records (has rhs, verdict, exact, tower
     depth); exact is the solvability of the system with a right-hand
     side, and without one whether the kernel is zero."""
-    built = {}
-    init = _SquareBlocks.__init__
-
-    def recording_init(self, columns):
-        init(self, columns)
-        built[id(self.witness)] = self
-
     records = []
-    verdict_of = _gfnum.numeric_verdict
+    verdict_of = _SquareBlocks.verdict
 
-    def checking(witness, rows, cols, target=None):
-        verdict = verdict_of(witness, rows, cols, target)
-        blocks = built[id(witness)]
-        matrix, rhs = blocks.system(cols, target)
-        assert len(matrix) == len(rows)
+    def checking(blocks, keys, cols, target=None):
+        verdict = verdict_of(blocks, keys, cols, target)
+        assert keys == blocks.rows(cols, target)
+        matrix, rhs = blocks.system(keys, cols, target)
         if target is None:
             assert verdict in (True, None)
             exact = not _elim.nullspace(matrix, len(cols) * blocks.nmasks)
@@ -97,8 +90,7 @@ def verdicts(monkeypatch):
                         blocks.tower.depth))
         return verdict
 
-    monkeypatch.setattr(_SquareBlocks, "__init__", recording_init)
-    monkeypatch.setattr(_gfnum, "numeric_verdict", checking)
+    monkeypatch.setattr(_SquareBlocks, "verdict", checking)
     return records
 
 
@@ -134,16 +126,17 @@ def test_verdicts_agree_with_elimination_on_monomial_and_binomial_forms(
 def test_one_rank_takes_one_verdict_per_step_from_one_point_set(
         monkeypatch):
     """The benchmark counts `gfnum.calls` as decisions: k2_rank on a dim-8
-    form takes one verdict per greedy step, all on one witness whose
-    points come from one generator, each coordinate drawn once."""
+    form takes one verdict per greedy step, all on one system, whose one
+    witness point comes from one seeded generator drawing once per
+    variable of the system."""
     F = FieldTower.rational(("a", "b", "c", "d"))
     q, _ = sample_monomial_form(random.Random(8), F, 8, 3)
-    witnesses = []
-    verdict_of = _gfnum.numeric_verdict
+    systems = []
+    verdict_of = _SquareBlocks.verdict
 
-    def counting(witness, rows, cols, target=None):
-        witnesses.append(witness)
-        return verdict_of(witness, rows, cols, target)
+    def counting(blocks, *args):
+        systems.append(blocks)
+        return verdict_of(blocks, *args)
 
     seeds, draws = [], []
 
@@ -156,60 +149,58 @@ def test_one_rank_takes_one_verdict_per_step_from_one_point_set(
             draws.append(args)
             return super().randrange(*args)
 
-    monkeypatch.setattr(_gfnum, "numeric_verdict", counting)
+    monkeypatch.setattr(_SquareBlocks, "verdict", counting)
     monkeypatch.setattr(_gfnum.random, "Random", CountingRandom)
     k2_rank(q.coeffs)
-    assert len(witnesses) == 7
-    witness = witnesses[0]
-    assert all(w is witness for w in witnesses)
-    assert len(seeds) == 1 and witness._offsets
-    assert 1 <= len(witness._values) <= _gfnum._TRIALS
-    assert len(draws) == len(witness._values) * len(witness._offsets)
+    assert len(systems) == 7
+    blocks = systems[0]
+    assert all(b is blocks for b in systems)
+    used = 0
+    for block in blocks.blocks:
+        for entries in block.values():
+            for p in entries:
+                used |= p.packed_or()
+    assert seeds == [0x51D2]
+    assert draws and draws == [(ORDER,)] * len(slot_shifts(used))
 
 
 def test_a_verdict_ranks_one_matrix_per_point_and_each_point_is_evaluated_once(
         monkeypatch):
-    """At each point a verdict tries it ranks [A | b] once, and a witness
-    evaluates every entry of every block exactly once at each point it
-    draws: k2_rank on a dim-8 form over F2(a,b,c,d), and on a form with a
-    dependent coefficient over a depth-1 tower, whose greedy step proves
-    unsolvability."""
+    """A verdict ranks [A | b] once, at the system's one witness point, and
+    a system evaluates every entry of every block exactly once, inside its
+    first verdict: k2_rank on a dim-8 form over F2(a,b,c,d), and on a form
+    with a dependent coefficient over a depth-1 tower, whose greedy step
+    proves unsolvability."""
     ranks = [0]
-    tried = set()           # the points the running verdict reads
-    drawn, evaluated = {}, {}
-    reading = []            # the witness whose `at` is running
+    evaluated = {}
+    asking = []             # the system whose verdict is running
     verdicts = []
     rank_of, eval_of = _gfnum._rank, _gfnum._eval_poly
-    at_of, verdict_of = _gfnum.Witness.at, _gfnum.numeric_verdict
+    verdict_of = _SquareBlocks.verdict
 
     def rank(*args):
         ranks[0] += 1
         return rank_of(*args)
 
     def evaluate(*args):
-        evaluated[reading[-1]] = evaluated.get(reading[-1], 0) + 1
+        # an entry is only evaluated inside a verdict
+        evaluated[asking[-1]] = evaluated.get(asking[-1], 0) + 1
         return eval_of(*args)
 
-    def at(self, k, *args):
-        tried.add(k)
-        drawn.setdefault(self, set()).add(k)
-        reading.append(self)
+    def verdict(blocks, keys, cols, target=None):
+        before = ranks[0], evaluated.get(blocks, 0)
+        asking.append(blocks)
         try:
-            return at_of(self, k, *args)
+            v = verdict_of(blocks, keys, cols, target)
         finally:
-            reading.pop()
-
-    def verdict(witness, rows, cols, target=None):
-        tried.clear()
-        before = ranks[0]
-        v = verdict_of(witness, rows, cols, target)
-        verdicts.append((v, ranks[0] - before, set(tried)))
+            asking.pop()
+        verdicts.append((blocks, v, ranks[0] - before[0],
+                         evaluated.get(blocks, 0) - before[1]))
         return v
 
     monkeypatch.setattr(_gfnum, "_rank", rank)
     monkeypatch.setattr(_gfnum, "_eval_poly", evaluate)
-    monkeypatch.setattr(_gfnum.Witness, "at", at)
-    monkeypatch.setattr(_gfnum, "numeric_verdict", verdict)
+    monkeypatch.setattr(_SquareBlocks, "verdict", verdict)
 
     F = FieldTower.rational(("a", "b", "c", "d"))
     q, _ = sample_monomial_form(random.Random(8), F, 8, 3)
@@ -219,15 +210,15 @@ def test_a_verdict_ranks_one_matrix_per_point_and_each_point_is_evaluated_once(
     gens.append(fraction(1).square() * gens[0] + fraction(1).square() * gens[2])
     k2_rank(gens)
 
-    assert False in {v for v, _, _ in verdicts}
-    for _, count, points in verdicts:
-        assert points == set(range(len(points)))
-        assert count == len(points)
-    assert len(drawn) >= 2 and set(evaluated) == set(drawn)
-    for witness, points in drawn.items():
-        entries = sum(len(e) for block in witness.blocks
+    assert False in {v for _, v, _, _ in verdicts}
+    assert {count for _, _, count, _ in verdicts} == {1}
+    seen = set()
+    for blocks, _, _, count in verdicts:
+        entries = sum(len(e) for block in blocks.blocks
                       for e in block.values())
-        assert evaluated[witness] == len(points) * entries
+        assert count == (0 if blocks in seen else entries)
+        seen.add(blocks)
+    assert len(seen) >= 2 and set(evaluated) == seen
 
 
 def test_one_elimination_ranks_a_and_the_augmented_matrix():

@@ -260,6 +260,29 @@ class TestNullspaceAndKernels:
                 acc = acc + c.square() * g
             assert acc.is_zero
 
+    def test_square_nullspace_is_a_basis_over_the_rational_base(self):
+        """Over a depth-s tower the vectors are a basis over F, not over
+        the tower: 2^s times the kernel's dimension dim - rank, which is
+        what kernel_from_coefficients returns."""
+        F = FieldTower.rational(("a", "b", "c"))
+        a, b, c = (F.var(n) for n in "abc")
+        K = F.extend_inseparable(a, "y")
+        L = K.extend_inseparable(F.embed(b, K), "z")
+
+        def over(field, *elems):
+            return [F.embed(e, field) for e in elems]
+
+        y = K.gen(0)
+        for gens, depth, kernel_dim in (
+                ([F.one(), a, a * b, a ** 3], 0, 1),
+                (over(K, F.one(), a, b) + [y * F.embed(b, K)], 1, 1),
+                (over(L, F.one(), a, b, c), 2, 2)):
+            vectors = square_nullspace(gens)
+            assert len(kernel_from_coefficients(gens)) == kernel_dim
+            assert len(vectors) == 2 ** depth * kernel_dim
+            for vec in vectors:
+                assert square_combination(vec, gens).is_zero
+
     def test_empty_system_has_no_kernel_to_return(self, F):
         # no equation fixes no set of unknowns; no unknowns give the zero
         # kernel, and a proved zero kernel is [] as well
