@@ -144,13 +144,10 @@ def numeric_verdict(rows: List[List[int]], ncols: int) -> Optional[bool]:
     """Solvability of A x = b from the rows [A | b] at the witness point,
     A having `ncols` columns, or for rows of A alone whether its kernel is
     zero.  True and False are proofs, and a zero kernel is only ever
-    proved; None leaves the decision to exact elimination, unranked when
-    there are no rows, or fewer rows than columns and no b."""
-    if not rows:
-        return None
+    proved; None leaves the decision to exact elimination.  The caller
+    asks only where a verdict is possible: on at least one row, and
+    without b on at least `ncols` rows."""
     nrows, augmented = len(rows), len(rows[0]) > ncols
-    if not augmented and nrows < ncols:
-        return None
     rank_a, rank_ab = _rank(rows, ncols, *_tables())
     if rank_a == (nrows if augmented else ncols):
         return True

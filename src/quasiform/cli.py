@@ -83,7 +83,11 @@ def _run_compare(p, q) -> Result:
     out: Result = {"isometric": factor is not None and factor.is_one}
     out["similar"] = factor is not None
     out["similarity_factor"] = None if factor is None else str(factor)
-    stably = decide_stably_equivalent(p, q)
+    # similar forms of dim >= 2 have isomorphic quadrics, so each is
+    # isotropic over the other's function field; decide_similar has proved
+    # both anisotropic, and a dim-1 pair still raises below
+    stably = ((factor is not None and p.dim >= 2)
+              or decide_stably_equivalent(p, q))
     out["stably_equivalent"] = stably
     # decide_birational is exactly this, and would decide stable
     # equivalence a second time

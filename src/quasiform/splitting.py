@@ -12,11 +12,14 @@ ranked before, or that is known anisotropic by construction (an
 anisotropic part, a subform of a form ranked anisotropic), pays nothing
 for it.
 
-`over_own_function_field` is the one rule for q over k(q), which every
-level of the splitting pattern, the first Witt index and the r of a
-ruling read.  The generic point of k(q) is a zero of q, so q's last
-coefficient is in the span of the others over the squares there, and only
-the first dim - 1 coefficients are ranked.
+`over_own_function_field` is the one rule for q over k(q), which the
+levels of the splitting pattern down to dimension 4, the first Witt index
+and the r of a ruling read.  The generic point of k(q) is a zero of q, so
+q's last coefficient is in the span of the others over the squares there,
+and only the first dim - 1 coefficients are ranked.  An anisotropic form
+of dimension 2 or 3 has first Witt index 1 (splitting_pattern), so the
+rest of the pattern is read off its dimension and no field is built for
+it.
 """
 
 from __future__ import annotations
@@ -144,12 +147,33 @@ def over_own_function_field(
 
 def splitting_pattern(q: QuasilinearForm) -> SplittingPattern:
     """Dimensions (dim q_0, ..., dim q_h) of the iterated anisotropic parts
-    over the tower of function fields, down to dimension <= 1."""
+    over the tower of function fields, down to dimension <= 1.
+
+    Function fields are built only while the anisotropic part has
+    dimension >= 4.  An anisotropic form of dimension 2 or 3 has first Witt
+    index 1, the Hoffmann-Laghribi bound (hl_bound) at its value 1, so the
+    rest of the pattern is dim - 1, ..., 1.  Elementary proofs, for q
+    anisotropic over a field F of characteristic 2, in the chart of
+    function_field (scaling q changes neither its quadric nor the
+    dimensions of its anisotropic parts):
+
+    - dim 2, q = <a_1, a_2>: k(q) = F(y) with y^2 = a_1 / a_2, so
+      a_1 = a_2 y^2 and one dimension is left.
+    - dim 3, q = <1, a, b>: q is isotropic over k(q), so at most two
+      dimensions are left.  Suppose a and b were both squares in
+      k(q) = F(u)(y).  As a is not a square in F (q is anisotropic), nor
+      in the purely transcendental F(u), k(q) = F(u)(sqrt a), and so
+      b in F(u)^2(a) = F^2(a)(u^2).  Its elements in F are those of
+      F^2(a) = F^2 + a F^2, so b = x^2 + a z^2 with x, z in F, and
+      <1, a, b> would be isotropic over F.  So two dimensions are left.
+    """
     current = anisotropic_part(q)
     dims: List[int] = [current.dim]
-    while current.dim >= 2:
+    while current.dim >= 4:
         current = anisotropic_part(over_own_function_field(current)[1])
         dims.append(current.dim)
+    # i_1 = 1 from here on (docstring)
+    dims.extend(range(current.dim - 1, 0, -1))
     return SplittingPattern(tuple(dims))
 
 

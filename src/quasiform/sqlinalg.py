@@ -183,12 +183,16 @@ class _SquareBlocks:
                 target: Optional[int] = None) -> Optional[bool]:
         """The witness verdict (`_gfnum.numeric_verdict`) on the system on
         `keys`, read at the witness point; the first verdict evaluates
-        every block there."""
+        every block there.  No point settles a system without rows, nor a
+        kernel test with fewer rows than unknowns (rank A(p) <= #rows), so
+        those are left to exact elimination without drawing one."""
+        ncols = len(cols) * self.nmasks
+        if not keys or (target is None and len(keys) < ncols):
+            return None
         if self._point is None:
             self._point = _gfnum.evaluate(self.blocks)
         return _gfnum.numeric_verdict(
-            self._layout(self._point, 0, keys, cols, target),
-            len(cols) * self.nmasks)
+            self._layout(self._point, 0, keys, cols, target), ncols)
 
     def solvable(self, cols: Sequence[int], target: int) -> bool:
         """Decision only: the witness when it settles the system, exact

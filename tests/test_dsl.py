@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quasiform.cli as cli
-from quasiform.birational import decide_birational
+from quasiform.birational import decide_birational, decide_stably_equivalent
 from quasiform.corpus import CASES, run_corpus
 from quasiform.dsl import (
     MAX_NESTING,
@@ -19,6 +19,7 @@ from quasiform.dsl import (
     tokenize,
 )
 from quasiform.errors import (
+    DimensionTooSmall,
     DslSyntaxError,
     IsotropicInput,
     ResourceLimit,
@@ -386,6 +387,26 @@ class TestCommandShortcuts:
                     p.field, {"p": p, "q": q}, "compare p q")))["results"][0]
                 assert entry["birational"] == decide_birational(p, q)
 
+    def test_compare_reads_stable_equivalence_off_similarity(self):
+        """Similar forms of dim >= 2 are stably equivalent without a
+        function field; a similar pair of dim 1 still fails as stable
+        equivalence does."""
+        frozen = [q for q in _frozen_forms()
+                  if q.field.base_vars == ("a", "b", "c") and q.dim <= 5]
+        for p in frozen + self._sampled(43, 4):
+            F = p.field
+            q = p.scale(F.var("a") * F.var("c") + F.one())
+            entry = cli.run(parse(_script(
+                F, {"p": p, "q": q}, "compare p q")))["results"][0]
+            assert entry["similar"]
+            assert entry["stably_equivalent"] == \
+                decide_stably_equivalent(p, q)
+            assert entry["birational"] == decide_birational(p, q)
+        with pytest.raises(DimensionTooSmall,
+                           match="stable equivalence needs dimension"):
+            cli.run(parse("field F2(a,b); form p = <a>; form q = <b>;"
+                          "compare p q;"))
+
 
 class TestCorpus:
     def test_all_cases_pass(self):
@@ -507,11 +528,22 @@ class TestMain:
         assert "Traceback" not in err
 
     def test_depth_limit_exit(self, tmp_path, capsys):
+        # the generic dim-6 form builds k(q_0), k(q_1) and k(q_2) for its
+        # anisotropic parts of dim 6, 5 and 4: depth 3
+        script = self.write(tmp_path,
+                            "field F2(t1,t2,t3,t4,t5,t6);"
+                            "form g = <t1,t2,t3,t4,t5,t6>; invariants g;")
+        assert cli.main(["run", script, "--max-tower-depth", "2"]) == 3
+        assert "resource limit" in capsys.readouterr().err
+        # the generic dim-5 form needs depth 2: its pattern is forced from
+        # dim 3 on, where no function field is built
         script = self.write(tmp_path,
                             "field F2(t1,t2,t3,t4,t5);"
                             "form g = <t1,t2,t3,t4,t5>; invariants g;")
-        assert cli.main(["run", script, "--max-tower-depth", "2"]) == 3
-        assert "resource limit" in capsys.readouterr().err
+        assert cli.main(["run", script, "--max-tower-depth", "2",
+                         "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"][0]["splitting_pattern"] == [5, 4, 3, 2, 1]
 
     def test_timeout_exit(self, tmp_path, capsys):
         script = self.write(tmp_path,

@@ -221,6 +221,32 @@ def test_a_verdict_ranks_one_matrix_per_point_and_each_point_is_evaluated_once(
     assert len(seen) >= 2 and set(evaluated) == seen
 
 
+def test_a_kernel_test_with_fewer_rows_than_unknowns_draws_no_point(
+        monkeypatch):
+    """No point proves a zero kernel from fewer rows than unknowns, so such
+    a verdict is None without evaluating the system, and exact elimination
+    decides.  Over F2(a) the columns 1, a, a^3 give one row per parity
+    class: two rows for three unknowns, and two for the two of 1, a."""
+    drawn = []
+    evaluate = _gfnum.evaluate
+
+    def drawing(blocks):
+        drawn.append(blocks)
+        return evaluate(blocks)
+
+    monkeypatch.setattr(_gfnum, "evaluate", drawing)
+    F = FieldTower.rational(("a",))
+    a = F.var("a")
+    blocks = _SquareBlocks([[F.one()], [a], [a ** 3]])
+    keys = blocks.rows([0, 1, 2])
+    assert len(keys) == 2
+    assert blocks.verdict(keys, [0, 1, 2]) is None
+    assert drawn == []
+    assert _elim.nullspace(blocks.system(keys, [0, 1, 2])[0], 3)
+    assert blocks.verdict(blocks.rows([0, 1]), [0, 1]) is True
+    assert drawn == [blocks.blocks]
+
+
 def test_one_elimination_ranks_a_and_the_augmented_matrix():
     """_rank gives the rank of the first `split` columns and of all of
     them, as the bitwise oracle finds them, on seeded GF(2^15) matrices

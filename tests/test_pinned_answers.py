@@ -29,7 +29,7 @@ PINNED = {
     "invariants-tower": (
         120,
         "8a19db896f926575c936c95ea15a377fabb9139a69140d2da13a482e526a70b8",
-        dict(numeric_verdict=509, conclusive=509, solve=0, solvable=0,
+        dict(numeric_verdict=400, conclusive=400, solve=0, solvable=0,
              nullspace=0)),
     "ruling-verify": (
         60,
@@ -39,7 +39,7 @@ PINNED = {
     "compare-pool": (
         198,
         "3c79913fdc61047a20b085af6f8fefdf30d7018f81b051117ec6118d0688e39d",
-        dict(numeric_verdict=2459, conclusive=2393, solve=0, solvable=54,
+        dict(numeric_verdict=2344, conclusive=2295, solve=0, solvable=44,
              nullspace=12)),
 }
 

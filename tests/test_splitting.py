@@ -365,24 +365,26 @@ def _generic(n):
 
 class TestOwnFieldSystems:
     """The systems that rank a form over its own function field: none has
-    the form's last coefficient as a column, a dim-2 level has none, and
-    the first Witt index of a dim-d form takes d - 2 greedy steps."""
+    the form's last coefficient as a column, the splitting pattern builds
+    a field only for its levels of dim >= 4, and the first Witt index of a
+    dim-d form takes d - 2 greedy steps."""
 
     def test_splitting_pattern_never_ranks_the_last_coefficient(
             self, F, systems, levels):
         built, _ = systems
-        for q in (_generic(4), pfister2(F)):
+        for q in (_generic(5), pfister2(F), _generic(3), _generic(2),
+                  QuasilinearForm(F, [F.one(), F.var("a"), F.var("b")])):
             del built[:], levels[:]
             dims = splitting_pattern(q).dims
-            assert [p.dim for p, _ in levels] == list(dims[:-1])
+            assert [p.dim for p, _ in levels] == [d for d in dims if d >= 4]
+            if q.dim <= 3:
+                # no field built, so no system over any field but q's own
+                assert {tower for tower, _ in built} <= {q.field}
             for p, ff in levels:
                 last = p.field.embed(p.coeffs[-1], ff.tower)
                 own = [cols for tower, cols in built if tower == ff.tower]
                 assert all(last not in cols for cols in own)
-                if p.dim == 2:
-                    assert own == []
-                else:
-                    assert [len(cols) for cols in own] == [p.dim - 1]
+                assert [len(cols) for cols in own] == [p.dim - 1]
 
     def test_first_witt_index_takes_dim_minus_two_steps(
             self, F, systems):
@@ -395,10 +397,77 @@ class TestOwnFieldSystems:
             assert len(built) == (q.dim > 2)
 
 
+def _pattern_built_to_the_end(q):
+    """The splitting pattern with a function field built at every level
+    down to dimension <= 1, none of it read off the dimension."""
+    current = anisotropic_part(q)
+    dims = [current.dim]
+    while current.dim >= 2:
+        current = anisotropic_part(over_own_function_field(current)[1])
+        dims.append(current.dim)
+    return tuple(dims)
+
+
+def _random_anisotropic(field, sample, dims, per_dim):
+    """`per_dim` anisotropic forms of each dimension in `dims`, with
+    coefficients drawn by `sample()`."""
+    forms = []
+    for dim in dims:
+        found = 0
+        while found < per_dim:
+            q = QuasilinearForm(field, [sample() for _ in range(dim)])
+            if is_anisotropic(q):
+                forms.append(q)
+                found += 1
+    return forms
+
+
+class TestForcedTail:
+    """From an anisotropic part of dim 3 on, splitting_pattern reads the
+    pattern off the dimension.  Building every level's function field
+    instead, as `_pattern_built_to_the_end` does, gives the same pattern,
+    so every dim-2 and dim-3 level it builds has first Witt index 1."""
+
+    def _check(self, forms):
+        tails = set()
+        for q in forms:
+            built = _pattern_built_to_the_end(q)
+            assert splitting_pattern(q).dims == built
+            tails.update(d for d in built if 2 <= d <= 3)
+        return tails
+
+    def test_generic_and_pfister_forms(self, F):
+        forms = [_generic(n) for n in range(2, 7)]
+        forms += [pfister2(F),
+                  quasi_pfister([F.var("a"), F.var("b"), F.var("c")], F)]
+        assert self._check(forms) == {2, 3}
+
+    def test_invariants_tower_inputs(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+        from qbench.workloads import WORKLOADS
+
+        queries = itertools.islice(WORKLOADS["invariants-tower"].timed(3), 60)
+        forms = [dsl.parse(query.payload).forms[0].form for query in queries]
+        assert {q.dim for q in forms} == {3, 4}
+        assert self._check(forms) == {2, 3}
+
+    def test_random_forms_over_the_rational_field(self, F):
+        rng = random.Random(21)
+        forms = _random_anisotropic(
+            F, lambda: sample_poly_elem(rng, F, 3, 2), range(2, 6), 3)
+        assert self._check(forms) == {2, 3}
+
+    def test_random_forms_over_a_depth_one_tower(self):
+        K, _, _, element = tower_sampler(21, depth=1)
+        forms = _random_anisotropic(K, lambda: element(1), range(2, 6), 2)
+        assert self._check(forms) == {2, 3}
+
+
 def test_invariants_tower_queries_pass_their_oracle(monkeypatch):
     """The benchmark's own `invariants-tower` inputs, monomial forms of dim
-    3 and 4 whose splitting patterns reach towers of depth 3, through
-    dsl.parse and cli.run, each answer checked by its oracle."""
+    3 and 4, through dsl.parse and cli.run, each answer checked by its
+    oracle.  Their splitting patterns build one function field at most,
+    for a dim-4 form; the rest of each pattern is forced."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
     from qbench.oracles import check_invariants
     from qbench.workloads import WORKLOADS
