@@ -16,6 +16,12 @@ which solving and kernel extraction never notice.
 Pivoting is full: each step picks the entry with fewest terms over all
 remaining rows and columns (ties by lowest column then row index), which
 keeps the surviving minors small and is deterministic.
+
+Every entry point takes a system as its rows and `ncols`, the number of
+unknowns: `solve` and `solvable` take the rows [A | b] with A `ncols`
+wide, the layout `_gfnum.numeric_verdict` reads, and `nullspace` the rows
+of A alone.  The rows may be empty: every unknown is then free and set to
+zero, so `solve` returns `ncols` zeros and `nullspace` the identity basis.
 """
 
 from __future__ import annotations
@@ -89,14 +95,6 @@ class _Eliminator:
         return pivots
 
 
-def _forward(rows: List[List[Poly]], ncols: int) -> List[Tuple[int, int]]:
-    """Eliminate in place on the first ncols columns; returns (row, col) pivots."""
-    e = _Eliminator(rows)
-    pivots = e.forward(ncols)
-    rows[:] = e.rows
-    return pivots
-
-
 def _back_substitute(rows: List[List[Poly]], pivots: List[Tuple[int, int]],
                      ncols: int, rhs_col: Optional[int],
                      free_values: dict) -> List[RatFn]:
@@ -119,56 +117,47 @@ def _back_substitute(rows: List[List[Poly]], pivots: List[Tuple[int, int]],
     return [v if v is not None else RatFn.zero() for v in x]
 
 
-def _consistent_forward(matrix: List[List[Poly]], rhs: List[Poly]
+def _consistent_forward(rows: List[List[Poly]], ncols: int
                         ) -> Optional[Tuple[List[List[Poly]],
                                             List[Tuple[int, int]]]]:
-    """Forward pass on [matrix | rhs]: the reduced rows and the pivots, or
-    None when a row without pivot keeps a nonzero right-hand side."""
-    ncols = len(matrix[0])
-    rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
-    pivots = _forward(rows, ncols)
+    """Forward pass on the rows [A | b]: the reduced rows and the pivots,
+    or None when a row without pivot keeps a nonzero right-hand side."""
+    e = _Eliminator(rows)
+    pivots = e.forward(ncols)
     pivot_rows = {pi for pi, _ in pivots}
     if any(not r[ncols].is_zero
-           for i, r in enumerate(rows) if i not in pivot_rows):
+           for i, r in enumerate(e.rows) if i not in pivot_rows):
         return None
-    return rows, pivots
+    return e.rows, pivots
 
 
-def solve(matrix: List[List[Poly]], rhs: List[Poly]) -> Optional[List[RatFn]]:
-    """One solution of matrix * x = rhs over the fraction field, or None.
+def solve(rows: List[List[Poly]], ncols: int) -> Optional[List[RatFn]]:
+    """One solution of A x = b from the rows [A | b], A having `ncols`
+    columns, over the fraction field, or None.
 
     Free unknowns are set to zero, so the returned solution is deterministic.
     """
-    if not matrix:
-        return []
-    reduced = _consistent_forward(matrix, rhs)
+    reduced = _consistent_forward(rows, ncols)
     if reduced is None:
         return None
-    ncols = len(matrix[0])
     return _back_substitute(*reduced, ncols, ncols, {})
 
 
-def solvable(matrix: List[List[Poly]], rhs: List[Poly]) -> bool:
-    """Whether matrix * x = rhs has a solution, skipping back-substitution.
+def solvable(rows: List[List[Poly]], ncols: int) -> bool:
+    """Whether A x = b has a solution, from the rows [A | b] as for solve,
+    skipping back-substitution.
 
     The forward pass settles consistency, so this avoids the rational
     function arithmetic that producing an explicit solution would cost.
     """
-    return not matrix or _consistent_forward(matrix, rhs) is not None
+    return _consistent_forward(rows, ncols) is not None
 
 
-def nullspace(matrix: List[List[Poly]], ncols: int) -> List[List[RatFn]]:
-    """Basis of the right kernel over the fraction field."""
-    if not matrix:
-        return [[RatFn.one() if j == f else RatFn.zero() for j in range(ncols)]
-                for f in range(ncols)]
-    rows = [list(r) for r in matrix]
-    pivots = _forward(rows, ncols)
+def nullspace(rows: List[List[Poly]], ncols: int) -> List[List[RatFn]]:
+    """Basis of the right kernel of the rows of A, `ncols` wide, over the
+    fraction field."""
+    e = _Eliminator(rows)
+    pivots = e.forward(ncols)
     pivot_cols = {c for _, c in pivots}
-    basis = []
-    for f in range(ncols):
-        if f in pivot_cols:
-            continue
-        vec = _back_substitute(rows, pivots, ncols, None, {f: RatFn.one()})
-        basis.append(vec)
-    return basis
+    return [_back_substitute(e.rows, pivots, ncols, None, {f: RatFn.one()})
+            for f in range(ncols) if f not in pivot_cols]

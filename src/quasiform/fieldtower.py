@@ -44,7 +44,7 @@ class FieldTower:
     compare equal and their elements interoperate.
     """
 
-    __slots__ = ("base_vars", "gens", "depth_limit", "_theta_masks", "_hash")
+    __slots__ = ("base_vars", "gens", "depth_limit", "_theta_masks")
 
     def __init__(
         self,
@@ -66,7 +66,6 @@ class FieldTower:
         object.__setattr__(self, "gens", tuple(gens))
         object.__setattr__(self, "depth_limit", depth_limit)
         object.__setattr__(self, "_theta_masks", {})
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("FieldTower is immutable")
@@ -79,11 +78,7 @@ class FieldTower:
                 and self.gens == other.gens)
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.base_vars, self.gens))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.base_vars, self.gens))
 
     @property
     def depth(self) -> int:
@@ -307,7 +302,7 @@ class FieldTower:
 class TowerElem:
     """An element of a FieldTower in reduced square-free-monomial form."""
 
-    __slots__ = ("tower", "coeffs", "_hash")
+    __slots__ = ("tower", "coeffs")
 
     def __init__(self, tower: FieldTower, coeffs: Dict[int, RatFn]):
         clean = {m: c for m, c in coeffs.items() if not c.is_zero}
@@ -316,7 +311,6 @@ class TowerElem:
                 raise ValueError("coefficient mask outside tower generators")
         object.__setattr__(self, "tower", tower)
         object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("TowerElem is immutable")
@@ -404,11 +398,7 @@ class TowerElem:
                 and self.coeffs == other.coeffs)
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.tower, _freeze(self.coeffs)))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.tower, _freeze(self.coeffs)))
 
     def __str__(self) -> str:
         return self.tower._coeffs_str(self.coeffs)
@@ -434,7 +424,6 @@ def _elem(tower: FieldTower, coeffs: Dict[int, RatFn]) -> TowerElem:
     e = _new(TowerElem)
     _set(e, "tower", tower)
     _set(e, "coeffs", coeffs)
-    _set(e, "_hash", None)
     return e
 
 

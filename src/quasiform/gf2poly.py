@@ -539,14 +539,13 @@ def _ratfn(num: Poly, den: Poly) -> "RatFn":
     r = _new(RatFn)
     r.num = num
     r.den = den
-    r._hash = None
     return r
 
 
 class RatFn:
     """A reduced fraction of GF(2) polynomials with nonzero denominator."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly):
         if den.is_zero:
@@ -557,7 +556,6 @@ class RatFn:
             num, den = _cancel(num, den)
         self.num = num
         self.den = den
-        self._hash = None
 
     @staticmethod
     def from_poly(p: Poly) -> "RatFn":
@@ -625,10 +623,7 @@ class RatFn:
                 and self.num == other.num and self.den == other.den)
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.num, self.den))
-        return h
+        return hash((self.num, self.den))
 
     def derivative(self, v: str) -> "RatFn":
         """Quotient rule, characteristic 2: (num' den + num den') / den^2."""

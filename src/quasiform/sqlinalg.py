@@ -19,11 +19,12 @@ Reduction to commutative linear algebra over F = GF(2)(base variables):
    fraction-free.
 
 Each generator owns a block of columns in that system (`_SquareBlocks`).  The
-blocks are built once per query, so a greedy rank loop only selects columns.
-Every decision on them first reads the blocks' values at one witness point
-(`_gfnum`); the polynomial system is assembled only for exact elimination:
-a decision the point does not settle, and every root vector or kernel
-basis.  Both are laid out by one rule (`_SquareBlocks._layout`).
+blocks are built once per query, so the greedy rank loop (`_independent`)
+only selects columns.  Every decision on them first reads the blocks'
+values at one witness point (`_gfnum`); the polynomial system is assembled
+only for exact elimination (`_elim`): a decision the point does not settle,
+and every root vector or kernel basis.  Both take the rows [A | b] as one
+rule lays them out (`_SquareBlocks._layout`), with the number of unknowns.
 
 Every returned relation is re-verified exactly in the tower before being
 handed out.  The checks run on roots cleared of denominators
@@ -101,7 +102,8 @@ class _SquareBlocks:
     rule for which keys a choice of unknowns and target has, and `_layout`
     the one rule for the rows [A | b] on them: from the polynomial blocks
     for exact elimination (`system`), and from their values at the witness
-    point for a verdict (`verdict`).
+    point for a verdict (`verdict`).  Both hand the rows on whole, with
+    len(cols) * nmasks unknowns.
     """
 
     __slots__ = ("tower", "nmasks", "blocks", "_point")
@@ -170,14 +172,10 @@ class _SquareBlocks:
         return rows
 
     def system(self, keys: Set[_RowKey], cols: Sequence[int],
-               target: Optional[int] = None
-               ) -> Tuple[List[List[Poly]], Optional[List[Poly]]]:
-        """A and b (None without target) on `keys`, in key order, for
-        exact elimination."""
-        rows = self._layout(self.blocks, _ZERO, sorted(keys), cols, target)
-        if target is None:
-            return rows, None
-        return [row[:-1] for row in rows], [row[-1] for row in rows]
+               target: Optional[int] = None) -> List[List[Poly]]:
+        """The rows [A | b] (A alone without target) on `keys`, in key
+        order, for exact elimination (`_elim`)."""
+        return self._layout(self.blocks, _ZERO, sorted(keys), cols, target)
 
     def verdict(self, keys: Set[_RowKey], cols: Sequence[int],
                 target: Optional[int] = None) -> Optional[bool]:
@@ -201,7 +199,8 @@ class _SquareBlocks:
         verdict = self.verdict(keys, cols, target)
         if verdict is not None:
             return verdict
-        return _elim.solvable(*self.system(keys, cols, target))
+        return _elim.solvable(self.system(keys, cols, target),
+                              len(cols) * self.nmasks)
 
     def roots(self, cols: Sequence[int],
               target: int) -> Optional[List[TowerElem]]:
@@ -211,7 +210,8 @@ class _SquareBlocks:
         keys = self.rows(cols, target)
         if self.verdict(keys, cols, target) is False:
             return None
-        sol = _elim.solve(*self.system(keys, cols, target))
+        sol = _elim.solve(self.system(keys, cols, target),
+                          len(cols) * self.nmasks)
         if sol is None:
             return None
         return _coeff_vectors(sol, len(cols), self.nmasks, self.tower)
@@ -311,8 +311,7 @@ def square_nullspace_multi(
     if blocks.verdict(keys, range(ngens)):
         return []
     tower, nmasks = blocks.tower, blocks.nmasks
-    matrix, _ = blocks.system(keys, range(ngens))
-    basis = _elim.nullspace(matrix, ngens * nmasks)
+    basis = _elim.nullspace(blocks.system(keys, range(ngens)), ngens * nmasks)
     out = []
     for vec in basis:
         roots = _coeff_vectors(vec, ngens, nmasks, tower)
@@ -361,8 +360,7 @@ def tower_linear_solve(
             per_mask.append([tower._mul(ym, v.coeffs) for v in col])
         expanded.append(per_mask)
 
-    matrix: List[List[Poly]] = []
-    rvec: List[Poly] = []
+    rows: List[List[Poly]] = []
     for comp in range(height):
         for mu in range(nmasks):
             fns: List[RatFn] = []
@@ -375,10 +373,8 @@ def tower_linear_solve(
             if all(f.is_zero for f in fns):
                 continue
             den = common_denominator(fns)
-            row = [numerator_over(f, den) for f in fns]
-            matrix.append(row[:-1])
-            rvec.append(row[-1])
-    sol = _elim.solve(matrix, rvec)
+            rows.append([numerator_over(f, den) for f in fns])
+    sol = _elim.solve(rows, len(columns) * nmasks)
     if sol is None:
         return None
     return _coeff_vectors(sol, len(columns), nmasks, tower)
@@ -433,18 +429,29 @@ def k2_membership(
     return SquareRelation(target, list(gens), roots)
 
 
-def _generator_blocks(gens: Sequence[TowerElem]) -> Optional[_SquareBlocks]:
-    """Column blocks of one equation with every generator as a column;
-    each greedy step then selects the independent columns found so far,
-    with the next generator's own block as the right-hand side.  A single
-    nonzero generator is independent and takes no step, so it gets no
-    system (None)."""
+def _independent(gens: Sequence[TowerElem]
+                 ) -> Tuple[Optional[_SquareBlocks], List[int]]:
+    """The greedy rank: the square system with every generator as a column
+    of one equation, and the indices of the earliest maximal sub-list
+    independent over the squares.
+
+    The system is built once; each step selects the columns of the
+    independent generators found so far and tests the next generator's
+    own block as right-hand side, decision only: the numeric witness when
+    it is conclusive, exact elimination otherwise.  A single nonzero
+    generator is independent and takes no step, so it gets no system
+    (None)."""
     for j, g in enumerate(gens):
         if g.is_zero:
             raise ZeroGenerator(f"generator {j} is zero")
     if len(gens) == 1:
-        return None
-    return _SquareBlocks([(g,) for g in gens])
+        return None, [0]
+    blocks = _SquareBlocks([(g,) for g in gens])
+    indep = [0]
+    for j in range(1, len(gens)):
+        if not blocks.solvable(indep, j):
+            indep.append(j)
+    return blocks, indep
 
 
 def greedy_independent(
@@ -453,49 +460,36 @@ def greedy_independent(
     """Earliest-first maximal independent subset over squares.
 
     Returns the independent indices and, for every dependent generator, the
-    relation expressing it over the independent ones before it.  The square
-    system is built once for all generators (`_SquareBlocks`); each step
-    selects the columns of the independent generators and takes the next
-    generator as right-hand side.  A numeric proof of independence skips
-    the exact solve; every relation comes from exact elimination and is
-    re-verified by SquareRelation.  The relation over an independent set is
-    unique, so it does not depend on how the system was scaled.
+    relation expressing it over the independent ones before it.  The
+    indices come from the greedy rank (`_independent`); each dependent
+    generator then takes one exact solve on the same system, with the
+    columns its step selected.  Every relation is re-verified by
+    SquareRelation.  The relation over an independent set is unique, so it
+    does not depend on how the system was scaled.
     """
     gens = list(gens)
     if not gens:
         return [], {}
-    blocks = _generator_blocks(gens)
-    indep: List[int] = [0]
+    blocks, indep = _independent(gens)
     relations: Dict[int, SquareRelation] = {}
     for j in range(1, len(gens)):
-        roots = blocks.roots(indep, j)
-        if roots is None:
-            indep.append(j)
-        else:
-            relations[j] = SquareRelation(gens[j], [gens[i] for i in indep],
-                                          roots)
+        if j not in indep:
+            before = [i for i in indep if i < j]
+            relations[j] = SquareRelation(gens[j], [gens[i] for i in before],
+                                          blocks.roots(before, j))
     return indep, relations
 
 
 def k2_rank(gens: Sequence[TowerElem]) -> Tuple[int, List[TowerElem]]:
     """Rank of the generators over the subfield of squares, with the
-    earliest maximal independent sub-list.
-
-    Builds the square system once for all generators (none for a single
-    one), as greedy_independent does, and makes each step a decision-only
-    test on the selected columns: the numeric witness when it is
-    conclusive, exact elimination otherwise.  No relation certificates
-    are materialized; greedy_independent produces those when they are
-    needed.
+    earliest maximal independent sub-list, read off the greedy rank
+    (`_independent`).  No relation certificates are materialized;
+    greedy_independent produces those when they are needed.
     """
     gens = list(gens)
     if not gens:
         raise ZeroGenerator("rank of an empty generator list")
-    blocks = _generator_blocks(gens)
-    indep: List[int] = [0]
-    for j in range(1, len(gens)):
-        if not blocks.solvable(indep, j):
-            indep.append(j)
+    _, indep = _independent(gens)
     return len(indep), [gens[i] for i in indep]
 
 

@@ -8,12 +8,16 @@ generated suites are seeded, so failures reproduce.
 
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
+
+import quasiform
 
 from quasiform.errors import InconsistencyDetected, NotRuled
 from quasiform.fieldtower import FieldTower
@@ -132,11 +136,16 @@ def test_criterion_04_pfister_rulings_verify_through_cli(F, tmp_path):
         "ruling p2;\n"
         "ruling p3;\n",
         encoding="utf-8")
+    # the command runs the package this test imported, found on the
+    # child's path as on pytest's own
+    src = str(Path(quasiform.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     start = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "-m", "quasiform.cli", "run", str(script),
          "--verify-certificates", "--json", "-"],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path})
     elapsed = time.monotonic() - start
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)

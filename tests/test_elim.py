@@ -48,6 +48,11 @@ def sparse_matrix(rng):
     return rows
 
 
+def augmented(matrix, rhs):
+    """The rows [A | b] that solve and solvable take."""
+    return [row + [b] for row, b in zip(matrix, rhs)]
+
+
 def times(matrix, x):
     return [sum((RatFn.from_poly(m) * v for m, v in zip(row, x)),
                 RatFn.zero()) for row in matrix]
@@ -91,11 +96,11 @@ def test_solve_and_solvable_agree(seed):
     consistent = [r.num for r in times(m, x0)]
     arbitrary = [random_poly(rng) for _ in m]
     for rhs in (consistent, arbitrary):
-        x = _elim.solve(m, rhs)
-        assert _elim.solvable(m, rhs) == (x is not None)
+        x = _elim.solve(augmented(m, rhs), ncols)
+        assert _elim.solvable(augmented(m, rhs), ncols) == (x is not None)
         if x is not None:
             assert times(m, x) == [RatFn.from_poly(b) for b in rhs]
-    assert _elim.solve(m, consistent) is not None
+    assert _elim.solve(augmented(m, consistent), ncols) is not None
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -126,8 +131,18 @@ def test_two_steps_pivot_on_the_shared_one():
          [ZERO, ONE, A * C + B, B + ONE]]
     assert _elim._Eliminator(m).forward(4)[:2] == [(0, 0), (2, 1)]
     rhs = [A, B, C]
-    x = _elim.solve(m, rhs)
+    x = _elim.solve(augmented(m, rhs), 4)
     assert x is not None and times(m, x) == [RatFn.from_poly(b) for b in rhs]
     kernel = _elim.nullspace(m, 4)
     assert len(kernel) == 4 - rank_at_points(m, random.Random(0)) == 1
     assert not any(times(m, kernel[0]))
+
+
+def test_a_system_without_rows_leaves_every_unknown_free():
+    zeros = _elim.solve([], 3)
+    assert zeros is not None and len(zeros) == 3
+    assert all(v.is_zero for v in zeros)
+    assert _elim.solvable([], 3)
+    one, zero = RatFn.one(), RatFn.zero()
+    assert _elim.nullspace([], 3) == [[one, zero, zero], [zero, one, zero],
+                                      [zero, zero, one]]

@@ -79,12 +79,13 @@ def verdicts(monkeypatch):
     def checking(blocks, keys, cols, target=None):
         verdict = verdict_of(blocks, keys, cols, target)
         assert keys == blocks.rows(cols, target)
-        matrix, rhs = blocks.system(keys, cols, target)
+        rows = blocks.system(keys, cols, target)
+        ncols = len(cols) * blocks.nmasks
         if target is None:
             assert verdict in (True, None)
-            exact = not _elim.nullspace(matrix, len(cols) * blocks.nmasks)
+            exact = not _elim.nullspace(rows, ncols)
         else:
-            exact = _elim.solvable(matrix, rhs)
+            exact = _elim.solvable(rows, ncols)
         assert verdict is None or verdict == exact
         records.append((target is not None, verdict, exact,
                         blocks.tower.depth))
@@ -242,7 +243,7 @@ def test_a_kernel_test_with_fewer_rows_than_unknowns_draws_no_point(
     assert len(keys) == 2
     assert blocks.verdict(keys, [0, 1, 2]) is None
     assert drawn == []
-    assert _elim.nullspace(blocks.system(keys, [0, 1, 2])[0], 3)
+    assert _elim.nullspace(blocks.system(keys, [0, 1, 2]), 3)
     assert blocks.verdict(blocks.rows([0, 1]), [0, 1]) is True
     assert drawn == [blocks.blocks]
 

@@ -190,6 +190,61 @@ class TestBlockBuiltRank:
         assert all(rel.verify() for rel in relations.values())
 
 
+class TestOneGreedyLoop:
+    """greedy_independent takes its independent indices from the one
+    greedy rank loop k2_rank runs, and solves only for the dependent
+    generators."""
+
+    def test_relations_are_solved_for_dependent_generators_only(
+            self, F, monkeypatch):
+        calls = {"build": 0, "solvable": 0, "roots": []}
+        build = sqlinalg._SquareBlocks.__init__
+        solvable = sqlinalg._SquareBlocks.solvable
+        roots = sqlinalg._SquareBlocks.roots
+
+        def building(blocks, columns):
+            calls["build"] += 1
+            build(blocks, columns)
+
+        def deciding(blocks, cols, target):
+            calls["solvable"] += 1
+            return solvable(blocks, cols, target)
+
+        def solving(blocks, cols, target):
+            calls["roots"].append((list(cols), target))
+            return roots(blocks, cols, target)
+
+        monkeypatch.setattr(sqlinalg._SquareBlocks, "__init__", building)
+        monkeypatch.setattr(sqlinalg._SquareBlocks, "solvable", deciding)
+        monkeypatch.setattr(sqlinalg._SquareBlocks, "roots", solving)
+        a, b = F.var("a"), F.var("b")
+        gens = [F.one(), a, a ** 3, b, a * b.square()]
+        indep, relations = greedy_independent(gens)
+        assert calls == {"build": 1, "solvable": 4,
+                         "roots": [([0, 1], 2), ([0, 1, 3], 4)]}
+        assert indep == [0, 1, 3]
+        assert sorted(relations) == [2, 4]
+        assert relations[2].roots == [F.zero(), a]
+        assert relations[4].roots == [F.zero(), b, F.zero()]
+        assert k2_rank(gens) == (3, [gens[i] for i in indep])
+
+
+class TestSystemsWithoutRows:
+    """A system whose blocks hold no nonzero entry has no rows; every
+    unknown is free, so the solvers return zeros."""
+
+    def test_solve_square_system_of_zeros(self, F):
+        assert solve_square_system([F.zero()], F.zero()) == [F.zero()]
+
+    def test_membership_of_zero_in_the_span_of_zero(self, F):
+        rel = k2_membership(F.zero(), [F.zero()])
+        assert rel is not None and rel.verify()
+        assert rel.roots == [F.zero()]
+
+    def test_tower_linear_solve_of_zeros(self, F):
+        assert tower_linear_solve([[F.zero()]], [F.zero()]) == [F.zero()]
+
+
 class TestMembershipCertificates:
     def test_found_relation_verifies(self, F):
         a, b = F.var("a"), F.var("b")
