@@ -12,10 +12,15 @@ giving phi(y, [c_1:...:c_r]) = [sum c_i s_i(y)]; composing the basis with a
 projection pi: X -> Y and recombining with fiber functions f_i, read off
 one coordinate of each pulled-back vector, recovers the generic point of X
 exactly, which is the certificate that phi has an inverse.  Each s_i and
-pi is one relation already known to exist; no kernel is searched for.
+pi is one relation already known to exist, solved once; no kernel is
+searched for.
 
-`construct_ruling` only builds: the RationalMap constructor proves that pi
-and phi vanish, and `RulingDecomposition.verify` proves the rest, once.
+Each identity is proved by one step.  In `construct_ruling`, the
+RationalMap constructors prove Y(pi) = 0 and X(phi) = 0, and the second
+holds only if X(s_i) = 0 for every i; the solves check nothing, and no
+basis is pulled back.  `RulingCertificate.verify` proves X(s_i) = 0 for
+each i and the recombination, pulling the basis back once, and
+`RulingDecomposition.verify` that phi is built from the s_i.
 """
 
 from __future__ import annotations
@@ -38,16 +43,16 @@ from .forms import QuasilinearForm, is_anisotropic, total_index
 from .gf2poly import Poly, RatFn, common_denominator, numerator_over
 from .maps import RationalMap, projectively_equal
 from .splitting import (
+    _over_own_function_field,
     essential_dimension,
     function_field,
-    over_own_function_field,
     splitting_pattern,
     total_index_over,
 )
 from .sqlinalg import (
+    _SquareBlocks,
     clear_denominators,
     isotropic_kernel_basis,
-    solve_square_system,
     span_saturate,
     square_combination_vanishes,
 )
@@ -198,8 +203,11 @@ class RulingCertificate:
 
         f_1*(s_1 o pi) + ... + f_r*(s_r o pi) = scale * g.
 
-    verify() recomputes the composition from scratch, including the
-    isotropy of every s_i; pi's vanishing is proved by its constructor.
+    verify() recomputes the composition from scratch: r isotropy proofs,
+    one for each s_i, and one pull-back of the basis (`_pull_basis`), whose
+    recombination is checked coordinate by coordinate.  pi's vanishing is
+    proved by its constructor.  Construction pulls nothing back: it reads
+    each fiber off the one coordinate that determines it.
     """
 
     __slots__ = ("X", "Y", "s_basis", "pi", "fibers", "scale")
@@ -295,13 +303,23 @@ def construct_ruling(X: QuasilinearForm) -> RulingDecomposition:
     over a_1..a_{d-1} in k(Y), pi that of the first a_j which X's rank
     over k(X) skipped, over a_1..a_{j-1}, and f_i is read at d-1+i.
 
+    Each relation is one exact solve, without a verdict, on a square
+    system that holds it: pi on the system X's rank over k(X) built, the
+    s_i on one system over k(Y).  Construction proves nothing twice: the
+    constructor of pi proves Y(pi) = 0, that of phi proves X(s_i) = 0 for
+    every i (X(s_1 + t_1 s_2 + ...) = X(s_1) + t_1^2 X(s_2) + ... vanishes
+    only if each term does, the t_i being independent transcendentals).
+    verify() proves each X(s_i) = 0 again, as a certificate trusts no
+    builder, and the recombination.
+
     Raises NotRuled when r = 1 (the decomposition would be trivial and no
-    ruling exists along this route).  It only builds; verify() proves the
-    identities.  Impossible failures raise InconsistencyDetected.
+    ruling exists along this route), and DimensionTooSmall or
+    IsotropicInput as the first Witt index does.  Impossible failures
+    raise InconsistencyDetected.
     """
-    ff_x, X_over_K = over_own_function_field(X)
+    ff_x, _, over_x, kept = _over_own_function_field(X)
     K = ff_x.tower
-    r = total_index(X_over_K)
+    r = X.dim - len(kept)
     if r < 2:
         raise NotRuled("first Witt index is 1")
     d = X.dim - (r - 1)
@@ -314,20 +332,20 @@ def construct_ruling(X: QuasilinearForm) -> RulingDecomposition:
     # space of X over k(X) meets Y's coordinates, of codimension r - 1),
     # and dim - i1 is invariant, so i1(Y) = 1: a_1..a_{d-1} are
     # independent over k(Y), and each later a_j has one relation over
-    # them (X has index r over k(Y)(X) = k(X)(Y), so over k(Y) too).
+    # them (X has index r over k(Y)(X) = k(X)(Y), so over k(Y) too).  One
+    # system holds them and the targets a_{d+1}..a_n, without a_d.
+    over_y = _SquareBlocks([(c,) for c in a[:d - 1] + a[d:]])
     y_inv = ff_y.generic_point[-1].invert()
     s_lists = [[c * y_inv for c in ff_y.generic_point] + [zero] * (r - 1)]
-    for j in range(d, X.dim):
-        s_lists.append(solve_square_system(a[:d - 1], a[j])
-                       + [zero] * (j - d + 1) + [one]
-                       + [zero] * (X.dim - 1 - j))
+    for i in range(1, r):
+        s_lists.append(over_y.solve(range(d - 1), d - 2 + i)
+                       + [zero] * i + [one] + [zero] * (r - 1 - i))
     s_basis = tuple(tuple(s) for s in s_lists)
 
     # X's rank over k(X) keeps a_1..a_j and skips a_{j+1}: one relation.
-    # It keeps n - r = d - 1 coefficients, so j < d: a zero of Y.
-    coeffs, kept = X_over_K.coeffs, X_over_K.independent()
-    j = next((j for j, c in enumerate(kept) if c != coeffs[j]), len(kept))
-    roots = solve_square_system(coeffs[:j], coeffs[j])
+    # It keeps n - r = d - 1 of a_1..a_{n-1}, so j < d: a zero of Y.
+    j = next((j for j, i in enumerate(kept) if i != j), len(kept))
+    roots = over_x.solve(range(j), j)
     if roots is None:
         raise InconsistencyDetected("subform stayed anisotropic over k(X)")
     pi_coords = roots + [K.one()] + [K.zero()] * (d - 1 - j)
@@ -336,13 +354,30 @@ def construct_ruling(X: QuasilinearForm) -> RulingDecomposition:
             "projection chart degenerates: leading coordinate is zero")
     pi = RationalMap(K, pi_coords, Y)
 
-    pulled = _pull_basis(ff_y, s_basis, pi_coords, K)
+    # With pi cleared to (p_1, ..., p_d), the certificate's _pull_basis
+    # sends each s_i, cleared to D_i * s_i, to t_i = p_1^K_i * hom(D_i * s_i),
+    # K_i its clearing power.  s_i is 1 at d-1+i and 0 at X's other last r
+    # coordinates, and so is t_i up to the factor there (a field map sends
+    # only 0 to 0), so f_1 t_1 + ... + f_r t_r = g reads
+    # f_i * t_i[d-1+i] = g[d-1+i], with t_i[d-1+i] = N_i * p_1^(K_i - k_i)
+    # for hom(D_i) = N_i / p_1^k_i.  D_i is a scalar of k(Y) below y, so
+    # its image needs no map of y, whose relation is Y(pi) = 0 again.
+    # _recombines checks every coordinate.
+    names = ff_y.fresh_names
+    pi_poly = clear_denominators(pi_coords)
+    below_y = Y.field.extend_transcendental(names[:-1])
+    hom = TowerHom(below_y, K, dict(zip(names[:-1], pi_poly[1:])),
+                   denominator=pi_poly[0])
     g = ff_x.generic_point
-    # s_i is 1 at d-1+i and 0 at X's other last r coordinates, and so is
-    # t_i = d^k * hom(D_i * s_i) (a field map sends only 0 to 0): there,
-    # f_1 t_1 + ... + f_r t_r = g reads f_i * t_i[d-1+i] = g[d-1+i].  The
-    # certificate's _recombines checks every coordinate.
-    fibers = tuple(g[d - 1 + i] / t[d - 1 + i] for i, t in enumerate(pulled))
+    fibers = []
+    for i, s in enumerate(s_basis):
+        cleared = clear_denominators(s)
+        num, k = hom._image(below_y.scalar(cleared[d - 1 + i].coeffs[0]))
+        power = TowerHom.clearing_power(cleared, names) - k
+        if power:
+            num = num * pi_poly[0] ** power
+        fibers.append(g[d - 1 + i] / num)
+    fibers = tuple(fibers)
     certificate = RulingCertificate(X, Y, s_basis, pi, fibers, K.one())
     phi = RationalMap(*_ruling_map(s_basis), X)
     return RulingDecomposition(X=X, r=r, Y=Y, s_basis=s_basis, phi=phi,

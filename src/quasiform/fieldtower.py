@@ -460,7 +460,8 @@ class TowerHom:
     monomial plus one for each assigned generator of its mask, whatever
     cancels.  `apply` divides once, returning the field image N / d^k;
     `apply_projective` returns the images of a vector times the d^k that
-    clears the whole vector, so it never divides.  Powers of the
+    clears the whole vector, so it never divides; `clearing_power` counts
+    that k without building a hom.  Powers of the
     assigned values and of d are memoised across applications, so build
     one hom per substitution task.
     """
@@ -581,6 +582,28 @@ class TowerHom:
         if elem.tower != self.source:
             raise ValueError("element is not in the hom's source tower")
         return self._coeffs(elem.coeffs.items())
+
+    @staticmethod
+    def clearing_power(vector: Sequence[TowerElem],
+                       assigned: Iterable[str]) -> int:
+        """The power k of d that `apply_projective` clears `vector` by,
+        under a hom that assigns exactly the names in `assigned`, counted
+        without building the hom: as `_coeffs` counts it, the largest
+        assigned degree of a numerator monomial plus one for each assigned
+        generator of its mask.  A generator that is not assigned counts 0
+        (it maps to itself), and nothing cancels, so the count equals the
+        largest k of the entries' images (N, k), with 0 for a zero
+        vector."""
+        names = set(assigned)
+        top = 0
+        for elem in vector:
+            gen_bits = [i for i, (name, _) in enumerate(elem.tower.gens)
+                        if name in names]
+            for mask, fn in elem.coeffs.items():
+                k = max((sum(e for n, e in mono if n in names)
+                         for mono in fn.num.terms), default=0)
+                top = max(top, k + sum(mask >> i & 1 for i in gen_bits))
+        return top
 
     def apply(self, elem: TowerElem) -> TowerElem:
         """The field image of `elem`."""

@@ -14,18 +14,19 @@ for it.
 
 `over_own_function_field` is the one rule for q over k(q), which the
 levels of the splitting pattern down to dimension 4, the first Witt index
-and the r of a ruling read.  The generic point of k(q) is a zero of q, so
-q's last coefficient is in the span of the others over the squares there,
-and only the first dim - 1 coefficients are ranked.  An anisotropic form
-of dimension 2 or 3 has first Witt index 1 (splitting_pattern), so the
-rest of the pattern is read off its dimension and no field is built for
-it.
+and the r of a ruling read; a ruling also takes the square system the
+rule's rank built, and solves its projection on it.  The generic point of
+k(q) is a zero of q, so q's last coefficient is in the span of the others
+over the squares there, and only the first dim - 1 coefficients are
+ranked.  An anisotropic form of dimension 2 or 3 has first Witt index 1
+(splitting_pattern), so the rest of the pattern is read off its dimension
+and no field is built for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import DimensionTooSmall, IsotropicInput
 from .fieldtower import FieldTower, TowerElem, fresh_names
@@ -35,7 +36,7 @@ from .forms import (
     is_anisotropic,
     total_index,
 )
-from .sqlinalg import k2_rank
+from .sqlinalg import _independent, _SquareBlocks
 
 
 @dataclass(frozen=True)
@@ -132,6 +133,17 @@ def over_own_function_field(
     Raises as the first Witt index does on a form of dimension < 2 or an
     isotropic form.
     """
+    return _over_own_function_field(q)[:2]
+
+
+def _over_own_function_field(
+        q: QuasilinearForm
+) -> Tuple[FunctionFieldData, QuasilinearForm, Optional[_SquareBlocks],
+           List[int]]:
+    """over_own_function_field, with the square system its rank built over
+    k(q), whose columns are q's first dim - 1 coefficients (None for
+    dim 2, whose one coefficient takes no step), and the indices the rank
+    kept on it.  A ruling solves its projection on that system."""
     if q.dim < 2:
         raise DimensionTooSmall(
             f"first Witt index needs dimension >= 2, got {q.dim}")
@@ -140,9 +152,10 @@ def over_own_function_field(
     ff = function_field(q)
     over = q.over(ff.tower)
     # a_d is dependent over k(q) by the proof above: rank the others only
+    system, kept = _independent(over.coeffs[:-1])
     object.__setattr__(over, "_independent",
-                       tuple(k2_rank(over.coeffs[:-1])[1]))
-    return ff, over
+                       tuple(over.coeffs[i] for i in kept))
+    return ff, over, system, kept
 
 
 def splitting_pattern(q: QuasilinearForm) -> SplittingPattern:

@@ -26,8 +26,12 @@ only for exact elimination (`_elim`): a decision the point does not settle,
 and every root vector or kernel basis.  Both take the rows [A | b] as one
 rule lays them out (`_SquareBlocks._layout`), with the number of unknowns.
 
-Every returned relation is re-verified exactly in the tower before being
-handed out.  The checks run on roots cleared of denominators
+Every relation the public solvers return is re-verified exactly in the
+tower before being handed out.  The exact solve without a verdict
+(`_SquareBlocks.solve`) checks nothing itself: its callers prove what it
+returns, `greedy_independent` by `SquareRelation`, and
+`birational.construct_ruling` by the vanishing proofs of the maps it
+builds.  The checks run on roots cleared of denominators
 (`clear_denominators`, `square_combination_vanishes`): scaling the roots by
 one nonzero base scalar D scales sum c_i^2 g_i by D^2, so the cleared sum
 vanishes exactly when the original one does, and squaring and multiplying
@@ -202,19 +206,28 @@ class _SquareBlocks:
         return _elim.solvable(self.system(keys, cols, target),
                               len(cols) * self.nmasks)
 
-    def roots(self, cols: Sequence[int],
+    def solve(self, cols: Sequence[int],
               target: int) -> Optional[List[TowerElem]]:
-        """Roots c_j for the columns in `cols`, or None when unsolvable.
-        A witness proof of unsolvability skips the exact solve; a solution
-        always comes from exact elimination."""
-        keys = self.rows(cols, target)
-        if self.verdict(keys, cols, target) is False:
-            return None
-        sol = _elim.solve(self.system(keys, cols, target),
+        """Roots c_j for the columns in `cols` by exact elimination alone,
+        or None when unsolvable; no verdict is taken.  For a caller that
+        already knows the system solvable: a dependent generator of the
+        greedy rank, a relation that a theorem says exists.  The roots are
+        not checked here; the caller proves the relation, or hands it to
+        a step that does."""
+        sol = _elim.solve(self.system(self.rows(cols, target), cols, target),
                           len(cols) * self.nmasks)
         if sol is None:
             return None
         return _coeff_vectors(sol, len(cols), self.nmasks, self.tower)
+
+    def roots(self, cols: Sequence[int],
+              target: int) -> Optional[List[TowerElem]]:
+        """Roots c_j for the columns in `cols`, or None when unsolvable.
+        A witness proof of unsolvability skips the exact solve; a solution
+        always comes from exact elimination (`solve`)."""
+        if self.verdict(self.rows(cols, target), cols, target) is False:
+            return None
+        return self.solve(cols, target)
 
 
 def _coeff_vectors(
@@ -238,7 +251,9 @@ def solve_square_system_multi(
     """Shared roots c_i with sum_i c_i^2 * gen_rows[e][i] = targets[e] for
     every equation e, or None when the system has no solution.  A numeric
     proof of unsolvability skips exact elimination; roots always come from
-    it."""
+    it, and are checked against every equation before they are returned.
+    A caller that proves its relations itself solves on `_SquareBlocks`
+    instead (`birational.construct_ruling`)."""
     if not gen_rows:
         return []
     if not gen_rows[0]:
@@ -461,9 +476,10 @@ def greedy_independent(
 
     Returns the independent indices and, for every dependent generator, the
     relation expressing it over the independent ones before it.  The
-    indices come from the greedy rank (`_independent`); each dependent
-    generator then takes one exact solve on the same system, with the
-    columns its step selected.  Every relation is re-verified by
+    indices come from the greedy rank (`_independent`), whose step has
+    already decided each dependent generator solvable; it then takes one
+    exact solve on the same system, with the columns its step selected,
+    and no second verdict.  Every relation is re-verified by
     SquareRelation.  The relation over an independent set is unique, so it
     does not depend on how the system was scaled.
     """
@@ -476,7 +492,7 @@ def greedy_independent(
         if j not in indep:
             before = [i for i in indep if i < j]
             relations[j] = SquareRelation(gens[j], [gens[i] for i in before],
-                                          blocks.roots(before, j))
+                                          blocks.solve(before, j))
     return indep, relations
 
 

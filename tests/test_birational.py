@@ -29,13 +29,17 @@ from quasiform.errors import (
     IsotropicInput,
     NotRuled,
 )
-from quasiform.fieldtower import FieldTower
+from quasiform.fieldtower import FieldTower, TowerHom
 from quasiform.forms import QuasilinearForm, is_anisotropic
 from quasiform.gf2poly import Poly
 from quasiform.maps import RationalMap
 from quasiform.pfister import quasi_pfister
 from quasiform.splitting import first_witt_index, function_field
-from quasiform.sqlinalg import isotropic_kernel_basis, tower_linear_solve
+from quasiform.sqlinalg import (
+    clear_denominators,
+    isotropic_kernel_basis,
+    tower_linear_solve,
+)
 
 from oracles import (
     FROZEN,
@@ -309,7 +313,9 @@ class TestRulings:
             return spy
 
         # every binding in the library, as the tracer patches them
-        for real in (birational._recombines, maps._target_vanishes):
+        for real in (birational._recombines, birational._pull_basis,
+                     maps._target_vanishes,
+                     sqlinalg.square_combination_vanishes):
             for name, module in list(sys.modules.items()):
                 if (name.split(".")[0] == "quasiform"
                         and getattr(module, real.__name__, None) is real):
@@ -317,18 +323,36 @@ class TestRulings:
                                         recording(real))
         monkeypatch.setattr(RationalMap, "verify",
                             recording(RationalMap.verify))
+        monkeypatch.setattr(sqlinalg._SquareBlocks, "verdict",
+                            recording(sqlinalg._SquareBlocks.verdict))
         a, b, c = abc
         for X in (quasi_pfister([a, b], F), QuasilinearForm(
                 F, quasi_pfister([a, b, c], F).coeffs[:7])):
             del calls[:]
             dec = construct_ruling(X)
-            assert dec.verify()
             names = [name for name, _ in calls]
-            assert names.count("_recombines") == 1
-            assert "verify" not in names
-            # one vanishing proof per map built: pi into Y, phi into X
+            # one vanishing proof per map built: pi into Y, phi into X;
+            # the solves check nothing and nothing is pulled back
             assert [args[0] for name, args in calls
                     if name == "_target_vanishes"] == [dec.Y, dec.X]
+            assert names.count("square_combination_vanishes") == 2
+            assert "_pull_basis" not in names
+            assert "_recombines" not in names
+            # the verdicts over k(X) are the rank's steps on a_1..a_{n-1};
+            # pi and the s_i take none
+            towers = [args[0].tower for name, args in calls
+                      if name == "verdict"]
+            assert towers.count(dec.psi.pi.source_field) == X.dim - 2
+            assert dec.s_basis[0][0].tower not in towers
+            del calls[:]
+            assert dec.verify()
+            names = [name for name, _ in calls]
+            # r isotropy proofs, one pull-back, one recombination
+            assert names.count("square_combination_vanishes") == dec.r
+            assert names.count("_pull_basis") == 1
+            assert names.count("_recombines") == 1
+            assert "verify" not in names
+            assert "_target_vanishes" not in names
 
     def test_certificate_ranks_a_subquadric_built_by_its_caller(
             self, F, abc, ranked):
@@ -423,10 +447,31 @@ class TestFibersReadOffTheBasis:
                              dec.psi.pi.coords, ff_x.tower)
         return tower_linear_solve(pulled, list(ff_x.generic_point))
 
+    @staticmethod
+    def clearing_powers(dec):
+        """(K_i, k_i) per basis vector under the hom of _pull_basis: K_i
+        the largest k of the images of the cleared s_i, k_i that of its
+        entry D_i at d-1+i.  TowerHom.clearing_power must count K_i
+        without the hom."""
+        ff_y = function_field(dec.Y)
+        pi = clear_denominators(dec.psi.pi.coords)
+        hom = TowerHom(ff_y.tower, dec.psi.pi.source_field,
+                       dict(zip(ff_y.fresh_names, pi[1:])),
+                       denominator=pi[0])
+        powers = []
+        for i, s in enumerate(dec.s_basis):
+            cleared = clear_denominators(s)
+            ks = [hom._image(e)[1] for e in cleared]
+            assert TowerHom.clearing_power(cleared,
+                                           ff_y.fresh_names) == max(ks)
+            powers.append((max(ks), ks[dec.Y.dim - 1 + i]))
+        return powers
+
     def assert_fibers_match_the_solve(self, X):
         dec = construct_ruling(X)
         assert list(dec.psi.fibers) == self.solved_fibers(dec)
         assert dec.verify()
+        self.clearing_powers(dec)
         return dec
 
     def test_sampled_two_fold_forms(self):
@@ -442,6 +487,31 @@ class TestFibersReadOffTheBasis:
         for dim, r in ((6, 2), (7, 3)):
             X = QuasilinearForm(F, pfister3[:dim])
             assert self.assert_fibers_match_the_solve(X).r == r
+
+    def test_reordered_neighbours_of_a_three_fold_form(self, F, abc):
+        # the factor p_1^(K_i - k_i) of a fiber (p_1 the cleared first
+        # coordinate of pi) is 1 on the other forms here; on some orders
+        # of a 3-fold form's coefficients it is not.  The
+        # linear solve over k(X) takes minutes on those, so the oracle is
+        # the full pull read at d-1+i, and verify() checks every coordinate
+        a, b, c = abc
+        pfister3 = quasi_pfister([a, b, c], F).coeffs
+        rng = random.Random(3)
+        powers = []
+        for _ in range(10):
+            coeffs = list(pfister3)
+            rng.shuffle(coeffs)
+            dec = construct_ruling(QuasilinearForm(F, coeffs[:7]))
+            ff_x = function_field(dec.X)
+            pulled = _pull_basis(function_field(dec.Y), dec.s_basis,
+                                 dec.psi.pi.coords, ff_x.tower)
+            j = dec.Y.dim - 1
+            assert list(dec.psi.fibers) == [
+                ff_x.generic_point[j + i] / t[j + i]
+                for i, t in enumerate(pulled)]
+            assert dec.verify()
+            powers += self.clearing_powers(dec)
+        assert any(K > k for K, k in powers)
 
     def test_coefficients_with_denominators(self, F, abc):
         a, b, _ = abc
@@ -577,14 +647,18 @@ class TestRulingReadsKnownRelations:
             assert dec.r == r
             assert len(solves) == r
             assert kernels == []
-            # r - 1 systems over k(Y), none with Y's last coefficient
+            # one system over k(Y), without Y's last coefficient, and over
+            # k(X) only the one X's rank built
             L = function_field(dec.Y).tower
             last = dec.Y.over(L).coeffs[-1]
             over_ky = [columns for columns in systems
                        if columns[0][0].tower == L]
-            assert len(over_ky) == r - 1
+            assert len(over_ky) == 1
             assert all(last not in column
                        for columns in over_ky for column in columns)
+            K = dec.psi.pi.source_field
+            assert len([columns for columns in systems
+                        if columns[0][0].tower == K]) == 1
 
 
 class TestUniqueSelfMap:

@@ -330,6 +330,16 @@ class TestApplyProjective:
         assert hom.apply(S.var("u")) == T.var("t")
         assert hom.apply(S.gen_by_name("y")) == T.gen_by_name("w")
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_clearing_power_is_counted_without_the_hom(self, seed):
+        # y is assigned and counts 1, z maps to itself and counts 0
+        hom, _, _, vectors = _projective_case(seed)
+        for v in vectors:
+            power = TowerHom.clearing_power(v, ("u", "y"))
+            assert power == _structural_power(v)
+            assert power == max(hom._image(x)[1] for x in v)
+        assert TowerHom.clearing_power([hom.source.zero()], ("u", "y")) == 0
+
     @pytest.mark.parametrize("seed", [4, 5])
     def test_unit_denominator_gives_apply_entry_by_entry(self, seed):
         _, plain, _, vectors = _projective_case(seed)

@@ -34,7 +34,7 @@ PINNED = {
     "ruling-verify": (
         60,
         "181a135f66cde978819ea525ec58d3be6cf1f1082b9ac3407ab5943774977ad5",
-        dict(numeric_verdict=372, conclusive=372, solve=96, solvable=0,
+        dict(numeric_verdict=276, conclusive=276, solve=96, solvable=0,
              nullspace=0)),
     "compare-pool": (
         198,

@@ -197,10 +197,10 @@ class TestOneGreedyLoop:
 
     def test_relations_are_solved_for_dependent_generators_only(
             self, F, monkeypatch):
-        calls = {"build": 0, "solvable": 0, "roots": []}
+        calls = {"build": 0, "solvable": 0, "solve": []}
         build = sqlinalg._SquareBlocks.__init__
         solvable = sqlinalg._SquareBlocks.solvable
-        roots = sqlinalg._SquareBlocks.roots
+        solve = sqlinalg._SquareBlocks.solve
 
         def building(blocks, columns):
             calls["build"] += 1
@@ -211,22 +211,42 @@ class TestOneGreedyLoop:
             return solvable(blocks, cols, target)
 
         def solving(blocks, cols, target):
-            calls["roots"].append((list(cols), target))
-            return roots(blocks, cols, target)
+            calls["solve"].append((list(cols), target))
+            return solve(blocks, cols, target)
 
         monkeypatch.setattr(sqlinalg._SquareBlocks, "__init__", building)
         monkeypatch.setattr(sqlinalg._SquareBlocks, "solvable", deciding)
-        monkeypatch.setattr(sqlinalg._SquareBlocks, "roots", solving)
+        monkeypatch.setattr(sqlinalg._SquareBlocks, "solve", solving)
         a, b = F.var("a"), F.var("b")
         gens = [F.one(), a, a ** 3, b, a * b.square()]
         indep, relations = greedy_independent(gens)
         assert calls == {"build": 1, "solvable": 4,
-                         "roots": [([0, 1], 2), ([0, 1, 3], 4)]}
+                         "solve": [([0, 1], 2), ([0, 1, 3], 4)]}
         assert indep == [0, 1, 3]
         assert sorted(relations) == [2, 4]
         assert relations[2].roots == [F.zero(), a]
         assert relations[4].roots == [F.zero(), b, F.zero()]
         assert k2_rank(gens) == (3, [gens[i] for i in indep])
+
+
+    def test_one_verdict_per_generator(self, F, monkeypatch):
+        # the greedy step has decided each dependent generator solvable,
+        # so its relation is solved exactly without a second verdict
+        verdicts = []
+        real = _gfnum.numeric_verdict
+
+        def counting(rows, ncols):
+            verdicts.append(ncols)
+            return real(rows, ncols)
+
+        monkeypatch.setattr(_gfnum, "numeric_verdict", counting)
+        a, b = F.var("a"), F.var("b")
+        gens = [F.one(), a, a ** 3, b, a * b.square()]
+        indep, relations = greedy_independent(gens)
+        assert len(verdicts) == 4
+        assert indep == [0, 1, 3]
+        assert relations[2].roots == [F.zero(), a]
+        assert relations[4].roots == [F.zero(), b, F.zero()]
 
 
 class TestSystemsWithoutRows:
