@@ -6,6 +6,8 @@ q = a1*X1^2 + ... + ad*Xd^2, and provides exact decision procedures for
 their isotropy, splitting, similarity, and birational geometry.
 """
 
+from types import ModuleType as _ModuleType
+
 from .birational import (
     DominationVerdict,
     FiberMap,
@@ -98,84 +100,7 @@ from .sqlinalg import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadCodimension",
-    "BadDecomposition",
-    "DimensionMismatch",
-    "DimensionTooSmall",
-    "DivisionByZero",
-    "DominationVerdict",
-    "DslSyntaxError",
-    "EmbeddingFailure",
-    "FiberMap",
-    "FieldTower",
-    "FormInvariants",
-    "FunctionFieldData",
-    "InconsistencyDetected",
-    "IndexMismatch",
-    "IsSquare",
-    "IsotropicInput",
-    "NameCollision",
-    "NormField",
-    "NotRuled",
-    "Poly",
-    "QuasiPfisterForm",
-    "QuasiformError",
-    "QuasilinearForm",
-    "RatFn",
-    "RationalMap",
-    "RegularityReport",
-    "ResourceLimit",
-    "RulingCertificate",
-    "RulingDecomposition",
-    "SpecialRulingCertificate",
-    "SplittingPattern",
-    "TowerDepthExceeded",
-    "TowerElem",
-    "TowerHom",
-    "UndeclaredVariable",
-    "UnknownVariable",
-    "ZeroCoefficient",
-    "ZeroElement",
-    "ZeroGenerator",
-    "ZeroSlot",
-    "albert_multiply",
-    "anisotropic_part",
-    "check_hl_bound",
-    "construct_ruling",
-    "decide_birational",
-    "decide_similar",
-    "decide_stably_equivalent",
-    "essdim_domination_check",
-    "essential_dimension",
-    "first_witt_index",
-    "function_field",
-    "generic_subform",
-    "hl_bound",
-    "invariants",
-    "is_anisotropic",
-    "is_isometric",
-    "is_isotropic_over",
-    "is_quasi_pfister_neighbor",
-    "is_regular_quadric",
-    "isotropic_kernel_basis",
-    "isotropic_vectors_basis",
-    "k2_membership",
-    "k2_rank",
-    "kernel_from_coefficients",
-    "norm_degree",
-    "norm_field_slots",
-    "poly_gcd",
-    "poly_lcm",
-    "projectively_equal",
-    "quasi_pfister",
-    "span_saturate",
-    "special_neighbor_ruling",
-    "splitting_pattern",
-    "square_nullspace",
-    "tower_linear_solve",
-    "tower_square_root",
-    "total_index",
-    "total_index_over",
-    "unique_self_map_check",
-]
+# The public API is exactly the names imported above.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _ModuleType))

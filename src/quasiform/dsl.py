@@ -103,8 +103,8 @@ def tokenize(text: str) -> List[Token]:
 
 @dataclass(frozen=True)
 class FormDef:
+    """A named form of a script; its coefficients are `form.coeffs`."""
     name: str
-    exprs: Tuple[str, ...]
     form: QuasilinearForm
 
 
@@ -129,12 +129,14 @@ class Script:
         raise KeyError(name)
 
     def render(self) -> str:
-        """Canonical text whose parse is equivalent to this script."""
+        """Canonical text whose parse is equivalent to this script: each
+        coefficient is printed as its `str`, whatever text defined it."""
         lines = []
         if self.field.base_vars:
             lines.append("field F2(" + ", ".join(self.field.base_vars) + ");")
         for fd in self.forms:
-            lines.append(f"form {fd.name} = <" + ", ".join(fd.exprs) + ">;")
+            lines.append(f"form {fd.name} = <"
+                         + ", ".join(map(str, fd.form.coeffs)) + ">;")
         for cmd in self.commands:
             lines.append(" ".join((cmd.name,) + cmd.args) + ";")
         return "\n".join(lines) + "\n"
@@ -240,15 +242,11 @@ class _Parser:
         self.expect("=", "'='")
         self.expect("<", "'<'")
         coeffs: List[TowerElem] = []
-        exprs: List[str] = []
         while True:
-            start = self.pos
             value = self.parse_expr()
-            exprs.append("".join(
-                t.value for t in self.tokens[start:self.pos]))
             if value.is_zero:
                 raise ZeroCoefficient(
-                    f"coefficient {len(exprs)} of form {name.value!r} "
+                    f"coefficient {len(coeffs) + 1} of form {name.value!r} "
                     f"is zero")
             coeffs.append(self.field.scalar(value))
             if self.peek().kind != ",":
@@ -258,8 +256,7 @@ class _Parser:
         self.expect(";", "';'")
         form = QuasilinearForm(self.field, coeffs)
         self.form_names[name.value] = len(self.forms)
-        self.forms.append(FormDef(name=name.value, exprs=tuple(exprs),
-                                  form=form))
+        self.forms.append(FormDef(name=name.value, form=form))
 
     def parse_command(self) -> None:
         kw = self.next()

@@ -109,13 +109,10 @@ class FieldTower:
         return FieldTower(tuple(names), (), depth_limit)
 
     def extend_transcendental(self, names: Iterable[str]) -> "FieldTower":
-        new = tuple(names)
-        taken = set(self.all_names)
-        for n in new:
-            if n in taken:
-                raise NameCollision(f"name already used in tower: {n!r}")
-            taken.add(n)
-        return FieldTower(self.base_vars + new, self.gens, self.depth_limit)
+        """Adjoin `names` as new base variables; the constructor raises
+        NameCollision if one is already in the tower or repeated."""
+        return FieldTower(self.base_vars + tuple(names), self.gens,
+                          self.depth_limit)
 
     def extend_inseparable(self, theta: "TowerElem", name: str) -> "FieldTower":
         tower = self._extend_non_square(theta, name)
@@ -132,8 +129,6 @@ class FieldTower:
             raise ValueError("defining element belongs to a different tower")
         if theta.is_zero:
             raise ZeroElement("defining element of an extension must be nonzero")
-        if name in self.all_names:
-            raise NameCollision(f"name already used in tower: {name!r}")
         if self.depth + 1 > self.depth_limit:
             raise TowerDepthExceeded(
                 f"tower depth limit {self.depth_limit} exceeded")

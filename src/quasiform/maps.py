@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 from .errors import DimensionMismatch, InconsistencyDetected
 from .fieldtower import FieldTower, TowerElem

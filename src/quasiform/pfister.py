@@ -100,12 +100,11 @@ class NormField:
     the set bits of m, so the basis is the expansion of the quasi-Pfister
     form whose slots sit at the powers of two."""
 
-    __slots__ = ("base", "basis", "_table")
+    __slots__ = ("base", "basis")
 
     def __init__(self, base: FieldTower, basis: Sequence[TowerElem]):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "basis", tuple(basis))
-        object.__setattr__(self, "_table", None)
 
     def __setattr__(self, *a):
         raise AttributeError("NormField is immutable")
@@ -115,19 +114,17 @@ class NormField:
         return len(self.basis)
 
     def multiplication_table(self) -> Dict[Tuple[int, int], SquareRelation]:
-        """Certificates expressing each basis product over the basis."""
-        table = self._table
-        if table is None:
-            table = {}
-            for i in range(len(self.basis)):
-                for j in range(i, len(self.basis)):
-                    rel = k2_membership(self.basis[i] * self.basis[j],
-                                        list(self.basis))
-                    if rel is None:
-                        raise InconsistencyDetected(
-                            "norm field basis is not multiplicatively closed")
-                    table[(i, j)] = rel
-            object.__setattr__(self, "_table", table)
+        """Certificates expressing each basis product over the basis,
+        computed on each call."""
+        table = {}
+        for i in range(len(self.basis)):
+            for j in range(i, len(self.basis)):
+                rel = k2_membership(self.basis[i] * self.basis[j],
+                                    list(self.basis))
+                if rel is None:
+                    raise InconsistencyDetected(
+                        "norm field basis is not multiplicatively closed")
+                table[(i, j)] = rel
         return table
 
     def __repr__(self) -> str:

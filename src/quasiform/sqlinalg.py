@@ -95,10 +95,10 @@ class _SquareBlocks:
     restricted to any choice of unknowns and right-hand side.
 
     Column j holds one tower element per equation e; the system is
-    sum_j c_j^2 * columns[j][e] = target[e].  Each equation is scaled by one
-    common base scalar, and each of its mu-components by one common
-    denominator, both taken over every column, so that any subset of the
-    columns, with any other column as target, reads off the same rows.
+    sum_j c_j^2 * columns[j][e] = target[e].  Each (equation, mu)
+    component is scaled by one common denominator, taken over every column
+    and mask, so that any subset of the columns, with any other column as
+    target, reads off the same rows.
     `blocks[j]` maps a row key (e, mu, parity class) to the nmasks entries
     of column j's unknowns x_{j,m}, the coefficient of x_{j,m}^2 being
     (Theta_m * columns[j][e])_mu; a target column contributes its m = 0
@@ -117,10 +117,9 @@ class _SquareBlocks:
         nmasks = 1 << tower.depth
         blocks: List[Dict[_RowKey, List[Poly]]] = [{} for _ in columns]
         for e in range(len(columns[0])):
-            row = clear_denominators([col[e] for col in columns])
-            # products[j][m] = Theta_m * g_j as mask -> RatFn
-            products = [[tower._mul(tower._theta_mask(m), g.coeffs)
-                         for m in range(nmasks)] for g in row]
+            # products[j][m] = Theta_m * columns[j][e] as mask -> RatFn
+            products = [[tower._mul(tower._theta_mask(m), col[e].coeffs)
+                         for m in range(nmasks)] for col in columns]
             by_mu: Dict[int, List[RatFn]] = {}
             for per_mask in products:
                 for p in per_mask:
@@ -275,8 +274,6 @@ def solve_square_system(
     gens: Sequence[TowerElem], target: TowerElem
 ) -> Optional[List[TowerElem]]:
     """Roots c_i with sum c_i^2 * g_i = target, or None when impossible."""
-    if not gens:
-        return [] if target.is_zero else None
     return solve_square_system_multi([list(gens)], [target])
 
 
@@ -340,8 +337,6 @@ def square_nullspace(gens: Sequence[TowerElem]) -> List[List[TowerElem]]:
     """Basis over the rational base field of the root vectors (c_1,...,c_k)
     with sum c_i^2 g_i = 0: 2^depth * (k - rank) of them (see
     square_nullspace_multi); kernel_from_coefficients gives k - rank."""
-    if not gens:
-        return []
     return square_nullspace_multi([list(gens)])
 
 

@@ -75,6 +75,10 @@ class TestParser:
         with pytest.raises(ZeroCoefficient):
             parse("field F2(a); form p = <a + a>;")
 
+    def test_zero_coefficient_names_its_position(self):
+        with pytest.raises(ZeroCoefficient, match="coefficient 3 of form 'p'"):
+            parse("field F2(a); form p = <1, a, a + a>;")
+
     def test_undeclared_variable(self):
         with pytest.raises(UndeclaredVariable):
             parse("form p = <x>;")
@@ -235,6 +239,15 @@ class TestParser:
                 "form q2 = <(a+b)^3/c, 1>;\n"
                 "invariants q1;\ncompare q1 q2;\nsplitting q2;\ncorpus;\n")
         s = parse(text)
+        assert scripts_equivalent(s, parse(s.render()))
+
+    def test_render_prints_canonical_coefficients(self):
+        s = parse("field F2(a, b);\nform q = <(a+b)^2, 1/a, a^3/b>;\n")
+        coeffs = s.forms[0].form.coeffs
+        assert s.render() == ("field F2(a, b);\nform q = <"
+                              + ", ".join(str(c) for c in coeffs) + ">;\n")
+        assert [str(c) for c in coeffs] == ["a^2+b^2", "(1)/(a)",
+                                            "(a^3)/(b)"]
         assert scripts_equivalent(s, parse(s.render()))
 
     @given(st.lists(st.sampled_from(

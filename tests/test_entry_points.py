@@ -1,5 +1,6 @@
 """Every entry point the benchmark's tracer wraps, and every name the
-package exports, still exists.
+package exports, still exists; the exports are exactly the names the
+package imports from its modules.
 
 The tracer (qbench/tracer.py) looks each name up in quasiform.<layer> and
 only reports a missing one, whose per-layer figures then read 0; this test
@@ -7,9 +8,11 @@ turns a rename or deletion into a failure.  It reads the table and never
 installs the tracer.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
+from types import ModuleType
 
 TRACER = Path(__file__).resolve().parents[1] / "qbench" / "tracer.py"
 
@@ -40,3 +43,18 @@ def test_every_exported_name_resolves():
                if not hasattr(quasiform, name)]
     assert missing == []
     assert len(set(quasiform.__all__)) == len(quasiform.__all__)
+
+
+def test_exports_are_the_names_imported_from_the_package():
+    import quasiform
+
+    tree = ast.parse(Path(quasiform.__file__).read_text())
+    imported = {alias.asname or alias.name
+                for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    assert set(quasiform.__all__) == imported
+    assert quasiform.__all__ == sorted(imported)
+    for name in quasiform.__all__:
+        assert not name.startswith("_")
+        assert not isinstance(getattr(quasiform, name), ModuleType)

@@ -662,3 +662,64 @@ class TestChecksOnClearedRoots:
         rel.target = target
         rel.roots[0] = F.embed(rel.roots[0], G)
         assert not rel.verify()
+
+
+def _depth_one_tower():
+    F = FieldTower.rational(("a", "b"))
+    a, b, one = F.var("a"), F.var("b"), F.one()
+    K = F.extend_inseparable(a * (b + one).invert(), "y")
+    a, b, one = K.var("a"), K.var("b"), K.one()
+    return K, (one, b + one, a + b, a * b + one), (one, K.gen(0))
+
+
+def _cleared_per_equation(columns):
+    """The columns with each equation's row scaled by one common base
+    scalar, so that no entry has a denominator."""
+    rows = [clear_denominators(list(row)) for row in zip(*columns)]
+    return [tuple(col) for col in zip(*rows)]
+
+
+def _decisions(blocks, ngens):
+    """Every decision on the system of the first `ngens` columns, with the
+    last column as target and without one: the witness verdicts, exact
+    elimination's answers, and the roots it solves for."""
+    cols = range(ngens)
+    ncols = ngens * blocks.nmasks
+    with_target = blocks.rows(cols, ngens)
+    without = blocks.rows(cols)
+    return (blocks.verdict(with_target, cols, ngens),
+            blocks.verdict(without, cols),
+            _elim.solvable(blocks.system(with_target, cols, ngens), ncols),
+            len(_elim.nullspace(blocks.system(without, cols), ncols)),
+            blocks.solve(cols, ngens))
+
+
+class TestDenominatorsInSquareBlocks:
+    """_SquareBlocks clears each (equation, mu) component by one common
+    denominator of its own; columns with denominators must decide and
+    solve exactly as the same columns cleared per equation first."""
+
+    @pytest.mark.parametrize("tower", ["F2(a,b,c)", "depth 1"])
+    @given(specs=st.lists(st.tuples(_fraction, _fraction), min_size=1,
+                          max_size=3),
+           roots=st.lists(_fraction, min_size=3, max_size=3),
+           error=_fraction)
+    @settings(max_examples=30, deadline=None)
+    def test_same_decisions_as_cleared_columns(self, tower, specs, roots,
+                                               error):
+        K, dens, monos = {"F2(a,b,c)": _rational_base,
+                          "depth 1": _depth_one_tower}[tower]()
+        columns = [tuple(_build(K, dens, monos, s) for s in spec)
+                   for spec in specs]
+        assume(any(not g.is_zero for col in columns for g in col))
+        rs = [_build(K, dens, monos, r) for r in roots]
+        # a target in the span of the columns, off it by an error term
+        target = tuple(
+            square_combination(rs, [col[e] for col in columns])
+            + _build(K, dens, monos, error) for e in range(2))
+        columns.append(target)
+        ngens = len(specs)
+        assert (_decisions(sqlinalg._SquareBlocks(columns), ngens)
+                == _decisions(
+                    sqlinalg._SquareBlocks(_cleared_per_equation(columns)),
+                    ngens))
