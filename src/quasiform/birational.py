@@ -5,6 +5,11 @@ equivalence, and birational equivalence, plus two constructions with exact
 symbolic certificates: the ruling of a quadric whose first Witt index
 exceeds 1, and the regularity report for a quadric as a scheme.
 
+Each decision asks whether a form becomes isotropic over the function
+field of another (`is_isotropic_over`).  Two dimension counts, against
+[K:K^2] and against the norm field, settle many such questions before
+the function field is built; the proofs are in that function.
+
 The ruling of X with first Witt index r writes X birationally as
 Y x P^{r-1}, where Y drops the last r-1 coefficients: the isotropic
 vectors of X over k(Y) form an r-dimensional space with basis s_1,...,s_r,
@@ -39,15 +44,15 @@ from .errors import (
     NotRuled,
 )
 from .fieldtower import FieldTower, TowerElem, TowerHom, fresh_names
-from .forms import QuasilinearForm, is_anisotropic, total_index
+from .forms import QuasilinearForm, is_anisotropic
 from .gf2poly import Poly, RatFn, common_denominator, numerator_over
 from .maps import RationalMap, projectively_equal
 from .splitting import (
     _over_own_function_field,
+    _require_function_field,
     essential_dimension,
     function_field,
     splitting_pattern,
-    total_index_over,
 )
 from .sqlinalg import (
     _SquareBlocks,
@@ -60,11 +65,59 @@ from .sqlinalg import (
 
 def is_isotropic_over(p: QuasilinearForm, q: QuasilinearForm) -> bool:
     """Whether p acquires a new isotropic vector over the function field
-    of q (for anisotropic p: whether p becomes isotropic there)."""
+    of q (for anisotropic p: whether p becomes isotropic there).
+
+    The coefficients of p outside its anisotropic part p_an are in the
+    span of those of p_an over K^2, so over any extension as well: p gains
+    an isotropic vector over k(q) exactly when the r = dim p_an
+    coefficients of p_an become dependent over k(q)^2.  With t the number
+    of base variables of the common field K, [K:K^2] = 2^t (over a tower
+    as well: each inseparable step y^2 = theta has K^2 = F^2(theta), so
+    [K:K^2] = [K:F][F:F^2] / [K^2:F^2] = [F:F^2]).  Two dimension counts
+    settle the answer before k(q) is built:
+
+    - (A) 2r > 2^t: true.
+    - (B) otherwise, dim q > 2^(r-1): false.
+
+    Proofs, for q = <a_1, ..., a_d> anisotropic, in the chart of
+    function_field: k(q) = K(u)(y) with y^2 = theta and
+    theta = (a_1 + a_2 u_1^2 + ... + a_{d-1} u_{d-2}^2) / a_d.  So theta
+    lies in K(u^2), and not in K(u)^2 = K^2(u^2) (function_field), and
+    k(q)^2 = K^2(u^2)(theta).
+
+    - (A) M = K^2(u^2)(theta) lies in k(q)^2 and has degree 2 over
+      K^2(u^2), as theta^2 lies there and theta does not.  K(u^2) holds M
+      and has degree [K:K^2] = 2^t over K^2(u^2) (the u^2 are
+      transcendental over K), so degree 2^(t-1) over M.  The coefficients
+      of p_an lie in K, inside K(u^2), and more than 2^(t-1) of them are
+      dependent over M.
+    - (B) Let N(f) = K^2(b_2/b_1, ..., b_n/b_1) be the norm field of
+      f = <b_1, ..., b_n>: n - 1 square roots over K^2, so
+      [N(p_an):K^2] <= 2^(r-1).  The coefficients of f/b_1 lie in N(f),
+      and are independent over K^2 when f is anisotropic, so
+      dim q <= [N(q):K^2].  If p_an is isotropic over k(q), at x = v + w y
+      with v, w over K(u), then p_an(v) + theta p_an(w) = 0, and w != 0
+      as p_an stays anisotropic over the purely transcendental K(u).  So
+      theta = p_an(v) / p_an(w) is a ratio of values of p_an / b_1 over
+      K(u)^2 = K^2(u^2), and lies in E(u^2) with E = N(p_an).  theta is a
+      polynomial in the u^2 with the coefficients a_i / a_d of K, and
+      K[u^2] meets E(u^2) in E[u^2] (write the coefficients over a basis
+      of K over E that holds 1), so every a_i / a_d is in E: N(q) lies in
+      N(p_an), and dim q <= 2^(r-1).
+
+    The checks on the forms come first, in the same order whether or not
+    a count settles the answer: different fields raise ValueError, then q
+    raises as function_field does (DimensionTooSmall, IsotropicInput).
+    """
     if p.field != q.field:
         raise ValueError("forms live over different base fields")
-    ff = function_field(q)
-    return total_index_over(p, ff.tower) > total_index(p)
+    _require_function_field(q)
+    r = len(p.independent())
+    if 2 * r > 1 << len(p.field.base_vars):
+        return True
+    if q.dim > 1 << (r - 1):
+        return False
+    return len(p.over(function_field(q).tower).independent()) < r
 
 
 class DominationVerdict(Enum):
@@ -111,7 +164,11 @@ def essdim_domination_check(X: QuasilinearForm,
 def decide_stably_equivalent(X: QuasilinearForm, Y: QuasilinearForm) -> bool:
     """Stable equivalence: each form is isotropic over the other's
     function field.  Both forms are checked first, so neither the verdict
-    nor the error depends on the order of the arguments."""
+    nor the error depends on the order of the arguments.
+
+    By the count (A) of `is_isotropic_over`, any two anisotropic forms of
+    dimension > 2^(t-1) over a field K with [K:K^2] = 2^t are stably
+    equivalent, and no function field is built for them."""
     for form in (X, Y):
         if form.dim < 2:
             raise DimensionTooSmall(

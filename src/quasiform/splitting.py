@@ -10,7 +10,8 @@ step is the first Witt index.
 the form object owns (`QuasilinearForm.independent`), so a form that was
 ranked before, or that is known anisotropic by construction (an
 anisotropic part, a subform of a form ranked anisotropic), pays nothing
-for it.
+for it.  Its checks on the form (`_require_function_field`) are also
+those of a caller that may answer without building the field.
 
 `over_own_function_field` is the one rule for q over k(q), which the
 levels of the splitting pattern down to dimension 4, the first Witt index
@@ -69,6 +70,17 @@ class SplittingPattern:
         return "(" + ", ".join(str(d) for d in self.dims) + ")"
 
 
+def _require_function_field(q: QuasilinearForm) -> None:
+    """Raise as function_field does on a form it builds no field for: one
+    of dimension < 2, or an isotropic one."""
+    if q.dim < 2:
+        raise DimensionTooSmall(
+            f"function field needs dimension >= 2, got {q.dim}")
+    if not is_anisotropic(q):
+        raise IsotropicInput(
+            "function field construction expects an anisotropic form")
+
+
 def function_field(q: QuasilinearForm) -> FunctionFieldData:
     """k(q) in the chart x_1 = 1, solving for the last coordinate.
 
@@ -76,13 +88,8 @@ def function_field(q: QuasilinearForm) -> FunctionFieldData:
     theta = (a_1 + a_2 u_1^2 + ... + a_{d-1} u_{d-2}^2) / a_d and extend by
     y with y^2 = theta; the generic point is (1, u_1, ..., u_{d-2}, y).
     """
+    _require_function_field(q)
     d = q.dim
-    if d < 2:
-        raise DimensionTooSmall(
-            f"function field needs dimension >= 2, got {d}")
-    if not is_anisotropic(q):
-        raise IsotropicInput(
-            "function field construction expects an anisotropic form")
     # theta is not a square: a root s of theta in K = F(u) would make
     # (1, u_1, ..., u_{d-2}, s) a nonzero zero of q over K, and q
     # anisotropic over F stays anisotropic over the purely transcendental

@@ -30,11 +30,15 @@ from quasiform.errors import (
     NotRuled,
 )
 from quasiform.fieldtower import FieldTower, TowerHom
-from quasiform.forms import QuasilinearForm, is_anisotropic
+from quasiform.forms import QuasilinearForm, is_anisotropic, total_index
 from quasiform.gf2poly import Poly
 from quasiform.maps import RationalMap
 from quasiform.pfister import quasi_pfister
-from quasiform.splitting import first_witt_index, function_field
+from quasiform.splitting import (
+    first_witt_index,
+    function_field,
+    total_index_over,
+)
 from quasiform.sqlinalg import (
     clear_denominators,
     isotropic_kernel_basis,
@@ -46,6 +50,7 @@ from oracles import (
     exponent_add,
     monomial_form,
     parity_rank,
+    sample_form,
     sample_monomial_form,
     tower_sampler,
 )
@@ -88,6 +93,114 @@ class TestIsotropyOverFunctionFields:
         with pytest.raises(ValueError):
             is_isotropic_over(QuasilinearForm(F, [F.one(), a]),
                               QuasilinearForm(G, [G.one(), G.var("t")]))
+
+
+@pytest.fixture
+def fields_built(monkeypatch):
+    """Every form whose function field `is_isotropic_over` builds."""
+    built = []
+    real = birational.function_field
+
+    def recording(q):
+        built.append(q)
+        return real(q)
+
+    monkeypatch.setattr(birational, "function_field", recording)
+    return built
+
+
+def _isotropy_samplers(seed):
+    """Form samplers over F2(a,b), F2(a,b,c), F2(a,b,c,d), monomial and
+    polynomial, and over the tower F2(a,b,c)(y), each with the largest
+    dimension of p and of q it is asked for."""
+    rng = random.Random(seed)
+    for names, p_top, q_top in ((("a", "b"), 5, 4), (("a", "b", "c"), 6, 5),
+                                (("a", "b", "c", "d"), 5, 4)):
+        F = FieldTower.rational(names)
+        yield ((lambda d, F=F: sample_monomial_form(rng, F, d, 2)[0]),
+               p_top, q_top)
+        yield (lambda d, F=F: sample_form(rng, F, d)), p_top, q_top
+    K, _, _, element = tower_sampler(seed, 1)
+    yield (lambda d: QuasilinearForm(K, [element(1) for _ in range(d)]),
+           5, 3)
+
+
+class TestIsotropyByDimensionCounts:
+    """With r = dim p_an and [K:K^2] = 2^t, 2r > 2^t settles true (A),
+    and otherwise dim q > 2^(r-1) settles false (B), with no function
+    field built (the proofs are in `is_isotropic_over`)."""
+
+    def test_counts_agree_with_the_full_computation(self, fields_built):
+        branches = dict.fromkeys(("A", "B", "computed"), 0)
+        isotropic_p = 0
+        for sample, p_top, q_top in _isotropy_samplers(25):
+            ps = [sample(d) for d in range(1, p_top + 1) for _ in range(2)]
+            qs = []
+            while len(qs) < 4:
+                q = sample(2 + len(qs) % (q_top - 1))
+                if is_anisotropic(q):
+                    qs.append(q)
+            for p in ps:
+                isotropic_p += not is_anisotropic(p)
+                for q in qs:
+                    del fields_built[:]
+                    got = is_isotropic_over(p, q)
+                    assert got == (total_index_over(
+                        p, function_field(q).tower) > total_index(p))
+                    if fields_built:
+                        assert fields_built == [q]
+                        branches["computed"] += 1
+                    else:
+                        branches["A" if got else "B"] += 1
+        assert isotropic_p and all(branches.values()), branches
+
+    def test_a_settled_pair_builds_no_field(self, F, abc, fields_built,
+                                            systems):
+        a, b, c = abc
+        one = F.one()
+        big = QuasilinearForm(F, [one, a, b, c, a * b])
+        small = QuasilinearForm(F, [one, a, b])
+        built, _ = systems
+        # (A): r = 5 > 2^(3-1); (B): r = 3, dim q = 5 > 2^(3-1)
+        for p, q, answer in ((big, small, True), (small, big, False)):
+            del built[:]
+            assert is_isotropic_over(p, q) is answer
+            assert fields_built == []
+            assert all(tower.depth == 0 for tower, _ in built)
+        # two anisotropic forms of dim > 2^(t-1) are stably equivalent
+        other = QuasilinearForm(F, [a, b, c, b * c, a * b * c])
+        assert decide_stably_equivalent(big, other)
+        assert fields_built == []
+        # r = 4 = 2^(3-1) and dim q = 4 <= 2^(4-1): k(q) is built once;
+        # <<a,b>> stays anisotropic over k(<<a,c>>), their norm fields differ
+        p = quasi_pfister([a, b], F)
+        q = quasi_pfister([a, c], F)
+        del built[:]
+        assert not is_isotropic_over(p, q)
+        assert fields_built == [q]
+        over_one = {tower for tower, _ in built if tower.depth >= 1}
+        assert over_one == {function_field(q).tower}
+
+    def test_errors_come_before_the_counts(self, F, abc):
+        """q's errors are function_field's, and a q over another field
+        raises ValueError before them."""
+        a, b, c = abc
+        one = F.one()
+        # p settles by (A), p1 by (B), whatever q is
+        p = QuasilinearForm(F, [one, a, b, c, a * b])
+        p1 = QuasilinearForm(F, [a])
+        line = QuasilinearForm(F, [b])
+        isotropic = QuasilinearForm(F, [one, a, a * b ** 2])
+        G = FieldTower.rational(("t",))
+        for form in (p, p1):
+            with pytest.raises(DimensionTooSmall,
+                               match="function field needs dimension"):
+                is_isotropic_over(form, line)
+            with pytest.raises(IsotropicInput,
+                               match="function field construction"):
+                is_isotropic_over(form, isotropic)
+            with pytest.raises(ValueError, match="different base fields"):
+                is_isotropic_over(form, QuasilinearForm(G, [G.var("t")]))
 
 
 class TestDomination:
@@ -149,16 +262,21 @@ class TestStableAndBirationalEquivalence:
         assert not decide_stably_equivalent(small, big)
 
     def test_input_errors_do_not_depend_on_the_order(self, F, abc):
-        a, b, _ = abc
+        a, b, c = abc
         isotropic = QuasilinearForm(F, [F.one(), a, a * b ** 2])
         line = QuasilinearForm(F, [a])
-        q = QuasilinearForm(F, [F.one(), b])
-        for bad, error in ((isotropic, IsotropicInput),
-                           (line, DimensionTooSmall)):
-            with pytest.raises(error):
-                decide_stably_equivalent(bad, q)
-            with pytest.raises(error):
-                decide_stably_equivalent(q, bad)
+        G = FieldTower.rational(("t",))
+        elsewhere = QuasilinearForm(G, [G.one(), G.var("t")])
+        # the 5-dim form's isotropy is settled by its dimension alone
+        for q in (QuasilinearForm(F, [F.one(), b]),
+                  QuasilinearForm(F, [F.one(), a, b, c, a * b])):
+            for bad, error in ((isotropic, IsotropicInput),
+                               (line, DimensionTooSmall),
+                               (elsewhere, ValueError)):
+                with pytest.raises(error):
+                    decide_stably_equivalent(bad, q)
+                with pytest.raises(error):
+                    decide_stably_equivalent(q, bad)
 
 
 class TestRulings:

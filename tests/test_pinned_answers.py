@@ -39,7 +39,7 @@ PINNED = {
     "compare-pool": (
         198,
         "3c79913fdc61047a20b085af6f8fefdf30d7018f81b051117ec6118d0688e39d",
-        dict(numeric_verdict=2344, conclusive=2295, solve=0, solvable=44,
+        dict(numeric_verdict=1928, conclusive=1909, solve=0, solvable=14,
              nullspace=12)),
 }
 
