@@ -371,9 +371,13 @@ def construct_ruling(X: QuasilinearForm) -> RulingDecomposition:
 
     Raises NotRuled when r = 1 (the decomposition would be trivial and no
     ruling exists along this route), and DimensionTooSmall or
-    IsotropicInput as the first Witt index does.  Impossible failures
-    raise InconsistencyDetected.
+    IsotropicInput as the first Witt index does.  An anisotropic X of
+    dim 2 or 3 has r = 1 (splitting_pattern), so no field is built for it.
+    Impossible failures raise InconsistencyDetected.
     """
+    if 2 <= X.dim <= 3 and is_anisotropic(X):
+        # a dim-1 or isotropic X raises below
+        raise NotRuled("first Witt index is 1")
     ff_x, _, over_x, kept = _over_own_function_field(X)
     K = ff_x.tower
     r = X.dim - len(kept)
@@ -507,6 +511,11 @@ def is_regular_quadric(q: QuasilinearForm) -> RegularityReport:
     Jacobian test (independence of the coefficient differentials) and the
     splitting-pattern test (anisotropic with pattern (n, n-1, ..., 1)) are
     evaluated as well and must agree, else InconsistencyDetected.
+
+    The products are independent exactly when the norm degree is 2^(n-1),
+    which is when splitting_pattern reads (n, n-1, ..., 1) off its bounds:
+    the splitting test restates the products test through a second
+    saturation, and the differentials are the independent check.
     """
     field = q.field
     scaled = q.scale(q.coeffs[-1].invert())

@@ -25,7 +25,6 @@ from .errors import (
 from .corpus import run_corpus
 from .fieldtower import DEFAULT_DEPTH_LIMIT
 from .forms import decide_similar
-from .pfister import norm_degree
 from .splitting import splitting_pattern
 
 EXIT_OK = 0
@@ -40,8 +39,7 @@ MAX_TIMEOUT_SECONDS = 1e9
 Result = Dict[str, object]
 
 
-def _splitting_data(q) -> Dict[str, object]:
-    pattern = splitting_pattern(q)
+def _splitting_data(pattern) -> Dict[str, object]:
     dims = list(pattern.dims)
     return {
         "splitting_pattern": dims,
@@ -50,7 +48,8 @@ def _splitting_data(q) -> Dict[str, object]:
 
 
 def _run_invariants(form) -> Result:
-    split = _splitting_data(form)
+    pattern = splitting_pattern(form)
+    split = _splitting_data(pattern)
     # the pattern starts at the dimension of the anisotropic part
     anisotropic_dim = split["splitting_pattern"][0]
     anisotropic = anisotropic_dim == form.dim
@@ -70,7 +69,9 @@ def _run_invariants(form) -> Result:
     else:
         out["first_witt_index"] = None
         out["essential_dimension"] = None
-    out["norm_degree"] = norm_degree(form)[0] if anisotropic else None
+    # an anisotropic form's norm degree is that of its anisotropic part,
+    # which the splitting pattern computed
+    out["norm_degree"] = pattern.norm_degree if anisotropic else None
     return out
 
 
@@ -153,8 +154,8 @@ def run(script: Script, verify_certificates: bool = False,
         elif cmd.name == "regular":
             entry.update(_run_regular(script.form_by_name(cmd.args[0]).form))
         elif cmd.name == "splitting":
-            entry.update(
-                _splitting_data(script.form_by_name(cmd.args[0]).form))
+            entry.update(_splitting_data(
+                splitting_pattern(script.form_by_name(cmd.args[0]).form)))
         elif cmd.name == "corpus":
             cases = run_corpus()
             entry["cases"] = cases

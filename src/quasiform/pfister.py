@@ -19,19 +19,13 @@ from .errors import (
     BadDecomposition,
     InconsistencyDetected,
     IndexMismatch,
-    IsotropicInput,
     ZeroSlot,
 )
 from .fieldtower import FieldTower, TowerElem, fresh_names
-from .forms import QuasilinearForm, is_anisotropic
+from .forms import QuasilinearForm
 from .maps import RationalMap
-from .splitting import function_field
-from .sqlinalg import (
-    SquareRelation,
-    _saturate,
-    k2_membership,
-    square_combination,
-)
+from .splitting import _norm_basis, function_field
+from .sqlinalg import SquareRelation, k2_membership, square_combination
 
 
 class QuasiPfisterForm:
@@ -133,29 +127,10 @@ class NormField:
 
 def norm_degree(q: QuasilinearForm) -> Tuple[int, NormField]:
     """Dimension over squares of the algebra generated by the coefficients
-    of q normalized to represent 1, together with that algebra.
-
-    The first two doublings of the saturation need no test.  q is
-    anisotropic exactly when a_1, ..., a_d are independent over K^2, and
-    multiplying by a_1^-1 is a K^2-linear bijection of K, so
-    1, e_1, ..., e_{d-1} (e_i = a_{i+1}/a_1) are independent too.  Then
-    e_1 lies outside span(1) and e_2 outside span(1, e_1), so saturating
-    by them always adjoins both, giving [1, e_1, e_2, e_2 e_1], the
-    expansion of <<e_1, e_2>>.  No third step is implied: <<e_1, e_2>>
-    contains e_1 e_2, so e_3 may already lie in it.  Only e_3, ... are
-    tested, by the loop span_saturate runs.
-    """
-    if not is_anisotropic(q):
-        raise IsotropicInput("norm degree expects an anisotropic form")
-    inv = q.coeffs[0].invert()
-    normalized = [inv * c for c in q.coeffs[1:]]
-    basis = _saturate(QuasiPfisterForm(q.field, normalized[:2]).expansion,
-                      normalized[2:])
-    degree = len(basis)
-    if degree & (degree - 1):
-        raise InconsistencyDetected(
-            f"norm field dimension {degree} is not a power of two")
-    return degree, NormField(q.field, basis)
+    of q normalized to represent 1, together with that algebra (the
+    saturation is splitting._norm_basis, which splitting_pattern runs)."""
+    basis = _norm_basis(q)
+    return len(basis), NormField(q.field, basis)
 
 
 def norm_field_slots(nf: NormField) -> List[TowerElem]:

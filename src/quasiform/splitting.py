@@ -13,15 +13,21 @@ anisotropic part, a subform of a form ranked anisotropic), pays nothing
 for it.  Its checks on the form (`_require_function_field`) are also
 those of a caller that may answer without building the field.
 
-`over_own_function_field` is the one rule for q over k(q), which the
-levels of the splitting pattern down to dimension 4, the first Witt index
-and the r of a ruling read; a ruling also takes the square system the
-rule's rank built, and solves its projection on it.  The generic point of
-k(q) is a zero of q, so q's last coefficient is in the span of the others
-over the squares there, and only the first dim - 1 coefficients are
-ranked.  An anisotropic form of dimension 2 or 3 has first Witt index 1
-(splitting_pattern), so the rest of the pattern is read off its dimension
-and no field is built for it.
+`over_own_function_field` is the one rule for q over k(q), which the open
+levels of the splitting pattern, the first Witt index and the r of a
+ruling read; a ruling also takes the square system the rule's rank built,
+and solves its projection on it.  The generic point of k(q) is a zero of
+q, so q's last coefficient is in the span of the others over the squares
+there, and only the first dim - 1 coefficients are ranked.
+
+The norm degree bounds the first Witt index from both sides and halves at
+each level (splitting_pattern).  The pattern saturates the norm field once,
+for its first level (`_norm_basis`, which `pfister.norm_degree` also
+runs), and builds a field only for a level whose bounds do not meet.  Its
+length is one more than log2 of the norm degree, which the invariants
+report reads.  So the pattern is (d, d - 1, ..., 1) exactly when the
+norm degree is 2^(d - 1): `is_regular_quadric`'s splitting test and its
+products test are one fact.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .errors import DimensionTooSmall, IsotropicInput
+from .errors import DimensionTooSmall, InconsistencyDetected, IsotropicInput
 from .fieldtower import FieldTower, TowerElem, fresh_names
 from .forms import (
     QuasilinearForm,
@@ -37,7 +43,7 @@ from .forms import (
     is_anisotropic,
     total_index,
 )
-from .sqlinalg import _independent, _SquareBlocks
+from .sqlinalg import _independent, _saturate, _SquareBlocks
 
 
 @dataclass(frozen=True)
@@ -65,6 +71,12 @@ class SplittingPattern:
                 raise ValueError("splitting pattern must strictly decrease")
         if self.dims[-1] > 1:
             raise ValueError("splitting pattern must end at dimension <= 1")
+
+    @property
+    def norm_degree(self) -> int:
+        """The norm degree of the form's anisotropic part: each level
+        halves it, down to 1 at dimension 1 (splitting_pattern)."""
+        return 1 << (len(self.dims) - 1)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(d) for d in self.dims) + ")"
@@ -165,35 +177,91 @@ def _over_own_function_field(
     return ff, over, system, kept
 
 
+def _norm_basis(q: QuasilinearForm) -> List[TowerElem]:
+    """A basis over the squares of q's norm field, the field generated over
+    K^2 by q's coefficients normalized to represent 1, in binary counter
+    order (span_saturate); its length is the norm degree.
+
+    The first two doublings of the saturation need no test.  q is
+    anisotropic exactly when a_1, ..., a_d are independent over K^2, and
+    multiplying by a_1^-1 is a K^2-linear bijection of K, so
+    1, e_1, ..., e_{d-1} (e_i = a_{i+1}/a_1) are independent too.  Then
+    e_1 lies outside span(1) and e_2 outside span(1, e_1), so saturating
+    by them always adjoins both, giving [1, e_1, e_2, e_2 e_1], the
+    expansion of <<e_1, e_2>>.  No third step is implied: <<e_1, e_2>>
+    contains e_1 e_2, so e_3 may already lie in it.  Only e_3, ... are
+    tested, by the loop span_saturate runs.
+    """
+    if not is_anisotropic(q):
+        raise IsotropicInput("norm degree expects an anisotropic form")
+    inv = q.coeffs[0].invert()
+    normalized = [inv * c for c in q.coeffs[1:]]
+    start = [q.field.one()]
+    for e in normalized[:2]:
+        start += [e * s for s in start]
+    basis = _saturate(start, normalized[2:])
+    if len(basis) & (len(basis) - 1):
+        raise InconsistencyDetected(
+            f"norm field dimension {len(basis)} is not a power of two")
+    return basis
+
+
 def splitting_pattern(q: QuasilinearForm) -> SplittingPattern:
     """Dimensions (dim q_0, ..., dim q_h) of the iterated anisotropic parts
     over the tower of function fields, down to dimension <= 1.
 
-    Function fields are built only while the anisotropic part has
-    dimension >= 4.  An anisotropic form of dimension 2 or 3 has first Witt
-    index 1, the Hoffmann-Laghribi bound (hl_bound) at its value 1, so the
-    rest of the pattern is dim - 1, ..., 1.  Elementary proofs, for q
-    anisotropic over a field F of characteristic 2, in the chart of
-    function_field (scaling q changes neither its quadric nor the
-    dimensions of its anisotropic parts):
+    The norm degree bounds each level's first Witt index, and a function
+    field is built only for a level whose bounds do not meet.  It is
+    saturated once, for q_0; each later level's is half the one before.
+    Let q = <a_1, ..., a_d> be anisotropic over a field F of
+    characteristic 2, and N(q) = F^2(a_1/a_d, ..., a_{d-1}/a_d) its norm
+    field, of degree 2^k over F^2 (normalizing by a_1 instead gives the
+    same field: a_i/a_1 = (a_i/a_d) / (a_1/a_d)).  Then
 
-    - dim 2, q = <a_1, a_2>: k(q) = F(y) with y^2 = a_1 / a_2, so
-      a_1 = a_2 y^2 and one dimension is left.
-    - dim 3, q = <1, a, b>: q is isotropic over k(q), so at most two
-      dimensions are left.  Suppose a and b were both squares in
-      k(q) = F(u)(y).  As a is not a square in F (q is anisotropic), nor
-      in the purely transcendental F(u), k(q) = F(u)(sqrt a), and so
-      b in F(u)^2(a) = F^2(a)(u^2).  Its elements in F are those of
-      F^2(a) = F^2 + a F^2, so b = x^2 + a z^2 with x, z in F, and
-      <1, a, b> would be isotropic over F.  So two dimensions are left.
+        max(1, d - 2^(k-1)) <= i_1(q) <= d - k,
+
+    and the anisotropic part of q over k(q) has norm degree 2^(k-1).
+    Proof, in the chart of function_field: k(q) = L = K(y) with
+    K = F(u_1, ..., u_{d-2}), y^2 = theta and
+    theta = (a_1 + a_2 u_1^2 + ... + a_{d-1} u_{d-2}^2) / a_d.
+
+    - L^2 = K^2(theta) has degree 2 over K^2 = F^2(u^2), as theta is not
+      a square in K (function_field).  theta lies in N(q)(u^2).
+    - So L^2(a_i/a_d) = N(q)(u^2).  Its degree over F^2(u^2) is 2^k (the
+      u_i^2 are transcendental over F, so a basis of N(q) over F^2 stays
+      one), so its degree over L^2 is 2^(k-1).
+    - Lower bound: the anisotropic part of q over L has m coefficients
+      among the a_i, independent over L^2, and so are their quotients by
+      a_d, which lie in that field of dimension 2^(k-1) over L^2:
+      m <= 2^(k-1).  And i_1 >= 1: the generic point is a zero.
+    - Upper bound: that part's m coefficients span the same L^2-space as
+      a_1, ..., a_d, so their ratios generate the same field over L^2,
+      N(q)(u^2): its norm field, of degree 2^(k-1).  Each of the m - 1
+      normalized coefficients at most doubles the degree, so
+      2^(k-1) <= 2^(m-1), and m >= k.
+
+    For d >= 2, k >= 1 (1 and a_2/a_1 are independent).  The bounds meet
+    exactly when 2^(k-1) = k (k <= 2) or d - k = 1 (maximal norm degree
+    2^(d-1)), and then i_1 = d - k.  The next level, of dim k and norm
+    degree 2^(k-1), is maximal, so the rest of the pattern is k, k - 1,
+    ..., 1 with no field built.  The elementary cases are ndeg = 2 (dim 2:
+    i_1 = 1) and ndeg = 4 (dim 3: i_1 = 1; dim 4: i_1 = 2).  Where the
+    bounds are open, k(q) is built, and the next level's norm degree is
+    still 2^(k-1), with no second saturation.  Each level halves the norm
+    degree and a form of dim 1 has norm degree 1, so the pattern has
+    k + 1 entries (SplittingPattern.norm_degree).
     """
     current = anisotropic_part(q)
-    dims: List[int] = [current.dim]
-    while current.dim >= 4:
+    d = current.dim
+    k = len(_norm_basis(current)).bit_length() - 1
+    dims: List[int] = [d]
+    # the bounds are open unless k <= 2 or k = d - 1 (docstring)
+    while 2 < k < d - 1:
         current = anisotropic_part(over_own_function_field(current)[1])
-        dims.append(current.dim)
-    # i_1 = 1 from here on (docstring)
-    dims.extend(range(current.dim - 1, 0, -1))
+        d, k = current.dim, k - 1
+        dims.append(d)
+    # i_1 = d - k, and every later level has maximal norm degree
+    dims.extend(range(k, 0, -1))
     return SplittingPattern(tuple(dims))
 
 

@@ -540,7 +540,7 @@ def span_saturate(field: FieldTower,
     adjoined elements over the set bits of m, as in
     QuasiPfisterForm.expansion, and the adjoined elements sit at the
     powers of two.  The loop is `_saturate`, started here from [1];
-    `pfister.norm_degree` starts it from a basis it has already proved.
+    `splitting._norm_basis` starts it from a basis it has already proved.
     """
     return _saturate([field.one()], elements)
 

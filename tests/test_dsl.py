@@ -541,19 +541,24 @@ class TestMain:
         assert "Traceback" not in err
 
     def test_depth_limit_exit(self, tmp_path, capsys):
-        # the generic dim-6 form builds k(q_0), k(q_1) and k(q_2) for its
-        # anisotropic parts of dim 6, 5 and 4: depth 3
+        # <1, t1, ..., t5, t1*t2> has norm degree 32, and the bounds leave
+        # its levels of dim 7, 6 and 5 open, so it builds k(q_0), k(q_1)
+        # and k(q_2): depth 3
         script = self.write(tmp_path,
-                            "field F2(t1,t2,t3,t4,t5,t6);"
-                            "form g = <t1,t2,t3,t4,t5,t6>; invariants g;")
+                            "field F2(t1,t2,t3,t4,t5);"
+                            "form g = <1,t1,t2,t3,t4,t5,t1*t2>; invariants g;")
         assert cli.main(["run", script, "--max-tower-depth", "2"]) == 3
         assert "resource limit" in capsys.readouterr().err
-        # the generic dim-5 form needs depth 2: its pattern is forced from
-        # dim 3 on, where no function field is built
+        assert cli.main(["run", script, "--max-tower-depth", "3",
+                         "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"][0]["splitting_pattern"] == [7, 6, 5, 4, 2, 1]
+        # the generic dim-5 form has maximal norm degree 16, which fixes
+        # every level: depth 0, no function field
         script = self.write(tmp_path,
                             "field F2(t1,t2,t3,t4,t5);"
                             "form g = <t1,t2,t3,t4,t5>; invariants g;")
-        assert cli.main(["run", script, "--max-tower-depth", "2",
+        assert cli.main(["run", script, "--max-tower-depth", "1",
                          "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["results"][0]["splitting_pattern"] == [5, 4, 3, 2, 1]

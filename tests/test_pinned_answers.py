@@ -5,9 +5,10 @@ the workloads themselves (a benchmark change to `qbench/workloads.py`)
 updates them in the same commit.
 
 The decision counts are the witness verdicts (`_gfnum.numeric_verdict`),
-the conclusive ones among them, and the exact eliminations
-(`_elim.solve`, `solvable`, `nullspace`).  A change that alters a count
-updates its pin and says why in CHANGES.md."""
+the conclusive ones among them, the exact eliminations (`_elim.solve`,
+`solvable`, `nullspace`), and the function fields built
+(`splitting.function_field`).  A change that alters a count updates its
+pin and says why in CHANGES.md."""
 
 import hashlib
 import itertools
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from quasiform import _elim, _gfnum
+from quasiform import _elim, _gfnum, splitting
 
 # workload -> (queries answered, SHA-256 of their answers, decision counts)
 PINNED = {
@@ -25,22 +26,22 @@ PINNED = {
         400,
         "7187b2dd7d95f35c3e22e8a8d2293e34b2add4d04155cee0a7ef92ef10a92522",
         dict(numeric_verdict=1625, conclusive=1611, solve=0, solvable=14,
-             nullspace=0)),
+             nullspace=0, function_field=0)),
     "invariants-tower": (
         120,
         "8a19db896f926575c936c95ea15a377fabb9139a69140d2da13a482e526a70b8",
-        dict(numeric_verdict=400, conclusive=400, solve=0, solvable=0,
-             nullspace=0)),
+        dict(numeric_verdict=320, conclusive=320, solve=0, solvable=0,
+             nullspace=0, function_field=0)),
     "ruling-verify": (
         60,
         "181a135f66cde978819ea525ec58d3be6cf1f1082b9ac3407ab5943774977ad5",
-        dict(numeric_verdict=276, conclusive=276, solve=96, solvable=0,
-             nullspace=0)),
+        dict(numeric_verdict=264, conclusive=264, solve=96, solvable=0,
+             nullspace=0, function_field=192)),
     "compare-pool": (
         198,
         "3c79913fdc61047a20b085af6f8fefdf30d7018f81b051117ec6118d0688e39d",
         dict(numeric_verdict=1928, conclusive=1909, solve=0, solvable=14,
-             nullspace=12)),
+             nullspace=12, function_field=162)),
 }
 
 
@@ -49,7 +50,7 @@ def decisions(monkeypatch):
     """Calls per decision function, and conclusive verdicts, counted at
     every binding in the library."""
     counts = dict.fromkeys(("numeric_verdict", "conclusive", "solve",
-                            "solvable", "nullspace"), 0)
+                            "solvable", "nullspace", "function_field"), 0)
 
     def counting(real):
         def spy(*args):
@@ -61,7 +62,7 @@ def decisions(monkeypatch):
         return spy
 
     for real in (_gfnum.numeric_verdict, _elim.solve, _elim.solvable,
-                 _elim.nullspace):
+                 _elim.nullspace, splitting.function_field):
         for name, module in list(sys.modules.items()):
             if (name.split(".")[0] == "quasiform"
                     and getattr(module, real.__name__, None) is real):

@@ -18,7 +18,7 @@ from quasiform.forms import (
     is_anisotropic,
     total_index,
 )
-from quasiform.pfister import quasi_pfister
+from quasiform.pfister import norm_degree, quasi_pfister
 from quasiform.splitting import (
     check_hl_bound,
     essential_dimension,
@@ -363,21 +363,47 @@ def _generic(n):
     return QuasilinearForm(G, [G.var(f"t{i}") for i in range(1, n + 1)])
 
 
+def _over_t5(*monomials):
+    """The form over F2(t1..t5) whose coefficients are the products of the
+    variables t_i with i in each tuple."""
+    G = FieldTower.rational(tuple(f"t{i}" for i in range(1, 6)))
+    coeffs = []
+    for indices in monomials:
+        c = G.one()
+        for i in indices:
+            c = c * G.var(f"t{i}")
+        coeffs.append(c)
+    return QuasilinearForm(G, coeffs)
+
+
 class TestOwnFieldSystems:
     """The systems that rank a form over its own function field: none has
     the form's last coefficient as a column, the splitting pattern builds
-    a field only for its levels of dim >= 4, and the first Witt index of a
-    dim-d form takes d - 2 greedy steps."""
+    a field exactly for the levels its norm-degree bounds leave open, and
+    the first Witt index of a dim-d form takes d - 2 greedy steps."""
 
     def test_splitting_pattern_never_ranks_the_last_coefficient(
             self, F, systems, levels):
         built, _ = systems
-        for q in (_generic(5), pfister2(F), _generic(3), _generic(2),
-                  QuasilinearForm(F, [F.one(), F.var("a"), F.var("b")])):
+        # (form, its pattern, the dims of its levels the bounds leave
+        # open): <1, t1, ..., t5, t1t2> has norm degree 32, and its levels
+        # of (dim, norm degree) (7, 32), (6, 16) and (5, 8) are open,
+        # (4, 4) is not
+        cases = [(_over_t5((), (1,), (2,), (3,), (4,), (5,), (1, 2)),
+                  (7, 6, 5, 4, 2, 1), [7, 6, 5]),
+                 (_over_t5((), (1,), (2,), (3,), (4,), (1, 2), (1, 3)),
+                  (7, 6, 4, 2, 1), [7, 6]),
+                 (_generic(5), (5, 4, 3, 2, 1), []),
+                 (pfister2(F), (4, 2, 1), []),
+                 (_generic(3), (3, 2, 1), []),
+                 (_generic(2), (2, 1), []),
+                 (QuasilinearForm(F, [F.one(), F.var("a"), F.var("b")]),
+                  (3, 2, 1), [])]
+        for q, pattern, open_dims in cases:
             del built[:], levels[:]
-            dims = splitting_pattern(q).dims
-            assert [p.dim for p, _ in levels] == [d for d in dims if d >= 4]
-            if q.dim <= 3:
+            assert splitting_pattern(q).dims == pattern
+            assert [p.dim for p, _ in levels] == open_dims
+            if not open_dims:
                 # no field built, so no system over any field but q's own
                 assert {tower for tower, _ in built} <= {q.field}
             for p, ff in levels:
@@ -399,13 +425,15 @@ class TestOwnFieldSystems:
 
 def _pattern_built_to_the_end(q):
     """The splitting pattern with a function field built at every level
-    down to dimension <= 1, none of it read off the dimension."""
+    down to dimension <= 1, none of it read off a norm degree, and the
+    norm degree of every level, each saturated over its own field."""
     current = anisotropic_part(q)
-    dims = [current.dim]
+    dims, degrees = [current.dim], [norm_degree(current)[0]]
     while current.dim >= 2:
         current = anisotropic_part(over_own_function_field(current)[1])
         dims.append(current.dim)
-    return tuple(dims)
+        degrees.append(norm_degree(current)[0])
+    return tuple(dims), degrees
 
 
 def _random_anisotropic(field, sample, dims, per_dim):
@@ -422,52 +450,129 @@ def _random_anisotropic(field, sample, dims, per_dim):
     return forms
 
 
+def _anisotropic_over_abcd(rng, dim, binomials):
+    """An anisotropic form of the given dim over F2(a,b,c,d): monomials
+    from distinct parity classes times random squares, with `binomials`
+    of them, never the first, given a second random term.  (The oracle
+    saturates each level over its own function field, normalized by the
+    first coefficient; with a binomial there it can run for minutes.)"""
+    F = FieldTower.rational(("a", "b", "c", "d"))
+    classes = rng.sample(list(itertools.product((0, 1), repeat=4)), dim)
+    while True:
+        coeffs = []
+        for parity in classes:
+            c = F.one()
+            for var, e in zip(F.base_vars, parity):
+                c = c * F.var(var) ** (e + 2 * rng.randrange(2))
+            coeffs.append(c)
+        for slot in rng.sample(range(1, dim), binomials):
+            coeffs[slot] = coeffs[slot] + sample_poly_elem(rng, F, 2, 1)
+        if all(not c.is_zero for c in coeffs):
+            q = QuasilinearForm(F, coeffs)
+            if is_anisotropic(q):
+                return q
+
+
 class TestForcedTail:
-    """From an anisotropic part of dim 3 on, splitting_pattern reads the
-    pattern off the dimension.  Building every level's function field
-    instead, as `_pattern_built_to_the_end` does, gives the same pattern,
-    so every dim-2 and dim-3 level it builds has first Witt index 1."""
+    """splitting_pattern reads each level whose norm-degree bounds meet
+    off the bounds, and builds a field for every other one.  The pattern
+    built field by field agrees, and each level it builds satisfies the
+    bounds max(1, d - ndeg/2) <= i_1 <= d - log2(ndeg), the halving of the
+    norm degree, and the quasilinear form of Karpenko's bound
+    i_1 - 1 < 2^v_2(d - i_1).  Every dim-2 and dim-3 level has i_1 = 1,
+    and every pattern ends in levels the bounds fix."""
 
-    def _check(self, forms):
-        tails = set()
+    def _check(self, forms, levels):
+        """The dims of 2 and 3 among the levels, and the number of levels
+        the bounds fixed and left open."""
+        tails, pinned, built = set(), 0, 0
         for q in forms:
-            built = _pattern_built_to_the_end(q)
-            assert splitting_pattern(q).dims == built
-            tails.update(d for d in built if 2 <= d <= 3)
-        return tails
+            dims, degrees = _pattern_built_to_the_end(q)
+            del levels[:]
+            pattern = splitting_pattern(q)
+            assert pattern.dims == dims
+            assert pattern.norm_degree == degrees[0]
+            open_dims = []
+            for d, after, degree, after_degree in zip(dims, dims[1:],
+                                                      degrees, degrees[1:]):
+                i1, k = d - after, degree.bit_length() - 1
+                low, high = max(1, d - degree // 2), d - k
+                assert low <= i1 <= high
+                assert after_degree == degree // 2
+                # after & -after is 2^v_2(after), after = d - i_1 >= 1
+                assert i1 - 1 < after & -after
+                if low < high:
+                    open_dims.append(d)
+            # a field for each open level and none for the others
+            assert [p.dim for p, _ in levels] == open_dims
+            tails.update(d for d in dims if 2 <= d <= 3)
+            built += len(open_dims)
+            pinned += len(dims) - 1 - len(open_dims)
+        return tails, pinned, built
 
-    def test_generic_and_pfister_forms(self, F):
+    def test_generic_and_pfister_forms(self, F, levels):
         forms = [_generic(n) for n in range(2, 7)]
         forms += [pfister2(F),
                   quasi_pfister([F.var("a"), F.var("b"), F.var("c")], F)]
-        assert self._check(forms) == {2, 3}
+        tails, pinned, built = self._check(forms, levels)
+        assert tails == {2, 3} and pinned > 0 and built == 1
 
-    def test_invariants_tower_inputs(self, monkeypatch):
+    def test_invariants_tower_inputs(self, monkeypatch, levels):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
         from qbench.workloads import WORKLOADS
 
         queries = itertools.islice(WORKLOADS["invariants-tower"].timed(3), 60)
         forms = [dsl.parse(query.payload).forms[0].form for query in queries]
         assert {q.dim for q in forms} == {3, 4}
-        assert self._check(forms) == {2, 3}
+        tails, pinned, built = self._check(forms, levels)
+        assert tails == {2, 3} and pinned > 0 and built == 0
 
-    def test_random_forms_over_the_rational_field(self, F):
+    def test_random_forms_over_the_rational_field(self, F, levels):
         rng = random.Random(21)
         forms = _random_anisotropic(
             F, lambda: sample_poly_elem(rng, F, 3, 2), range(2, 6), 3)
-        assert self._check(forms) == {2, 3}
+        tails, pinned, built = self._check(forms, levels)
+        assert tails == {2, 3} and pinned > 0
 
-    def test_random_forms_over_a_depth_one_tower(self):
+    def test_random_forms_over_a_depth_one_tower(self, levels):
         K, _, _, element = tower_sampler(21, depth=1)
         forms = _random_anisotropic(K, lambda: element(1), range(2, 6), 2)
-        assert self._check(forms) == {2, 3}
+        tails, pinned, built = self._check(forms, levels)
+        assert tails == {2, 3} and pinned > 0 and built > 0
+
+    def test_forms_over_four_variables(self, levels):
+        rng = random.Random(26)
+        forms = [_anisotropic_over_abcd(rng, dim, binomials)
+                 for dim in range(3, 11) for binomials in (0, 0, 1, 2)]
+        tails, pinned, built = self._check(forms, levels)
+        assert tails == {2, 3} and pinned > 0 and built > 0
+
+    def test_isotropic_forms(self, levels):
+        rng = random.Random(27)
+        forms = []
+        for dim in range(3, 9):
+            q = _anisotropic_over_abcd(rng, dim, 1)
+            a, b = rng.sample(q.coeffs, 2)
+            extra = a * q.field.var("c").square() + b
+            forms.append(QuasilinearForm(q.field, q.coeffs + (extra,)))
+        assert not any(is_anisotropic(q) for q in forms)
+        tails, pinned, built = self._check(forms, levels)
+        assert tails == {2, 3} and pinned > 0 and built > 0
+
+    def test_generic_dim_10_form_builds_no_field(self, levels):
+        names = ",".join(f"t{i}" for i in range(1, 11))
+        script = dsl.parse(f"field F2({names}); form g = <{names}>;"
+                           "splitting g;")
+        entry = cli.run(script)["results"][0]
+        assert entry["splitting_pattern"] == list(range(10, 0, -1))
+        assert levels == []
 
 
-def test_invariants_tower_queries_pass_their_oracle(monkeypatch):
+def test_invariants_tower_queries_pass_their_oracle(monkeypatch, levels):
     """The benchmark's own `invariants-tower` inputs, monomial forms of dim
     3 and 4, through dsl.parse and cli.run, each answer checked by its
-    oracle.  Their splitting patterns build one function field at most,
-    for a dim-4 form; the rest of each pattern is forced."""
+    oracle.  Their norm degrees fix every level of their splitting
+    patterns, so no function field is built."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
     from qbench.oracles import check_invariants
     from qbench.workloads import WORKLOADS
@@ -482,6 +587,7 @@ def test_invariants_tower_queries_pass_their_oracle(monkeypatch):
             dim4_norm_degrees.add(answer["norm_degree"])
     assert {len(p) for p in patterns} >= {3, 4}
     assert {p[0] for p in patterns} == {3, 4}
-    # a dim-4 form is the one case where norm_degree still decides a
+    assert levels == []
+    # a dim-4 form is the one case where the norm degree still decides a
     # doubling (e_3 in <<e_1, e_2>> or not), so the oracle checks both
     assert dim4_norm_degrees == {4, 8}
