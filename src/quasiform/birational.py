@@ -512,30 +512,33 @@ def is_regular_quadric(q: QuasilinearForm) -> RegularityReport:
     splitting-pattern test (anisotropic with pattern (n, n-1, ..., 1)) are
     evaluated as well and must agree, else InconsistencyDetected.
 
-    The products are independent exactly when the norm degree is 2^(n-1),
-    which is when splitting_pattern reads (n, n-1, ..., 1) off its bounds:
-    the splitting test restates the products test through a second
-    saturation, and the differentials are the independent check.
+    The products span the norm field over the squares, so they are
+    independent exactly when the norm degree is 2^(n-1).  The pattern
+    strictly decreases to dimension 1 with log2 of the norm degree plus one
+    entries (splitting_pattern), so that is when it reads (n, n-1, ..., 1).
+    Over a rational field the products test is therefore read off the
+    pattern, which saturates the norm field at most once; over a tower,
+    where the pattern is not computed, the products are saturated
+    (span_saturate).  The differentials are the independent check.
     """
     field = q.field
     scaled = q.scale(q.coeffs[-1].invert())
     n = q.dim
-    front = list(scaled.coeffs[:-1])
-
-    span = span_saturate(field, front)
-    products_independent = len(span) == 1 << (n - 1)
 
     differentials: Optional[bool] = None
     generic: Optional[bool] = None
     if field.depth == 0:
-        differentials = _differentials_independent(field, front)
-        generic = splitting_pattern(scaled).dims == tuple(range(n, 0, -1))
-        if (differentials != products_independent
-                or generic != products_independent):
+        generic = splitting_pattern(scaled).norm_degree == 1 << (n - 1)
+        products_independent = generic
+        differentials = _differentials_independent(field,
+                                                   scaled.coeffs[:-1])
+        if differentials != products_independent:
             raise InconsistencyDetected(
-                "regularity conditions disagree: products "
-                f"{products_independent}, differentials {differentials}, "
-                f"splitting {generic}")
+                "regularity conditions disagree: products and splitting "
+                f"{products_independent}, differentials {differentials}")
+    else:
+        span = span_saturate(field, list(scaled.coeffs[:-1]))
+        products_independent = len(span) == 1 << (n - 1)
     return RegularityReport(
         regular=products_independent,
         coefficient_products_independent=products_independent,

@@ -13,8 +13,20 @@ and declared variables, evaluated in F2(declared names); integer literals
 appear only as exponents, at most gf2poly.MAX_EXPONENT.  Lines starting
 with # (to end of line) are comments.  A coefficient larger than MAX_TERMS
 terms raises ResourceLimit; a power, before it is taken.
+
+The text is scanned by one compiled pattern into plain (kind, value,
+offset) tuples; a line and column are computed from an offset only for an
+error or a command.  `tokenize` returns the same tokens with positions.
+The recursive descent evaluates each coefficient as it reads it.  A term
+that starts with a run of declared variables with literal exponents, such
+as a^2*b*a, packs the run into one monomial, adding each exponent into its
+variable's slot (gf2poly), and builds it as one Poly, with no product.
+Parentheses, sums, quotients, 0, 1 and the factors after them are RatFn
+arithmetic.  Either way a script fails with the same error at the same
+token.
 """
 
+import re
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -26,7 +38,7 @@ from .errors import (
 )
 from .fieldtower import DEFAULT_DEPTH_LIMIT, FieldTower, TowerElem
 from .forms import QuasilinearForm
-from .gf2poly import MAX_EXPONENT, Poly, RatFn
+from .gf2poly import MAX_EXPONENT, RatFn, _overflow, _poly, _shift
 
 COMMAND_ARITY = {
     "invariants": 1,
@@ -44,61 +56,70 @@ MAX_NESTING = 100
 # the most terms a coefficient's numerator and denominator hold together,
 # so no product in a script multiplies more than MAX_TERMS^2 term pairs
 MAX_TERMS = 1024
-_PUNCT = frozenset("()<>,;=+*/^")
+
+# token kinds: the number of the scanner's group that matched
+_EOF, _INT, _IDENT, _PUNCT, _BAD = range(5)
+_Token = Tuple[int, str, int]  # kind, value, offset
+_BLANKS = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+# one token per match, with the blanks and comments after it; `\w` is
+# exactly str.isalnum() or "_", and ASCII digits start an integer.  An
+# unexpected character swallows the rest of the text, so it can only be
+# the last match
+_SCAN = re.compile(r"(?:([0-9]+)|(\w+)|([()<>,;=+*/^])|(.[\s\S]*))"
+                   + _BLANKS)
+_LEADING = re.compile(_BLANKS)
+
+
+def _scan(text: str) -> List[_Token]:
+    """(kind, value, offset) for each token of `text`, then an end token;
+    DslSyntaxError at the first character no token starts with."""
+    tokens = [(m.lastindex, m[m.lastindex], m.start())
+              for m in _SCAN.finditer(text, _LEADING.match(text).end())]
+    if not text.isascii():
+        # a non-ASCII digit or numeral is a word character, but starts no
+        # identifier; ASCII words start with a letter or "_"
+        for kind, value, offset in tokens:
+            if kind == _IDENT and not (value[0].isalpha() or value[0] == "_"):
+                _bad_character(text, offset)
+    if tokens and tokens[-1][0] == _BAD:
+        _bad_character(text, tokens[-1][2])
+    # a comment on the last line does not move the end
+    last = text.rfind("\n") + 1
+    comment = text.find("#", last)
+    tokens.append((_EOF, "", len(text) if comment < 0 else comment))
+    return tokens
+
+
+def _position(text: str, offset: int) -> Tuple[int, int]:
+    """1-based line and column of `offset` in `text`."""
+    return (text.count("\n", 0, offset) + 1,
+            offset - text.rfind("\n", 0, offset))
+
+
+def _bad_character(text: str, offset: int):
+    raise DslSyntaxError(f"unexpected character {text[offset]!r}",
+                         *_position(text, offset))
 
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # "ident", "int", or the punctuation character itself
+    kind: str  # "ident", "int", "eof", or the punctuation character itself
     value: str
     line: int
     column: int
 
 
 def tokenize(text: str) -> List[Token]:
-    tokens: List[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(Token("int", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise DslSyntaxError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+    """The tokens the parser reads, with their line and column."""
+    names = ("eof", "int", "ident")
+    out: List[Token] = []
+    line, last = 1, 0
+    for kind, value, offset in _scan(text):
+        line += text.count("\n", last, offset)
+        last = offset
+        out.append(Token(value if kind == _PUNCT else names[kind], value,
+                         line, offset - text.rfind("\n", 0, offset)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -143,12 +164,12 @@ class Script:
 
 
 class _Parser:
-    """Recursive descent over the token list; evaluates each coefficient
+    """Recursive descent over the scanned tokens; evaluates each coefficient
     expression in F2(declared names) and lifts the result into the field."""
 
-    def __init__(self, tokens: List[Token],
-                 depth_limit: int = DEFAULT_DEPTH_LIMIT):
-        self.tokens = tokens
+    def __init__(self, text: str, depth_limit: int = DEFAULT_DEPTH_LIMIT):
+        self.text = text
+        self.tokens = _scan(text)
         self.pos = 0
         self.nesting = 0
         self.field = FieldTower.rational((), depth_limit=depth_limit)
@@ -157,25 +178,35 @@ class _Parser:
         self.form_names: Dict[str, int] = {}
         self.commands: List[Command] = []
 
-    def peek(self) -> Token:
+    def peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> _Token:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail(tok, f"expected {what}, found "
-                           f"{tok.value or 'end of input'!r}")
+    def expect(self, punct: str, what: str) -> _Token:
+        if self.tokens[self.pos][1] != punct:
+            self.unexpected(what)
         return self.next()
 
-    def fail(self, tok: Token, message: str):
-        raise DslSyntaxError(message, tok.line, tok.column)
+    def expect_ident(self, what: str) -> _Token:
+        if self.tokens[self.pos][0] != _IDENT:
+            self.unexpected(what)
+        return self.next()
 
-    def bounded(self, tok: Token, value: RatFn, power: int = 1) -> RatFn:
+    def unexpected(self, what: str):
+        tok = self.peek()
+        self.fail(tok, f"expected {what}, found {tok[1] or 'end of input'!r}")
+
+    def where(self, tok: _Token) -> str:
+        return "line {}, column {}".format(*_position(self.text, tok[2]))
+
+    def fail(self, tok: _Token, message: str):
+        raise DslSyntaxError(message, *_position(self.text, tok[2]))
+
+    def bounded(self, tok: _Token, value: RatFn, power: int = 1) -> RatFn:
         """`value`, or ResourceLimit at `tok` if it has more than
         MAX_TERMS terms.  With power = k, the bound is on value^n for any
         n with k bits set: value^n = N^n / D^n, and N^n is a product of
@@ -183,23 +214,23 @@ class _Parser:
         if (len(value.num.packed) ** power
                 + len(value.den.packed) ** power > MAX_TERMS):
             raise ResourceLimit(
-                f"line {tok.line}, column {tok.column}: coefficient above "
-                f"{MAX_TERMS} terms, the most a script coefficient holds")
+                f"{self.where(tok)}: coefficient above {MAX_TERMS} terms, "
+                f"the most a script coefficient holds")
         return value
 
     def parse_script(self) -> Script:
-        while self.peek().kind != "eof":
+        while self.peek()[0] != _EOF:
             tok = self.peek()
-            if tok.kind != "ident":
-                self.fail(tok, f"expected a statement, found {tok.value!r}")
-            if tok.value == "field":
+            if tok[0] != _IDENT:
+                self.fail(tok, f"expected a statement, found {tok[1]!r}")
+            if tok[1] == "field":
                 self.parse_field()
-            elif tok.value == "form":
+            elif tok[1] == "form":
                 self.parse_form()
-            elif tok.value in COMMAND_ARITY:
+            elif tok[1] in COMMAND_ARITY:
                 self.parse_command()
             else:
-                self.fail(tok, f"unknown statement {tok.value!r}")
+                self.fail(tok, f"unknown statement {tok[1]!r}")
         return Script(field=self.field,
                       forms=tuple(self.forms),
                       commands=tuple(self.commands))
@@ -210,20 +241,21 @@ class _Parser:
             self.fail(kw, "duplicate field declaration")
         if self.forms:
             self.fail(kw, "field must be declared before any form")
-        name = self.expect("ident", "'F2'")
-        if name.value != "F2":
-            self.fail(name, f"the base field is F2, found {name.value!r}")
+        tok = self.expect_ident("'F2'")
+        if tok[1] != "F2":
+            self.fail(tok, f"the base field is F2, found {tok[1]!r}")
         self.expect("(", "'('")
         names: List[str] = []
-        if self.peek().kind != ")":
+        if self.peek()[1] != ")":
             while True:
-                v = self.expect("ident", "a variable name")
-                if v.value in _KEYWORDS:
-                    self.fail(v, f"{v.value!r} cannot name a variable")
-                if v.value in names:
-                    self.fail(v, f"duplicate variable {v.value!r}")
-                names.append(v.value)
-                if self.peek().kind != ",":
+                tok = self.expect_ident("a variable name")
+                v = tok[1]
+                if v in _KEYWORDS:
+                    self.fail(tok, f"{v!r} cannot name a variable")
+                if v in names:
+                    self.fail(tok, f"duplicate variable {v!r}")
+                names.append(v)
+                if self.peek()[1] != ",":
                     break
                 self.next()
         self.expect(")", "')' or ','")
@@ -234,11 +266,12 @@ class _Parser:
 
     def parse_form(self) -> None:
         self.next()
-        name = self.expect("ident", "a form name")
-        if name.value in _KEYWORDS:
-            self.fail(name, f"{name.value!r} cannot name a form")
-        if name.value in self.form_names:
-            self.fail(name, f"form {name.value!r} is already defined")
+        tok = self.expect_ident("a form name")
+        name = tok[1]
+        if name in _KEYWORDS:
+            self.fail(tok, f"{name!r} cannot name a form")
+        if name in self.form_names:
+            self.fail(tok, f"form {name!r} is already defined")
         self.expect("=", "'='")
         self.expect("<", "'<'")
         coeffs: List[TowerElem] = []
@@ -246,47 +279,51 @@ class _Parser:
             value = self.parse_expr()
             if value.is_zero:
                 raise ZeroCoefficient(
-                    f"coefficient {len(coeffs) + 1} of form {name.value!r} "
+                    f"coefficient {len(coeffs) + 1} of form {name!r} "
                     f"is zero")
             coeffs.append(self.field.scalar(value))
-            if self.peek().kind != ",":
+            if self.peek()[1] != ",":
                 break
             self.next()
         self.expect(">", "'>' or ','")
         self.expect(";", "';'")
         form = QuasilinearForm(self.field, coeffs)
-        self.form_names[name.value] = len(self.forms)
-        self.forms.append(FormDef(name=name.value, form=form))
+        self.form_names[name] = len(self.forms)
+        self.forms.append(FormDef(name=name, form=form))
 
     def parse_command(self) -> None:
         kw = self.next()
-        arity = COMMAND_ARITY[kw.value]
         args: List[str] = []
-        for _ in range(arity):
-            arg = self.expect("ident", "a form name")
-            if arg.value not in self.form_names:
-                self.fail(arg, f"form {arg.value!r} is not defined")
-            args.append(arg.value)
+        for _ in range(COMMAND_ARITY[kw[1]]):
+            tok = self.expect_ident("a form name")
+            if tok[1] not in self.form_names:
+                self.fail(tok, f"form {tok[1]!r} is not defined")
+            args.append(tok[1])
         self.expect(";", "';'")
-        self.commands.append(Command(name=kw.value, args=tuple(args),
-                                     line=kw.line, column=kw.column))
+        line, column = _position(self.text, kw[2])
+        self.commands.append(Command(name=kw[1], args=tuple(args),
+                                     line=line, column=column))
 
-    # expression grammar: expr := term (+ term)*; term := factor ((*|/)
-    # factor)*; factor := atom (^ INT)?; atom := 0 | 1 | ident | ( expr )
+    # expression grammar: expr := term (+ term)*; term := (run | factor)
+    # ((*|/) factor)*; run := ident (^ INT)? (* ident (^ INT)?)*;
+    # factor := atom (^ INT)?; atom := 0 | 1 | ident | ( expr )
 
     def parse_expr(self) -> RatFn:
         value = self.parse_term()
-        while self.peek().kind == "+":
+        while self.peek()[1] == "+":
             op = self.next()
             value = self.bounded(op, value + self.parse_term())
         return value
 
     def parse_term(self) -> RatFn:
-        value = self.parse_factor()
-        while self.peek().kind in ("*", "/"):
+        if self.peek()[0] == _IDENT:
+            value = self.parse_monomial()
+        else:
+            value = self.parse_factor()
+        while self.peek()[1] in ("*", "/"):
             op = self.next()
             rhs = self.parse_factor()
-            if op.kind == "*":
+            if op[1] == "*":
                 value = self.bounded(op, value * rhs)
             else:
                 if rhs.is_zero:
@@ -294,39 +331,71 @@ class _Parser:
                 value = self.bounded(op, value / rhs)
         return value
 
+    def parse_monomial(self) -> RatFn:
+        """The leading run ident (^ INT)? (* ident (^ INT)?)* of a term as
+        one packed monomial: each factor adds its exponent to its slot.
+        The slot passes MAX_EXPONENT exactly where the product of the
+        factors read so far would, and a monomial has one term, under
+        every bound, so the run fails where and as the product does."""
+        tokens = self.tokens
+        mono = 0
+        while True:
+            sh = self.slot(self.next())
+            e = 1
+            if tokens[self.pos][1] == "^":
+                self.pos += 1
+                e = self.parse_exponent()
+            if (mono >> sh & MAX_EXPONENT) + e > MAX_EXPONENT:
+                raise _overflow()
+            mono += e << sh
+            if tokens[self.pos][1] != "*" or tokens[self.pos + 1][0] != _IDENT:
+                return RatFn.from_poly(_poly(frozenset((mono,)), mono))
+            self.pos += 1
+
     def parse_factor(self) -> RatFn:
         value = self.parse_atom()
-        if self.peek().kind == "^":
+        if self.peek()[1] == "^":
             op = self.next()
-            tok = self.expect("int", "an integer exponent")
-            lit = tok.value.lstrip("0") or "0"
-            # int() refuses more than 4,300 digits, so count them first
-            if len(lit) > len(str(MAX_EXPONENT)) or int(lit) > MAX_EXPONENT:
-                raise ResourceLimit(f"line {tok.line}, column {tok.column}: "
-                                    f"exponent above {MAX_EXPONENT}")
-            exp = int(lit)
+            exp = self.parse_exponent()
             value = self.bounded(op, value, exp.bit_count()) ** exp
         return value
 
+    def parse_exponent(self) -> int:
+        tok = self.peek()
+        if tok[0] != _INT:
+            self.unexpected("an integer exponent")
+        self.pos += 1
+        lit = tok[1].lstrip("0") or "0"
+        # int() refuses more than 4,300 digits, so count them first
+        if len(lit) > len(str(MAX_EXPONENT)) or int(lit) > MAX_EXPONENT:
+            raise ResourceLimit(
+                f"{self.where(tok)}: exponent above {MAX_EXPONENT}")
+        return int(lit)
+
+    def slot(self, tok: _Token) -> int:
+        """Bit offset of the slot of the variable `tok`, which must be
+        declared (a keyword never is)."""
+        name = tok[1]
+        if name not in self.field.base_vars:
+            if name in _KEYWORDS:
+                self.fail(tok, f"{name!r} cannot appear in an expression")
+            raise UndeclaredVariable(
+                f"{self.where(tok)}: variable {name!r} is not declared")
+        return _shift(name)
+
     def parse_atom(self) -> RatFn:
         tok = self.peek()
-        if tok.kind == "int":
-            if tok.value in ("0", "1"):
+        if tok[0] == _INT:
+            if tok[1] in ("0", "1"):
                 self.next()
-                return RatFn.one() if tok.value == "1" else RatFn.zero()
+                return RatFn.one() if tok[1] == "1" else RatFn.zero()
             self.fail(tok, "integers other than 0 and 1 are only "
                            "allowed as exponents")
-        if tok.kind == "ident":
+        if tok[0] == _IDENT:
             self.next()
-            if tok.value in _KEYWORDS:
-                self.fail(tok, f"{tok.value!r} cannot appear in an expression")
-            if tok.value not in self.field.base_vars:
-                raise UndeclaredVariable(
-                    f"line {tok.line}, column {tok.column}: variable "
-                    f"{tok.value!r} is not declared")
-            return RatFn.from_poly(
-                Poly.variable(tok.value, self.field.base_vars))
-        if tok.kind == "(":
+            t = 1 << self.slot(tok)
+            return RatFn.from_poly(_poly(frozenset((t,)), t))
+        if tok[1] == "(":
             if self.nesting == MAX_NESTING:
                 self.fail(tok, f"parentheses nested deeper than "
                                f"{MAX_NESTING} levels")
@@ -336,14 +405,13 @@ class _Parser:
             self.nesting -= 1
             self.expect(")", "')'")
             return value
-        self.fail(tok, f"expected an expression, found "
-                       f"{tok.value or 'end of input'!r}")
+        self.unexpected("an expression")
 
 
 def parse(text: str, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> Script:
     """Parse and validate a script; expressions are evaluated eagerly so
     zero coefficients and undeclared variables surface here."""
-    return _Parser(tokenize(text), depth_limit).parse_script()
+    return _Parser(text, depth_limit).parse_script()
 
 
 def scripts_equivalent(a: Script, b: Script) -> bool:

@@ -52,6 +52,8 @@ MAX_EXPONENT = (1 << (_WIDTH - 1)) - 1
 # only grows, and nothing but speed depends on the order names arrive in
 _SLOT_SHIFT: Dict[str, int] = {}
 _SLOT_NAME: List[str] = []
+# (name, bit offset) of every slot, sorted by name as named monomials are
+_SLOT_ORDER: List[Tuple[str, int]] = []
 # bit 0, bit _WIDTH-2 and bit _WIDTH-1 (the guard) of every slot in use
 _LOW = 0
 _HALF = 0
@@ -65,7 +67,7 @@ _ONE_T: FrozenSet[int] = frozenset((0,))
 
 def _shift(name: str) -> int:
     """Bit offset of the slot of `name`, interning it on first use."""
-    global _LOW, _HALF, _GUARD
+    global _LOW, _HALF, _GUARD, _SLOT_ORDER
     sh = _SLOT_SHIFT.get(name)
     if sh is None:
         with _INTERNING:
@@ -76,6 +78,8 @@ def _shift(name: str) -> int:
                 _LOW |= 1 << sh
                 _HALF |= 1 << (sh + _WIDTH - 2)
                 _GUARD |= 1 << (sh + _WIDTH - 1)
+                # a new list, so a reader never sees one half updated
+                _SLOT_ORDER = sorted(_SLOT_ORDER + [(name, sh)])
                 # published last: a slot in use is always in the masks
                 _SLOT_SHIFT[name] = sh
     return sh
@@ -95,8 +99,8 @@ def slot_shifts(bits: int) -> Dict[str, int]:
 
 
 def _decode(t: int) -> Monomial:
-    return tuple(sorted((v, t >> sh & MAX_EXPONENT)
-                        for v, sh in slot_shifts(t).items()))
+    return tuple([(v, e) for v, sh in _SLOT_ORDER
+                  if (e := t >> sh & MAX_EXPONENT)])
 
 
 class _Terms:
@@ -248,13 +252,14 @@ class Poly:
     # -- presentation ------------------------------------------------------
 
     def __str__(self) -> str:
+        """Terms by descending total degree, then by named monomial."""
         if not self.packed:
             return "0"
-        monos = sorted(map(_decode, self.packed),
-                       key=lambda m: (-sum(e for _, e in m), m))
-        return "+".join(
-            "*".join(v if e == 1 else f"{v}^{e}" for v, e in m) or "1"
-            for m in monos)
+        keyed = sorted([(-sum([e for _, e in m]), m)
+                        for m in map(_decode, self.packed)])
+        return "+".join([
+            "*".join([v if e == 1 else f"{v}^{e}" for v, e in m]) or "1"
+            for _, m in keyed])
 
     def __repr__(self) -> str:
         return f"Poly({self})"

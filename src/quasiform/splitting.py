@@ -23,11 +23,12 @@ there, and only the first dim - 1 coefficients are ranked.
 The norm degree bounds the first Witt index from both sides and halves at
 each level (splitting_pattern).  The pattern saturates the norm field once,
 for its first level (`_norm_basis`, which `pfister.norm_degree` also
-runs), and builds a field only for a level whose bounds do not meet.  Its
-length is one more than log2 of the norm degree, which the invariants
-report reads.  So the pattern is (d, d - 1, ..., 1) exactly when the
-norm degree is 2^(d - 1): `is_regular_quadric`'s splitting test and its
-products test are one fact.
+runs; a first level of dim <= 3 needs no saturation), and builds a field
+only for a level whose bounds do not meet.  Its length is one more than
+log2 of the norm degree, which the invariants report reads.  So the
+pattern is (d, d - 1, ..., 1) exactly when the norm degree is 2^(d - 1),
+and `is_regular_quadric` reads its products test off the pattern over a
+rational field.
 """
 
 from __future__ import annotations
@@ -253,7 +254,9 @@ def splitting_pattern(q: QuasilinearForm) -> SplittingPattern:
     """
     current = anisotropic_part(q)
     d = current.dim
-    k = len(_norm_basis(current)).bit_length() - 1
+    # for d <= 3 the saturation takes only the doublings that need no
+    # test (_norm_basis), so k = d - 1
+    k = d - 1 if d <= 3 else len(_norm_basis(current)).bit_length() - 1
     dims: List[int] = [d]
     # the bounds are open unless k <= 2 or k = d - 1 (docstring)
     while 2 < k < d - 1:

@@ -433,6 +433,80 @@ def tower_sampler(seed: int, depth: int = 2):
     return K, rng, fraction, element
 
 
+
+# Script expressions.  The parser packs a run of variables into one
+# monomial and keeps RatFn arithmetic for the rest; this sampler evaluates
+# every expression factor by factor with Poly and RatFn operations.
+
+def sample_expression(rng: random.Random, names: Sequence[str],
+                      depth: int = 2) -> Tuple[str, Optional[object]]:
+    """A random coefficient expression over `names`: its script text and
+    its value, a RatFn computed directly, or None when it divides by zero.
+
+    Terms often lead with a run of variables that repeat and take powers;
+    there are sums, products, quotients, the constants 0 and 1, and
+    parenthesized expressions nested `depth` deep, with or without a power.
+    """
+    from quasiform.gf2poly import Poly, RatFn
+
+    names = tuple(names)
+
+    def op(f, x, y):
+        return None if x is None or y is None else f(x, y)
+
+    def quotient(x, y):
+        return None if y.is_zero else x * y.invert()
+
+    def variable(exponent_choices):
+        name = rng.choice(names)
+        e = rng.choice(exponent_choices)
+        value = RatFn.from_poly(Poly.variable(name, names))
+        if e is None:
+            return name, value
+        return f"{name}^{e}", value ** e
+
+    def factor(d):
+        r = rng.random()
+        if r < 0.15:
+            c = rng.choice("01")
+            return c, RatFn.one() if c == "1" else RatFn.zero()
+        if r < 0.45 or d == 0:
+            return variable((None, None, 0, 2))
+        text, value = expr(d - 1)
+        text = f"({text})"
+        if rng.random() < 0.5:
+            e = rng.randint(0, 2)
+            text += f"^{e}"
+            value = op(lambda x, _: x ** e, value, value)
+        return text, value
+
+    def term(d):
+        if rng.random() < 0.6:
+            parts, value = [], RatFn.one()
+            for _ in range(rng.randint(1, 4)):
+                text, v = variable((None, 0, 1, 2, 3))
+                parts.append(text)
+                value = value * v
+            text = "*".join(parts)
+        else:
+            text, value = factor(d)
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            sym = rng.choice("**/")
+            t, v = factor(d)
+            text += sym + t
+            value = op(RatFn.__mul__ if sym == "*" else quotient, value, v)
+        return text, value
+
+    def expr(d):
+        text, value = term(d)
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            t, v = term(d)
+            text += " + " + t
+            value = op(RatFn.__add__, value, v)
+        return text, value
+
+    return expr(depth)
+
 # Frozen expected values, derived by hand before the implementation ran:
 # splitting patterns of the standard examples, their first Witt indices,
 # and their norm degrees.

@@ -42,6 +42,7 @@ from quasiform.splitting import (
 from quasiform.sqlinalg import (
     clear_denominators,
     isotropic_kernel_basis,
+    span_saturate,
     tower_linear_solve,
 )
 
@@ -845,6 +846,26 @@ class TestRegularity:
     def test_dimension_one_is_regular(self, F, abc):
         a, _, _ = abc
         assert is_regular_quadric(QuasilinearForm(F, [a])).regular
+
+    def test_products_read_off_the_pattern_match_the_saturation(self, F):
+        """Over a rational field the products test is read off the
+        splitting pattern; saturating the scaled coefficients, as it is
+        done over a tower, gives the same answer on seeded forms."""
+        rng = random.Random(31)
+        answers = set()
+        for dim in range(1, 7):
+            for _ in range(6):
+                q = (sample_monomial_form(rng, F, dim, 3)[0]
+                     if rng.random() < 0.5 else sample_form(rng, F, dim))
+                scaled = q.scale(q.coeffs[-1].invert())
+                span = span_saturate(F, list(scaled.coeffs[:-1]))
+                expected = len(span) == 1 << (dim - 1)
+                report = is_regular_quadric(q)
+                assert report.coefficient_products_independent == expected
+                assert report.generic_splitting == expected
+                answers.add((dim, expected))
+        assert {d for d, regular in answers if regular} == {1, 2, 3, 4}
+        assert {d for d, regular in answers if not regular} >= {2, 3, 4, 5, 6}
 
     def test_over_extension_tower_partial_conditions(self, F, abc):
         # over a tower with generators the Jacobian and generic conditions

@@ -28,11 +28,11 @@ from quasiform.errors import (
 )
 from quasiform.fieldtower import FieldTower, TowerElem
 from quasiform.forms import QuasilinearForm, invariants, is_anisotropic
-from quasiform.gf2poly import MAX_EXPONENT, RatFn
+from quasiform.gf2poly import MAX_EXPONENT, Poly, RatFn
 from quasiform.pfister import norm_degree
 from quasiform.splitting import essential_dimension, first_witt_index
 
-from oracles import sample_monomial_form
+from oracles import sample_expression, sample_monomial_form
 
 
 class TestTokenizer:
@@ -51,9 +51,27 @@ class TestTokenizer:
         toks = tokenize("# a comment\nfield # mid\nF2")
         assert [t.value for t in toks] == ["field", "F2", ""]
 
-    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff13"])
+    def test_non_ascii_identifiers_keep_tokens_and_positions(self):
+        # a letter starts a name, and any letter or digit continues it;
+        # columns count characters
+        toks = tokenize("field F2(\u00e9, a\u00b2, \u0394x_1);\n"
+                        "form p = <\u00e9*a\u00b2^3>; # \u00b2 end")
+        assert [(t.kind, t.value, t.line, t.column) for t in toks[3:8]] == [
+            ("ident", "\u00e9", 1, 10), (",", ",", 1, 11),
+            ("ident", "a\u00b2", 1, 13), (",", ",", 1, 15),
+            ("ident", "\u0394x_1", 1, 17)]
+        assert [(t.kind, t.value, t.column) for t in toks[14:]] == [
+            ("ident", "\u00e9", 11), ("*", "*", 12),
+            ("ident", "a\u00b2", 13), ("^", "^", 15), ("int", "3", 16),
+            (">", ">", 17), (";", ";", 18), ("eof", "", 20)]
+        s = parse("field F2(\u00e9, a\u00b2);\nform p = <\u00e9*a\u00b2^3>;")
+        assert str(s.forms[0].form.coeffs[0]) == "a\u00b2^3*\u00e9"
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff13",
+                                       "\u0663a", "\u2165"])
     def test_integers_are_ascii_digits(self, digit):
-        # superscript two, Arabic-Indic three, fullwidth three
+        # superscript two, Arabic-Indic three, fullwidth three, and the
+        # numeral six: word characters, but no letter starts them
         with pytest.raises(DslSyntaxError,
                            match="unexpected character") as exc:
             parse(f"field F2(a);\nform p = <1, a^{digit}>;")
@@ -232,6 +250,93 @@ class TestParser:
                 parse(script)
             return
         assert parse(script).forms[0].form.coeffs == (expected,)
+
+    def test_coefficients_match_the_expression_oracle(self):
+        """Seeded: sums, products, quotients, runs of repeated variables
+        with powers, 0, 1 and nested powers of parentheses, each against
+        its value computed factor by factor (oracles.sample_expression)."""
+        rng = random.Random(27)
+        outcomes = Counter()
+        for _ in range(400):
+            text, value = sample_expression(rng, ("a", "b", "c"))
+            script = f"field F2(a, b, c);\nform p = <1, {text}>;\n"
+            if value is None:
+                with pytest.raises(DslSyntaxError, match="division by zero"):
+                    parse(script)
+                outcomes["division by zero"] += 1
+            elif value.is_zero:
+                with pytest.raises(ZeroCoefficient):
+                    parse(script)
+                outcomes["zero"] += 1
+            else:
+                s = parse(script)
+                assert s.forms[0].form.coeffs[1] == s.field.scalar(value)
+                assert scripts_equivalent(s, parse(s.render()))
+                outcomes["value"] += 1
+        assert min(outcomes.values()) >= 20 and outcomes["value"] >= 250
+
+    def test_variable_runs_equal_their_products(self):
+        s = parse("field F2(a, b);\nform p = <a*a, a^2, b*a^3*b^0*a, "
+                  "a^4*b, a*b^2*b/b, a*b^2*b^0*(b+1)>;")
+        c = s.forms[0].form.coeffs
+        a, b = s.field.var("a"), s.field.var("b")
+        assert c[0] == c[1] == a.square()
+        assert c[2] == c[3] == a ** 4 * b
+        assert c[4] == a * b ** 2
+        assert c[5] == a * b ** 2 * (b + s.field.one())
+
+    @pytest.mark.parametrize("expr", ["a^20000*a^20000", "a^32767*a",
+                                      "b*a^16384*b*a^16384"])
+    def test_variable_runs_keep_the_exponent_limit(self, expr):
+        with pytest.raises(ResourceLimit,
+                           match=f"^exponent above {MAX_EXPONENT}, the "
+                                 f"largest a polynomial holds$"):
+            parse(f"field F2(a, b); form p = <1, {expr}*c>;")
+        s = parse("field F2(a); form p = <a^32766*a>;")
+        assert s.forms[0].form.coeffs[0] == s.field.var("a") ** MAX_EXPONENT
+
+    @pytest.mark.parametrize("expr, error, column", [
+        ("a*b^2*z*a", UndeclaredVariable, 20),
+        ("a*b^2*form*a", DslSyntaxError, 20),
+        ("a*b^2*a*F2", DslSyntaxError, 22),
+        ("a^2*b^x", DslSyntaxError, 20),
+    ])
+    def test_variable_runs_report_the_failing_token(self, expr, error,
+                                                   column):
+        with pytest.raises(error, match=f"line 2, column {column}: "):
+            parse(f"field F2(a, b);\nform p = <1, {expr}>;")
+
+    def test_monomial_coefficients_multiply_nothing(self, monkeypatch):
+        """A coefficient that is a run of variables is one packed
+        monomial: parsing multiplies no polynomial or fraction."""
+        calls = Counter()
+
+        def count(cls, name):
+            real = getattr(cls, name)
+
+            def counted(*args):
+                calls[cls.__name__] += 1
+                return real(*args)
+            monkeypatch.setattr(cls, name, counted)
+
+        count(Poly, "__mul__")
+        count(RatFn, "__mul__")
+        rng = random.Random(5)
+        names = ("a", "b", "c", "d")
+        for dim in range(1, 9):
+            exponents = [[rng.choice((0, 0, 1, 2, 3)) for _ in names]
+                         for _ in range(dim)]
+            body = ", ".join(
+                "*".join(v if e == 1 else f"{v}^{e}"
+                         for v, e in zip(names, exps) if e) or "1"
+                for exps in exponents)
+            s = parse(f"field F2(a, b, c, d);\nform q = <{body}>;\n"
+                      f"form r = <a*b*a*c^2*a, d, b^0*c>;\ninvariants q;")
+            assert [str(c) for c in s.forms[0].form.coeffs] == body.split(", ")
+        assert calls == {}
+        # the counters see the factors that are not a leading run
+        parse("field F2(a, b); form p = <(a+b)*a, 1*a>;")
+        assert calls == {"RatFn": 2, "Poly": 2}
 
     def test_render_round_trip(self):
         text = ("field F2(a, b, c);\n"
@@ -530,6 +635,10 @@ class TestMain:
                      id="5000-digits"),
         pytest.param("\u00b2", 2, "line 1, column 29: unexpected character",
                      id="superscript-two"),
+        pytest.param("20000*a^20000", 3, f"exponent above {MAX_EXPONENT}",
+                     id="product"),
+        pytest.param("32767*a", 3, f"exponent above {MAX_EXPONENT}",
+                     id="product-by-a"),
     ])
     def test_exponent_literal_exit(self, tmp_path, capsys, exponent, code,
                                    message):

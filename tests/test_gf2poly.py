@@ -76,6 +76,25 @@ class TestPolyBasics:
         assert str(ONE) == "1"
         assert str(A * A * B + ONE) == "a^2*b+1"
 
+    def test_str_orders_terms_by_degree_then_named_monomial(self):
+        """Seeded polynomials against the printing rule: terms by
+        descending total degree, then by named monomial (the sorted
+        (name, exponent) pairs), each joined with * in name order.  The
+        names are interned in an order that is not theirs."""
+        names = ("zz", "b", "a_2", "a", "x10", "x9")
+        rng = random.Random(11)
+        for _ in range(300):
+            monos = set()
+            for _ in range(rng.randint(0, 8)):
+                monos.add(tuple(sorted(
+                    (v, rng.choice((1, 1, 2, 3, 9, 10, 12, 32767)))
+                    for v in rng.sample(names, rng.randint(0, 4)))))
+            expected = "+".join(
+                "*".join(v if e == 1 else f"{v}^{e}" for v, e in m) or "1"
+                for m in sorted(monos,
+                                key=lambda m: (-sum(e for _, e in m), m)))
+            assert str(Poly(monos, names)) == (expected or "0")
+
     def test_pow(self):
         assert A ** 0 == ONE
         assert A ** 5 == A * A * A * A * A
