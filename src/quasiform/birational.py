@@ -52,7 +52,6 @@ from .splitting import (
     _require_function_field,
     essential_dimension,
     function_field,
-    splitting_pattern,
 )
 from .sqlinalg import (
     _SquareBlocks,
@@ -512,33 +511,29 @@ def is_regular_quadric(q: QuasilinearForm) -> RegularityReport:
     splitting-pattern test (anisotropic with pattern (n, n-1, ..., 1)) are
     evaluated as well and must agree, else InconsistencyDetected.
 
-    The products span the norm field over the squares, so they are
-    independent exactly when the norm degree is 2^(n-1).  The pattern
-    strictly decreases to dimension 1 with log2 of the norm degree plus one
-    entries (splitting_pattern), so that is when it reads (n, n-1, ..., 1).
-    Over a rational field the products test is therefore read off the
-    pattern, which saturates the norm field at most once; over a tower,
-    where the pattern is not computed, the products are saturated
-    (span_saturate).  The differentials are the independent check.
+    The products are independent exactly when the norm degree is 2^(n-1),
+    which is when splitting_pattern reads (n, n-1, ..., 1) off its bounds:
+    the splitting test and the products test are one fact, so the norm
+    field is saturated once (span_saturate) and the splitting answer is
+    the products answer.  The differentials are the independent check.
     """
     field = q.field
     scaled = q.scale(q.coeffs[-1].invert())
     n = q.dim
+    front = list(scaled.coeffs[:-1])
+
+    span = span_saturate(field, front)
+    products_independent = len(span) == 1 << (n - 1)
 
     differentials: Optional[bool] = None
     generic: Optional[bool] = None
     if field.depth == 0:
-        generic = splitting_pattern(scaled).norm_degree == 1 << (n - 1)
-        products_independent = generic
-        differentials = _differentials_independent(field,
-                                                   scaled.coeffs[:-1])
+        differentials = _differentials_independent(field, front)
+        generic = products_independent
         if differentials != products_independent:
             raise InconsistencyDetected(
                 "regularity conditions disagree: products and splitting "
                 f"{products_independent}, differentials {differentials}")
-    else:
-        span = span_saturate(field, list(scaled.coeffs[:-1]))
-        products_independent = len(span) == 1 << (n - 1)
     return RegularityReport(
         regular=products_independent,
         coefficient_products_independent=products_independent,

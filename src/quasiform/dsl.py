@@ -20,7 +20,8 @@ error or a command.  `tokenize` returns the same tokens with positions.
 The recursive descent evaluates each coefficient as it reads it.  A term
 that starts with a run of declared variables with literal exponents, such
 as a^2*b*a, packs the run into one monomial, adding each exponent into its
-variable's slot (gf2poly), and builds it as one Poly, with no product.
+variable's slot (gf2poly.monomial_times), and builds it as one Poly, with
+no product.
 Parentheses, sums, quotients, 0, 1 and the factors after them are RatFn
 arithmetic.  Either way a script fails with the same error at the same
 token.
@@ -38,7 +39,7 @@ from .errors import (
 )
 from .fieldtower import DEFAULT_DEPTH_LIMIT, FieldTower, TowerElem
 from .forms import QuasilinearForm
-from .gf2poly import MAX_EXPONENT, RatFn, _overflow, _poly, _shift
+from .gf2poly import MAX_EXPONENT, Poly, RatFn, monomial_times
 
 COMMAND_ARITY = {
     "invariants": 1,
@@ -333,23 +334,22 @@ class _Parser:
 
     def parse_monomial(self) -> RatFn:
         """The leading run ident (^ INT)? (* ident (^ INT)?)* of a term as
-        one packed monomial: each factor adds its exponent to its slot.
-        The slot passes MAX_EXPONENT exactly where the product of the
-        factors read so far would, and a monomial has one term, under
-        every bound, so the run fails where and as the product does."""
+        one packed monomial (gf2poly.monomial_times).  Its exponents pass
+        MAX_EXPONENT exactly where the product of the factors read so far
+        would, and a monomial has one term, under every bound, so the run
+        fails where and as the product does."""
         tokens = self.tokens
         mono = 0
         while True:
-            sh = self.slot(self.next())
+            tok = self.next()
+            self.check_declared(tok)
             e = 1
             if tokens[self.pos][1] == "^":
                 self.pos += 1
                 e = self.parse_exponent()
-            if (mono >> sh & MAX_EXPONENT) + e > MAX_EXPONENT:
-                raise _overflow()
-            mono += e << sh
+            mono = monomial_times(mono, tok[1], e)
             if tokens[self.pos][1] != "*" or tokens[self.pos + 1][0] != _IDENT:
-                return RatFn.from_poly(_poly(frozenset((mono,)), mono))
+                return RatFn.from_poly(Poly.monomial(mono))
             self.pos += 1
 
     def parse_factor(self) -> RatFn:
@@ -372,16 +372,15 @@ class _Parser:
                 f"{self.where(tok)}: exponent above {MAX_EXPONENT}")
         return int(lit)
 
-    def slot(self, tok: _Token) -> int:
-        """Bit offset of the slot of the variable `tok`, which must be
-        declared (a keyword never is)."""
+    def check_declared(self, tok: _Token) -> None:
+        """Fail unless the variable `tok` is declared (a keyword never
+        is)."""
         name = tok[1]
         if name not in self.field.base_vars:
             if name in _KEYWORDS:
                 self.fail(tok, f"{name!r} cannot appear in an expression")
             raise UndeclaredVariable(
                 f"{self.where(tok)}: variable {name!r} is not declared")
-        return _shift(name)
 
     def parse_atom(self) -> RatFn:
         tok = self.peek()
@@ -393,8 +392,9 @@ class _Parser:
                            "allowed as exponents")
         if tok[0] == _IDENT:
             self.next()
-            t = 1 << self.slot(tok)
-            return RatFn.from_poly(_poly(frozenset((t,)), t))
+            self.check_declared(tok)
+            return RatFn.from_poly(
+                Poly.variable(tok[1], self.field.base_vars))
         if tok[1] == "(":
             if self.nesting == MAX_NESTING:
                 self.fail(tok, f"parentheses nested deeper than "

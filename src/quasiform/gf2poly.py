@@ -90,6 +90,16 @@ def _overflow() -> ResourceLimit:
         f"exponent above {MAX_EXPONENT}, the largest a polynomial holds")
 
 
+def monomial_times(mono: int, name: str, e: int) -> int:
+    """The packed monomial `mono` times name^e, for 0 <= e <= MAX_EXPONENT.
+    The exponent of `name` passes MAX_EXPONENT exactly where the product
+    of the two polynomials would, and it raises the same ResourceLimit."""
+    sh = _shift(name)
+    if (mono >> sh & MAX_EXPONENT) + e > MAX_EXPONENT:
+        raise _overflow()
+    return mono + (e << sh)
+
+
 def slot_shifts(bits: int) -> Dict[str, int]:
     """{name: bit offset} of the slots that are nonzero in `bits`, for
     instance in the OR of some packed terms."""
@@ -170,6 +180,12 @@ class Poly:
             raise UnknownVariable(f"undeclared variable: {name!r}")
         t = 1 << _shift(name)
         return _poly(frozenset((t,)), t)
+
+    @staticmethod
+    def monomial(mono: int) -> "Poly":
+        """The polynomial whose one term is the packed monomial `mono`
+        (monomial_times)."""
+        return _poly(frozenset((mono,)), mono)
 
     # -- predicates and views ----------------------------------------------
 

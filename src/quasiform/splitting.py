@@ -26,9 +26,8 @@ for its first level (`_norm_basis`, which `pfister.norm_degree` also
 runs; a first level of dim <= 3 needs no saturation), and builds a field
 only for a level whose bounds do not meet.  Its length is one more than
 log2 of the norm degree, which the invariants report reads.  So the
-pattern is (d, d - 1, ..., 1) exactly when the norm degree is 2^(d - 1),
-and `is_regular_quadric` reads its products test off the pattern over a
-rational field.
+pattern is (d, d - 1, ..., 1) exactly when the norm degree is 2^(d - 1):
+`is_regular_quadric`'s splitting test and its products test are one fact.
 """
 
 from __future__ import annotations

@@ -37,12 +37,12 @@ from quasiform.pfister import quasi_pfister
 from quasiform.splitting import (
     first_witt_index,
     function_field,
+    splitting_pattern,
     total_index_over,
 )
 from quasiform.sqlinalg import (
     clear_denominators,
     isotropic_kernel_basis,
-    span_saturate,
     tower_linear_solve,
 )
 
@@ -847,10 +847,10 @@ class TestRegularity:
         a, _, _ = abc
         assert is_regular_quadric(QuasilinearForm(F, [a])).regular
 
-    def test_products_read_off_the_pattern_match_the_saturation(self, F):
-        """Over a rational field the products test is read off the
-        splitting pattern; saturating the scaled coefficients, as it is
-        done over a tower, gives the same answer on seeded forms."""
+    def test_splitting_pattern_agrees_with_the_products_test(self, F):
+        """The products test stands for the splitting test: on seeded
+        forms the pattern is (n, n-1, ..., 1) exactly when the report
+        says regular."""
         rng = random.Random(31)
         answers = set()
         for dim in range(1, 7):
@@ -858,12 +858,12 @@ class TestRegularity:
                 q = (sample_monomial_form(rng, F, dim, 3)[0]
                      if rng.random() < 0.5 else sample_form(rng, F, dim))
                 scaled = q.scale(q.coeffs[-1].invert())
-                span = span_saturate(F, list(scaled.coeffs[:-1]))
-                expected = len(span) == 1 << (dim - 1)
+                generic = (splitting_pattern(scaled).dims
+                           == tuple(range(dim, 0, -1)))
                 report = is_regular_quadric(q)
-                assert report.coefficient_products_independent == expected
-                assert report.generic_splitting == expected
-                answers.add((dim, expected))
+                assert report.coefficient_products_independent == generic
+                assert report.generic_splitting == generic
+                answers.add((dim, generic))
         assert {d for d, regular in answers if regular} == {1, 2, 3, 4}
         assert {d for d, regular in answers if not regular} >= {2, 3, 4, 5, 6}
 
