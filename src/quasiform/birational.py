@@ -20,12 +20,16 @@ exactly, which is the certificate that phi has an inverse.  Each s_i and
 pi is one relation already known to exist, solved once; no kernel is
 searched for.
 
-Each identity is proved by one step.  In `construct_ruling`, the
-RationalMap constructors prove Y(pi) = 0 and X(phi) = 0, and the second
-holds only if X(s_i) = 0 for every i; the solves check nothing, and no
-basis is pulled back.  `RulingCertificate.verify` proves X(s_i) = 0 for
-each i and the recombination, pulling the basis back once, and
-`RulingDecomposition.verify` that phi is built from the s_i.
+A ruling is one record, `RulingDecomposition`: its certificate and the
+map phi built from the certificate's basis; X, Y, r, the basis and the
+inverse data are read off the certificate, so no copy can disagree with
+it.  Each identity is proved by one step.  In `construct_ruling`, the
+constructor of pi proves Y(pi) = 0 and the decomposition's constructor,
+through that of phi, X(s_i) = 0 for every i; the solves check nothing,
+and no basis is pulled back.  `RulingCertificate.verify`, which trusts no
+builder, rebuilds k(X) and k(Y) and proves X(s_i) = 0 for each i and the
+recombination, pulling the basis back once; `RulingDecomposition.verify`
+adds only r >= 2.
 """
 
 from __future__ import annotations
@@ -259,11 +263,11 @@ class RulingCertificate:
 
         f_1*(s_1 o pi) + ... + f_r*(s_r o pi) = scale * g.
 
-    verify() recomputes the composition from scratch: r isotropy proofs,
-    one for each s_i, and one pull-back of the basis (`_pull_basis`), whose
-    recombination is checked coordinate by coordinate.  pi's vanishing is
-    proved by its constructor.  Construction pulls nothing back: it reads
-    each fiber off the one coordinate that determines it.
+    The certificate is immutable and trusts no builder: verify() rebuilds
+    k(X) and k(Y) and recomputes the composition from scratch, with r
+    isotropy proofs, one for each s_i, and one pull-back of the basis
+    (`_pull_basis`), whose recombination is checked coordinate by
+    coordinate.  pi's vanishing on Y is proved by its constructor.
     """
 
     __slots__ = ("X", "Y", "s_basis", "pi", "fibers", "scale")
@@ -272,12 +276,15 @@ class RulingCertificate:
                  s_basis: Tuple[Tuple[TowerElem, ...], ...],
                  pi: RationalMap, fibers: Tuple[TowerElem, ...],
                  scale: TowerElem):
-        self.X = X
-        self.Y = Y
-        self.s_basis = s_basis
-        self.pi = pi
-        self.fibers = fibers
-        self.scale = scale
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "Y", Y)
+        object.__setattr__(self, "s_basis", s_basis)
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "fibers", fibers)
+        object.__setattr__(self, "scale", scale)
+
+    def __setattr__(self, *a):
+        raise AttributeError("RulingCertificate is immutable")
 
     def verify(self) -> bool:
         # one fiber per basis vector, r of each: zip would drop the rest
@@ -315,39 +322,53 @@ class RulingCertificate:
                 f"{len(self.fibers) - 1})")
 
 
-@dataclass(frozen=True)
 class RulingDecomposition:
-    """A birational decomposition X ~ Y x P^{r-1}; verify() checks it.
+    """A birational decomposition X ~ Y x P^{r-1}: one immutable record of
+    its certificate and the map phi built from it; verify() checks it.
 
-    `phi` maps the product into X by combining the isotropic basis with
-    projective fiber coordinates; `psi` is the inverse data (projection to
-    Y plus fiber functions); `certificate` proves phi(psi(x)) = scale * x.
-    verify() rebuilds phi from s_basis, whose isotropy the certificate
-    proves, so phi vanishes on X because the form is additive.
+    `phi` maps the product into X by combining the certificate's isotropic
+    basis with projective fiber coordinates, and is built here, so no
+    decomposition holds a phi that its certificate's basis does not give;
+    its constructor proves X(s_i) = 0 for every i.  X, Y, s_basis, r and
+    `psi` (the inverse data: projection to Y plus fiber functions) are
+    read off the certificate, which proves phi(psi(x)) = scale * x.
     """
 
-    X: QuasilinearForm
-    r: int
-    Y: QuasilinearForm
-    s_basis: Tuple[Tuple[TowerElem, ...], ...]
-    phi: RationalMap
-    psi: FiberMap
-    certificate: RulingCertificate
+    __slots__ = ("certificate", "phi")
+
+    def __init__(self, certificate: RulingCertificate):
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "phi", RationalMap(
+            *_ruling_map(certificate.s_basis), certificate.X))
+
+    def __setattr__(self, *a):
+        raise AttributeError("RulingDecomposition is immutable")
+
+    @property
+    def X(self) -> QuasilinearForm:
+        return self.certificate.X
+
+    @property
+    def Y(self) -> QuasilinearForm:
+        return self.certificate.Y
+
+    @property
+    def s_basis(self) -> Tuple[Tuple[TowerElem, ...], ...]:
+        return self.certificate.s_basis
+
+    @property
+    def psi(self) -> FiberMap:
+        return FiberMap(self.certificate.pi, self.certificate.fibers)
+
+    @property
+    def r(self) -> int:
+        return self.X.dim - self.Y.dim + 1
 
     def verify(self) -> bool:
-        if self.r < 2 or self.Y.dim != self.X.dim - (self.r - 1):
-            return False
-        if len(self.s_basis) != self.r:
-            return False
-        # the certificate speaks only of its own data; it checks pi and s_basis
-        cert, phi = self.certificate, self.phi
-        if (self.psi.pi is not cert.pi or self.psi.fibers != cert.fibers
-                or cert.X != self.X or cert.Y != self.Y
-                or cert.s_basis != self.s_basis
-                or not isinstance(phi, RationalMap) or phi.ambient
-                or phi.target != self.X or not cert.verify()):
-            return False
-        return (phi.source_field, phi.coords) == _ruling_map(self.s_basis)
+        return self.r >= 2 and self.certificate.verify()
+
+    def __repr__(self) -> str:
+        return f"RulingDecomposition({self.certificate!r})"
 
 
 def construct_ruling(X: QuasilinearForm) -> RulingDecomposition:
@@ -362,11 +383,12 @@ def construct_ruling(X: QuasilinearForm) -> RulingDecomposition:
     Each relation is one exact solve, without a verdict, on a square
     system that holds it: pi on the system X's rank over k(X) built, the
     s_i on one system over k(Y).  Construction proves nothing twice: the
-    constructor of pi proves Y(pi) = 0, that of phi proves X(s_i) = 0 for
-    every i (X(s_1 + t_1 s_2 + ...) = X(s_1) + t_1^2 X(s_2) + ... vanishes
-    only if each term does, the t_i being independent transcendentals).
-    verify() proves each X(s_i) = 0 again, as a certificate trusts no
-    builder, and the recombination.
+    constructor of pi proves Y(pi) = 0, and RulingDecomposition's builds
+    phi, whose constructor proves X(s_i) = 0 for every i
+    (X(s_1 + t_1 s_2 + ...) = X(s_1) + t_1^2 X(s_2) + ... vanishes only if
+    each term does, the t_i being independent transcendentals).  verify()
+    proves each X(s_i) = 0 again, as a certificate trusts no builder, and
+    the recombination; phi is not rebuilt.
 
     Raises NotRuled when r = 1 (the decomposition would be trivial and no
     ruling exists along this route), and DimensionTooSmall or
@@ -432,17 +454,15 @@ def construct_ruling(X: QuasilinearForm) -> RulingDecomposition:
     fibers = []
     for i, s in enumerate(s_basis):
         cleared = clear_denominators(s)
-        num, k = hom._image(below_y.scalar(cleared[d - 1 + i].coeffs[0]))
+        # D_i's names are below_y's: lifted without a second name check
+        lifted = TowerElem(below_y, {0: cleared[d - 1 + i].coeffs[0]})
+        num, k = hom._image(lifted)
         power = TowerHom.clearing_power(cleared, names) - k
         if power:
             num = num * pi_poly[0] ** power
         fibers.append(g[d - 1 + i] / num)
-    fibers = tuple(fibers)
-    certificate = RulingCertificate(X, Y, s_basis, pi, fibers, K.one())
-    phi = RationalMap(*_ruling_map(s_basis), X)
-    return RulingDecomposition(X=X, r=r, Y=Y, s_basis=s_basis, phi=phi,
-                               psi=FiberMap(pi, fibers),
-                               certificate=certificate)
+    return RulingDecomposition(
+        RulingCertificate(X, Y, s_basis, pi, tuple(fibers), K.one()))
 
 
 def unique_self_map_check(X: QuasilinearForm) -> bool:

@@ -282,7 +282,8 @@ class _Parser:
                 raise ZeroCoefficient(
                     f"coefficient {len(coeffs) + 1} of form {name!r} "
                     f"is zero")
-            coeffs.append(self.field.scalar(value))
+            # check_declared passed every name in it: no second name check
+            coeffs.append(TowerElem(self.field, {0: value}))
             if self.peek()[1] != ",":
                 break
             self.next()

@@ -198,8 +198,8 @@ class SpecialRulingCertificate:
         self.rhs = rhs
 
     def verify(self) -> bool:
-        _, _, lhs, rhs = _ambient_identity(self.P, self.indices,
-                                           self.multipliers)
+        *_, lhs, rhs = _ambient_identity(self.P, self.indices,
+                                         self.multipliers)
         return lhs == rhs and lhs == self.lhs and rhs == self.rhs
 
     def __repr__(self) -> str:
@@ -234,13 +234,14 @@ def _pad(xs_small: Sequence[TowerElem], indices: Tuple[int, ...],
 
 def _ambient_identity(P: QuasiPfisterForm, indices: Tuple[int, ...],
                       multipliers: Sequence[TowerElem]
-                      ) -> Tuple["FieldTower", List[TowerElem],
+                      ) -> Tuple[QuasilinearForm, QuasilinearForm,
+                                 "FieldTower", List[TowerElem],
                                  TowerElem, TowerElem]:
     """The ambient identity  target(image(x)) = P(x_s) * source(x)  over
     fresh transcendental coordinates.
 
-    Returns the coordinate tower, the image coordinates over it, and both
-    sides of the identity.
+    Returns the source and target forms (`_block_forms`), the coordinate
+    tower, the image coordinates over it, and both sides of the identity.
     """
     field = P.field
     s = len(multipliers)
@@ -268,7 +269,7 @@ def _ambient_identity(P: QuasiPfisterForm, indices: Tuple[int, ...],
     flat = [x for block in blocks for x in block] + xs_small
     lhs = target.over(tower).evaluate(image)
     rhs = p_of_xs * source.over(tower).evaluate(flat)
-    return tower, image, lhs, rhs
+    return source, target, tower, image, lhs, rhs
 
 
 def special_neighbor_ruling(P: QuasiPfisterForm,
@@ -306,12 +307,12 @@ def special_neighbor_ruling(P: QuasiPfisterForm,
         if m.tower != P.field:
             raise ValueError(f"multiplier {i} lives in a different tower")
 
-    ambient, image, lhs, rhs = _ambient_identity(P, indices, multipliers)
+    source, target, ambient, image, lhs, rhs = _ambient_identity(
+        P, indices, multipliers)
     if lhs != rhs:
         raise InconsistencyDetected("special ruling identity failed")
     certificate = SpecialRulingCertificate(P, indices, multipliers, lhs, rhs)
 
-    source, target = _block_forms(P, indices, multipliers)
     s = len(multipliers)
     if s == 1:
         return RationalMap(ambient, image, target,

@@ -288,6 +288,20 @@ def exponent_double(a: Exponents) -> Exponents:
     return tuple(2 * x for x in a)
 
 
+# The quasilinear form of Karpenko's bound on the first Witt index: an
+# anisotropic form of dim d has i_1 - 1 < 2^v_2(d - i_1).  It excludes
+# levels the Hoffmann-Laghribi bound allows, such as (d, i_1) = (7, 2)
+# and (8, 3).  Read off integers only, so it shares nothing with the
+# library.
+
+def karpenko_violations(dims: Sequence[int]) -> List[Tuple[int, int]]:
+    """The levels (d, i_1) that break the bound, for a splitting pattern
+    given by the dims of its successive anisotropic parts."""
+    # rest & -rest is 2^v_2(rest); no anisotropic level splits totally
+    return [(d, d - rest) for d, rest in zip(dims, dims[1:])
+            if rest < 1 or d - rest - 1 >= rest & -rest]
+
+
 def brute_isotropy_kernel(coeff_exponents: Sequence[Exponents],
                           entry_degree: int
                           ) -> List[List[List[Exponents]]]:

@@ -49,6 +49,7 @@ from quasiform.birational import (
 from oracles import (
     FROZEN,
     brute_isotropy_kernel,
+    karpenko_violations,
     kernel_vector_to_elems,
     monomial_total_index,
     monomials_up_to,
@@ -198,6 +199,7 @@ def test_criterion_06_first_index_bound_and_unique_self_map(F):
         if not check_hl_bound(q):
             violations += 1
         i1 = first_witt_index(q)
+        assert karpenko_violations((q.dim, q.dim - i1)) == []
         assert unique_self_map_check(q) == (i1 == 1)
     assert anisotropic >= 100
     assert violations == 0

@@ -4,16 +4,17 @@ self-maps, and the regularity test."""
 
 import random
 import sys
-from dataclasses import replace
 
 import pytest
 
-from quasiform import _elim, birational, maps, sqlinalg
+from quasiform import _elim, birational, cli, maps, sqlinalg
 from quasiform.birational import (
     DominationVerdict,
     FiberMap,
     RulingCertificate,
+    RulingDecomposition,
     _pull_basis,
+    _ruling_map,
     construct_ruling,
     decide_birational,
     decide_stably_equivalent,
@@ -26,6 +27,7 @@ from quasiform.dsl import parse
 from quasiform.errors import (
     DimensionMismatch,
     DimensionTooSmall,
+    InconsistencyDetected,
     IsotropicInput,
     NotRuled,
 )
@@ -49,6 +51,7 @@ from quasiform.sqlinalg import (
 from oracles import (
     FROZEN,
     exponent_add,
+    karpenko_violations,
     monomial_form,
     parity_rank,
     sample_form,
@@ -351,8 +354,7 @@ class TestRulings:
                                          fibers, cert.scale).verify()
         tampered = RulingCertificate(cert.X, cert.Y, cert.s_basis, cert.pi,
                                      extra_fiber, cert.scale)
-        assert not replace(dec, psi=FiberMap(cert.pi, extra_fiber),
-                           certificate=tampered).verify()
+        assert not RulingDecomposition(tampered).verify()
         assert cert.verify() and dec.verify()
 
     def test_ruling_over_a_base_with_an_inseparable_generator(self, F, abc):
@@ -371,37 +373,72 @@ class TestRulings:
                                + cert.fibers[1:], cert.scale)
         assert not bad_fiber.verify()
 
-    def test_decomposition_rejects_data_its_certificate_lacks(self, F, abc):
+    def test_ruling_records_are_immutable(self, F, abc):
         a, b, _ = abc
         dec = construct_ruling(quasi_pfister([a, b], F))
-        pi, fibers = dec.psi.pi, dec.psi.fibers
-        swapped = replace(dec, psi=FiberMap(pi, fibers[::-1]))
-        assert fibers[0] != fibers[1] and not swapped.verify()
+        cert = dec.certificate
+        for record, name in ((dec, "phi"), (dec, "certificate"),
+                             (dec, "psi"), (dec, "r"), (cert, "fibers"),
+                             (cert, "pi"), (cert, "scale")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        assert dec.verify()
+
+    def test_decomposition_reads_its_data_off_the_certificate(self, F, abc):
+        a, b, _ = abc
+        dec = construct_ruling(quasi_pfister([a, b], F))
+        cert = dec.certificate
+        assert (dec.X, dec.Y, dec.s_basis) == (cert.X, cert.Y, cert.s_basis)
+        assert dec.psi == FiberMap(cert.pi, cert.fibers)
+        assert dec.r == len(cert.s_basis) == 2
+        assert (dec.phi.source_field, dec.phi.coords) == _ruling_map(
+            cert.s_basis)
+        assert dec.phi.target == dec.X
+
+    def test_decomposition_of_a_tampered_certificate_fails(self, F, abc):
+        # swapped fibers, and a projection scaled by a: pi still vanishes
+        # on Y, but the recombination no longer returns the generic point;
+        # a basis vector off X leaves no phi to build
+        a, b, _ = abc
+        cert = construct_ruling(quasi_pfister([a, b], F)).certificate
+        pi, fibers, (s1, s2) = cert.pi, cert.fibers, cert.s_basis
         scaled = RationalMap(pi.source_field,
                              [c * pi.source_field.var("a")
                               for c in pi.coords], pi.target)
-        assert scaled.verify()
-        assert not replace(dec, psi=FiberMap(scaled, fibers)).verify()
-        other = construct_ruling(quasi_pfister([a, b], F))
-        assert not replace(dec, psi=other.psi).verify()
-        assert dec.verify()
+        assert fibers[0] != fibers[1] and scaled.verify()
+        for bad_pi, bad_fibers in ((pi, fibers[::-1]), (scaled, fibers)):
+            tampered = RulingCertificate(cert.X, cert.Y, cert.s_basis,
+                                         bad_pi, bad_fibers, cert.scale)
+            assert not RulingDecomposition(tampered).verify()
+        off_x = (s1[0] + s1[0].tower.one(),) + s1[1:]
+        tampered = RulingCertificate(cert.X, cert.Y, (off_x, s2), pi,
+                                     fibers, cert.scale)
+        assert not tampered.verify()
+        with pytest.raises(InconsistencyDetected):
+            RulingDecomposition(tampered)
 
-    def test_decomposition_rejects_a_phi_not_built_from_its_basis(
-            self, F, abc):
-        # s_2 + t*s_1 vanishes on X as s_1 + t*s_2 does, but is not phi
+    def test_one_ruling_map_per_ruling(self, F, abc, monkeypatch):
+        calls = []
+        real = birational._ruling_map
+
+        def counted(s_basis):
+            calls.append(s_basis)
+            return real(s_basis)
+
+        monkeypatch.setattr(birational, "_ruling_map", counted)
         a, b, c = abc
-        dec = construct_ruling(quasi_pfister([a, b], F))
-        P = dec.phi.source_field
-        base = dec.s_basis[0][0].tower
-        (t,) = set(P.base_vars) - set(base.base_vars)
-        s1, s2 = dec.s_basis
-        swapped = RationalMap(P, [base.embed(y, P)
-                                  + P.var(t) * base.embed(x, P)
-                                  for x, y in zip(s1, s2)], dec.X)
-        assert not replace(dec, phi=swapped).verify()
-        rescaled = RationalMap(P, dec.phi.coords, dec.X.scale(c.square()))
-        assert not replace(dec, phi=rescaled).verify()
-        assert dec.verify()
+        for X in (quasi_pfister([a, b], F), QuasilinearForm(
+                F, quasi_pfister([a, b, c], F).coeffs[:7])):
+            del calls[:]
+            dec = construct_ruling(X)
+            assert dec.verify()
+            assert calls == [dec.s_basis]
+            del calls[:]
+            script = parse("field F2(a, b, c); form x = <"
+                           + ", ".join(str(k) for k in X.coeffs)
+                           + ">; ruling x;")
+            (report,) = cli.run(script, verify_certificates=True)["results"]
+            assert report["certificate_verified"] and len(calls) == 1
 
     def test_certificate_rejects_a_projection_off_its_subquadric(
             self, F, abc):
@@ -858,8 +895,9 @@ class TestRegularity:
                 q = (sample_monomial_form(rng, F, dim, 3)[0]
                      if rng.random() < 0.5 else sample_form(rng, F, dim))
                 scaled = q.scale(q.coeffs[-1].invert())
-                generic = (splitting_pattern(scaled).dims
-                           == tuple(range(dim, 0, -1)))
+                dims = splitting_pattern(scaled).dims
+                assert karpenko_violations(dims) == []
+                generic = dims == tuple(range(dim, 0, -1))
                 report = is_regular_quadric(q)
                 assert report.coefficient_products_independent == generic
                 assert report.generic_splitting == generic

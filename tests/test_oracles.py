@@ -19,6 +19,7 @@ from oracles import (
     gf_mul,
     gf_pow,
     gf_sqrt,
+    karpenko_violations,
     monomial_total_index,
     monomials_up_to,
     tower_point,
@@ -88,6 +89,17 @@ def test_eval_elem_respects_arithmetic():
         yv = eval_elem(K.gen_by_name("y"), point)
         theta = eval_elem(ak * bk + K.one(), point)
         assert gf_mul(yv, yv) == theta
+
+
+def test_karpenko_violations_flag_the_excluded_levels():
+    # quasi-Pfister, generic and neighbour patterns keep the bound
+    for dims in ((8, 4, 2, 1), (5, 4, 3, 2, 1), (7, 4, 2, 1), (6, 4, 2, 1),
+                 (2, 1), (1,)):
+        assert karpenko_violations(dims) == []
+    # i_1 = 2 at d = 7 and i_1 = 3 at d = 8 leave an odd d - i_1 = 5
+    assert karpenko_violations((7, 5, 4, 2, 1)) == [(7, 2)]
+    assert karpenko_violations((8, 5, 4, 2, 1)) == [(8, 3)]
+    assert karpenko_violations((4, 0)) == [(4, 4)]
 
 
 def test_monomial_total_index_parity():

@@ -3,6 +3,7 @@ neighbor detection, the Albert product, and special neighbor rulings."""
 
 import pytest
 
+from quasiform import pfister
 from quasiform.errors import (
     BadDecomposition,
     InconsistencyDetected,
@@ -230,6 +231,26 @@ class TestSpecialRuling:
         assert ruling.target.dim == 5
         assert ruling.verify()
         assert ruling.certificate.verify()
+
+    def test_block_forms_are_built_once(self, F, monkeypatch):
+        # the ruling reuses the identity's forms; verify() rebuilds them,
+        # and so does an ambient map's constructor, which verifies it
+        calls = []
+        real = pfister._block_forms
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pfister, "_block_forms", counted)
+        a, b, c = F.var("a"), F.var("b"), F.var("c")
+        P = QuasiPfisterForm(F, (a, b))
+        for multipliers in ((F.one(), c), (c,)):
+            del calls[:]
+            ruling = special_neighbor_ruling(P, (0, 1), multipliers)
+            assert len(calls) == 1 + ruling.ambient
+            del calls[:]
+            assert ruling.certificate.verify() and len(calls) == 1
 
     def test_degenerate_one_block(self, F):
         # s = 1: the target quadric <b> has no points; the map lives on

@@ -33,6 +33,7 @@ from quasiform.sqlinalg import tower_square_root
 
 from oracles import (
     FROZEN,
+    karpenko_violations,
     sample_monomial_form,
     sample_poly_elem,
     tower_sampler,
@@ -248,6 +249,7 @@ class TestHLBound:
             if not is_anisotropic(form):
                 continue
             assert check_hl_bound(form)
+            assert karpenko_violations(splitting_pattern(form).dims) == []
             checked += 1
 
     def test_pfister_forms_attain_the_bound(self, F):
@@ -319,6 +321,7 @@ class TestOverOwnFunctionField:
             assert q.independent() == q.coeffs
             old_pattern = (q.dim,) + _old_pattern(anisotropic_part(full))
             assert splitting_pattern(q).dims == old_pattern
+            assert karpenko_violations(old_pattern) == []
             assert first_witt_index(q) == old_i1
             assert essential_dimension(q) == (q.dim - 2) - (old_i1 - 1)
             if old_i1 < 2:
@@ -492,6 +495,7 @@ class TestForcedTail:
             pattern = splitting_pattern(q)
             assert pattern.dims == dims
             assert pattern.norm_degree == degrees[0]
+            assert karpenko_violations(dims) == []
             open_dims = []
             for d, after, degree, after_degree in zip(dims, dims[1:],
                                                       degrees, degrees[1:]):
@@ -499,8 +503,6 @@ class TestForcedTail:
                 low, high = max(1, d - degree // 2), d - k
                 assert low <= i1 <= high
                 assert after_degree == degree // 2
-                # after & -after is 2^v_2(after), after = d - i_1 >= 1
-                assert i1 - 1 < after & -after
                 if low < high:
                     open_dims.append(d)
             # a field for each open level and none for the others
