@@ -27,6 +27,14 @@ point, and all 487 inconclusive verdicts on `rank-stream` and 113 on
 `compare-pool` were systems solvable with more rows than unknowns, or
 with a nonzero kernel.
 
+The same point gives gradients (`ratio_jacobian_rank`): the value and the
+first partials of a polynomial there, read in one pass over its terms,
+and the rank there of a Jacobian built from them.  The third rule
+decides it, on the matrix or its transpose, whichever has at least as
+many rows as columns: a rank at the point equal to the smaller side is
+the symbolic rank.  A lower rank is only a lower bound on it;
+`splitting._jacobian_witness` turns both into bounds on a norm degree.
+
 Field arithmetic goes through log and antilog tables of GF(2^15)* with
 respect to x, modulo x^15 + x + 1: a product is EXP[LOG[a] + LOG[b]] and a
 monomial at a point is EXP[sum of e * LOG[x_v] mod ORDER], exact because
@@ -119,21 +127,27 @@ def _rank(rows: List[List[int]], split: int, exp: array, log: array
     return left, rank
 
 
+def _point(used: int) -> List[Tuple[int, int]]:
+    """The witness point of polynomials whose terms OR to `used`: (slot
+    offset, logarithm) of each variable that occurs, the logarithms drawn
+    uniformly, in name order, from a generator seeded with 0x51D2."""
+    shifts = slot_shifts(used)
+    rng = random.Random(0x51D2)
+    return [(shifts[n], rng.randrange(_ORDER)) for n in sorted(shifts)]
+
+
 def evaluate(blocks: Sequence[Dict[Hashable, List[Poly]]]
              ) -> List[Dict[Hashable, List[int]]]:
     """Every entry of every block at the witness point of the system:
     `blocks[j]` maps a row key to the entries of column block j, and the
-    result maps it to their values.  The point is drawn from a generator
-    seeded with 0x51D2, one uniform logarithm per variable of the blocks in
-    name order, so every system's point is reproducible."""
+    result maps it to their values.  The point is `_point` of the
+    variables of the blocks, so every system's point is reproducible."""
     used = 0
     for block in blocks:
         for entries in block.values():
             for p in entries:
                 used |= p.packed_or()
-    shifts = slot_shifts(used)
-    rng = random.Random(0x51D2)
-    logs = [(shifts[n], rng.randrange(_ORDER)) for n in sorted(shifts)]
+    logs = _point(used)
     exp = _tables()[0]
     return [{key: [_eval_poly(p, logs, exp) for p in entries]
              for key, entries in block.items()}
@@ -153,3 +167,59 @@ def numeric_verdict(rows: List[List[int]], ncols: int) -> Optional[bool]:
         return True
     # rank [A|b] = ncols + 1 forces rank A = ncols < nrows; needs a b
     return False if rank_ab == ncols + 1 else None
+
+
+def ratio_jacobian_rank(fractions: Sequence[Tuple[Poly, Poly]]
+                        ) -> Optional[Tuple[int, int]]:
+    """(rank at the witness point, number of rows) of the Jacobian of the
+    ratios c_2/c_1, ..., c_m/c_1 of c_i = num_i * den_i, for the fractions
+    num_i/den_i given as (num_i, den_i); None when c_1 or a denominator
+    vanishes at the point.
+
+    Rows are the variables with an odd exponent in some term (a partial in
+    any other variable vanishes identically), in name order.  Column i is
+    c_1 dc_{i+1} + c_{i+1} dc_1, the gradient of c_{i+1}/c_1 times c_1^2,
+    so it has polynomial entries.  The point is `evaluate`'s, over every
+    variable that occurs, and each polynomial's value and partials are
+    read in one pass over its terms: a term x^t adds x^t to the value, and
+    x^t / x_j to the partial in x_j when its exponent of x_j is odd.  The
+    rank at the point only bounds the symbolic rank from below."""
+    used = 0
+    for num, den in fractions:
+        used |= num.packed_or() | den.packed_or()
+    logs = _point(used)
+    odd = [(sh, lg) for sh, lg in logs if used >> sh & 1]
+    exp, log = _tables()
+
+    def mul(a: int, b: int) -> int:
+        return exp[log[a] + log[b]] if a and b else 0
+
+    def jet(p: Poly) -> Tuple[int, List[int]]:
+        value, grad = 0, [0] * len(odd)
+        for t in p.packed:
+            s = 0
+            for sh, lg in logs:
+                s += (t >> sh & MAX_EXPONENT) * lg
+            value ^= exp[s % _ORDER]
+            for j, (sh, lg) in enumerate(odd):
+                if t >> sh & 1:
+                    grad[j] ^= exp[(s - lg) % _ORDER]
+        return value, grad
+
+    jets = []
+    for num, den in fractions:
+        value, grad = jet(num)
+        if not den.is_one:
+            dvalue, dgrad = jet(den)
+            if not dvalue:
+                return None
+            grad = [mul(value, dg) ^ mul(dvalue, g)
+                    for g, dg in zip(grad, dgrad)]
+            value = mul(value, dvalue)
+        jets.append((value, grad))
+    (v1, g1), rest = jets[0], jets[1:]
+    if not v1:
+        return None
+    rows = [[mul(v1, g[j]) ^ mul(v, g1[j]) for v, g in rest]
+            for j in range(len(odd))]
+    return _rank(rows, len(rest), exp, log)[0], len(odd)

@@ -535,7 +535,11 @@ def is_regular_quadric(q: QuasilinearForm) -> RegularityReport:
     which is when splitting_pattern reads (n, n-1, ..., 1) off its bounds:
     the splitting test and the products test are one fact, so the norm
     field is saturated once (span_saturate) and the splitting answer is
-    the products answer.  The differentials are the independent check.
+    the products answer.  The differentials are the independent check,
+    so `regular` keeps the saturation even at depth 0, where
+    splitting_pattern may take the norm degree from the differentials at
+    the witness point (splitting._jacobian_witness): the products test
+    stays independent of the exact differentials it is checked against.
     """
     field = q.field
     scaled = q.scale(q.coeffs[-1].invert())

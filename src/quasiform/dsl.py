@@ -29,7 +29,7 @@ token.
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import (
     DslSyntaxError,
@@ -173,7 +173,9 @@ class _Parser:
         self.tokens = _scan(text)
         self.pos = 0
         self.nesting = 0
-        self.field = FieldTower.rational((), depth_limit=depth_limit)
+        self.depth_limit = depth_limit
+        # the declared field, or F2() once a form or the end needs one
+        self.field: Optional[FieldTower] = None
         self.field_declared = False
         self.forms: List[FormDef] = []
         self.form_names: Dict[str, int] = {}
@@ -232,7 +234,7 @@ class _Parser:
                 self.parse_command()
             else:
                 self.fail(tok, f"unknown statement {tok[1]!r}")
-        return Script(field=self.field,
+        return Script(field=self.field_or_default(),
                       forms=tuple(self.forms),
                       commands=tuple(self.commands))
 
@@ -262,11 +264,18 @@ class _Parser:
         self.expect(")", "')' or ','")
         self.expect(";", "';'")
         self.field = FieldTower.rational(tuple(names),
-                                         depth_limit=self.field.depth_limit)
+                                         depth_limit=self.depth_limit)
         self.field_declared = True
+
+    def field_or_default(self) -> FieldTower:
+        """The declared field, F2() if none was declared first."""
+        if self.field is None:
+            self.field = FieldTower.rational((), depth_limit=self.depth_limit)
+        return self.field
 
     def parse_form(self) -> None:
         self.next()
+        self.field_or_default()
         tok = self.expect_ident("a form name")
         name = tok[1]
         if name in _KEYWORDS:

@@ -21,12 +21,16 @@ q, so q's last coefficient is in the span of the others over the squares
 there, and only the first dim - 1 coefficients are ranked.
 
 The norm degree bounds the first Witt index from both sides and halves at
-each level (splitting_pattern).  The pattern saturates the norm field once,
-for its first level (`_norm_basis`, which `pfister.norm_degree` also
-runs; a first level of dim <= 3 needs no saturation), and builds a field
-only for a level whose bounds do not meet.  Its length is one more than
-log2 of the norm degree, which the invariants report reads.  So the
-pattern is (d, d - 1, ..., 1) exactly when the norm degree is 2^(d - 1):
+each level (splitting_pattern).  The pattern finds it once, for its first
+level, and builds a field only for a level whose bounds do not meet.  A
+first level of dim d <= 3 has norm degree 2^(d - 1) with no test
+(`_norm_basis`).  Over a rational field (depth 0) the rank of the
+Jacobian of the normalized coefficients at the witness point proves it
+when that rank meets its upper bound (`_jacobian_witness`).  Otherwise
+the norm field is saturated (`_norm_basis`, which `pfister.norm_degree`
+also runs).  The pattern's length is one more than log2 of the norm
+degree, which the invariants report reads.  So the pattern is
+(d, d - 1, ..., 1) exactly when the norm degree is 2^(d - 1):
 `is_regular_quadric`'s splitting test and its products test are one fact.
 """
 
@@ -35,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from . import _gfnum
 from .errors import DimensionTooSmall, InconsistencyDetected, IsotropicInput
 from .fieldtower import FieldTower, TowerElem, fresh_names
 from .forms import (
@@ -177,6 +182,12 @@ def _over_own_function_field(
     return ff, over, system, kept
 
 
+def _require_norm_degree(q: QuasilinearForm) -> None:
+    """Raise as the norm degree does on an isotropic form."""
+    if not is_anisotropic(q):
+        raise IsotropicInput("norm degree expects an anisotropic form")
+
+
 def _norm_basis(q: QuasilinearForm) -> List[TowerElem]:
     """A basis over the squares of q's norm field, the field generated over
     K^2 by q's coefficients normalized to represent 1, in binary counter
@@ -192,8 +203,7 @@ def _norm_basis(q: QuasilinearForm) -> List[TowerElem]:
     contains e_1 e_2, so e_3 may already lie in it.  Only e_3, ... are
     tested, by the loop span_saturate runs.
     """
-    if not is_anisotropic(q):
-        raise IsotropicInput("norm degree expects an anisotropic form")
+    _require_norm_degree(q)
     inv = q.coeffs[0].invert()
     normalized = [inv * c for c in q.coeffs[1:]]
     start = [q.field.one()]
@@ -206,13 +216,77 @@ def _norm_basis(q: QuasilinearForm) -> List[TowerElem]:
     return basis
 
 
+def _jacobian_witness(q: QuasilinearForm) -> Optional[Tuple[int, int]]:
+    """(rho, bound) with 2^rho <= ndeg(q) <= 2^bound, for q of dim d over
+    a rational field K = F2(t_1, ..., t_n) (depth 0), from the Jacobian of
+    q's normalized coefficients at the witness point; None when a_1 or a
+    denominator vanishes there.  Nothing here needs q anisotropic; callers
+    that read the degree as q's invariant check that themselves.
+
+    rho is the rank at the point (`_gfnum.ratio_jacobian_rank`) of the
+    matrix M of columns c_1 dc_{i+1} + c_{i+1} dc_1, with c_i = num_i den_i
+    for a_i = num_i/den_i.  c_i is a_i times the square den_i^2, so
+    e_i = c_{i+1}/c_1 generates the same norm field N over K^2 as
+    a_{i+1}/a_1, and the column is the gradient of e_i times c_1^2.
+
+    - Lower bound.  D_j = d/dt_j is a derivation of K that kills K^2.  If
+      x_i lies in K^2(x_1, ..., x_{i-1}), write x_i = sum_S c_S^2 x^S over
+      the square-free products x^S of those x; then
+      D_j x_i = sum_{k<i} lambda_k D_j x_k with
+      lambda_k = sum_{S containing k} c_S^2 x^(S - k), the same for every
+      j.  So x's whose gradients are independent over K each lie outside
+      the field the ones before them generate over K^2, each doubles its
+      degree, and rank(D_j e_i) = r gives r of the e_i generating a field
+      of degree 2^r inside N.  M is that Jacobian with its columns scaled
+      by c_1^2 != 0, a matrix of polynomials; a minor of M that is nonzero
+      at the point is nonzero, so rho <= r and 2^rho <= ndeg.
+    - Upper bounds.  ndeg <= 2^(d-1): each of the d - 1 ratios at most
+      doubles the degree.  And ndeg <= 2^v, v the number of rows, the
+      variables with an odd exponent in some num_i or den_i: every such
+      polynomial lies in K^2(those t_j) (each term is a square times its
+      odd variables), a field of degree 2^v over K^2 (the square-free
+      monomials in t_1, ..., t_n are a basis of K over K^2).  bound is
+      min(d - 1, v), so rho = bound proves ndeg = 2^rho.
+
+    Where a_1 and every denominator are nonzero at the point, M there is
+    the Jacobian of the a_{i+1}/a_1 at the point with its columns scaled
+    by the nonzero (num_1 den_{i+1})^2.  The witness declines any other
+    point, and the saturation decides.  The proof does not need the
+    converse of the lower bound (p-independence is independence of
+    differentials, Matsumura, Commutative Ring Theory, section 26); by it
+    r = log2 ndeg, so rho meets the bound on every form whose norm degree
+    is 2^min(d - 1, v) unless every r x r minor of M vanishes at the
+    point.
+    """
+    rho_rows = _gfnum.ratio_jacobian_rank(
+        [(c.coeffs[0].num, c.coeffs[0].den) for c in q.coeffs])
+    if rho_rows is None:
+        return None
+    rho, rows = rho_rows
+    return rho, min(q.dim - 1, rows)
+
+
+def _log_norm_degree(q: QuasilinearForm) -> int:
+    """log2 of the norm degree of q, anisotropic: at depth 0 the Jacobian
+    at the witness point (_jacobian_witness) when its bounds meet, and
+    otherwise the saturation (_norm_basis)."""
+    if q.field.depth == 0:
+        witness = _jacobian_witness(q)
+        if witness is not None and witness[0] == witness[1]:
+            return witness[0]
+    return len(_norm_basis(q)).bit_length() - 1
+
+
 def splitting_pattern(q: QuasilinearForm) -> SplittingPattern:
     """Dimensions (dim q_0, ..., dim q_h) of the iterated anisotropic parts
     over the tower of function fields, down to dimension <= 1.
 
     The norm degree bounds each level's first Witt index, and a function
-    field is built only for a level whose bounds do not meet.  It is
-    saturated once, for q_0; each later level's is half the one before.
+    field is built only for a level whose bounds do not meet.  It is found
+    once, for q_0: 2^(d - 1) for d <= 3, at depth 0 from the Jacobian at
+    the witness point when that proves it (_jacobian_witness), and
+    otherwise by saturation (_norm_basis).  Each later level's is half
+    the one before.
     Let q = <a_1, ..., a_d> be anisotropic over a field F of
     characteristic 2, and N(q) = F^2(a_1/a_d, ..., a_{d-1}/a_d) its norm
     field, of degree 2^k over F^2 (normalizing by a_1 instead gives the
@@ -255,7 +329,7 @@ def splitting_pattern(q: QuasilinearForm) -> SplittingPattern:
     d = current.dim
     # for d <= 3 the saturation takes only the doublings that need no
     # test (_norm_basis), so k = d - 1
-    k = d - 1 if d <= 3 else len(_norm_basis(current)).bit_length() - 1
+    k = d - 1 if d <= 3 else _log_norm_degree(current)
     dims: List[int] = [d]
     # the bounds are open unless k <= 2 or k = d - 1 (docstring)
     while 2 < k < d - 1:

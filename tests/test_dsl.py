@@ -26,7 +26,7 @@ from quasiform.errors import (
     UndeclaredVariable,
     ZeroCoefficient,
 )
-from quasiform.fieldtower import FieldTower, TowerElem
+from quasiform.fieldtower import DEFAULT_DEPTH_LIMIT, FieldTower, TowerElem
 from quasiform.forms import QuasilinearForm, invariants, is_anisotropic
 from quasiform.gf2poly import MAX_EXPONENT, Poly, RatFn
 from quasiform.pfister import norm_degree
@@ -112,6 +112,28 @@ class TestParser:
         s = parse("form p = <1, 1+1+1>; invariants p;")
         assert s.field.base_vars == ()
         assert s.forms[0].form.dim == 2
+
+    def test_default_field_is_built_only_when_none_is_declared(
+            self, monkeypatch):
+        """A script without a field declaration gets F2() with the parser's
+        depth limit; a declared field is the only tower built."""
+        built = []
+        rational = FieldTower.rational
+
+        def recording(names, depth_limit=DEFAULT_DEPTH_LIMIT):
+            built.append(tuple(names))
+            return rational(names, depth_limit)
+
+        monkeypatch.setattr(FieldTower, "rational", staticmethod(recording))
+        for text in ("form p = <1, 1+1+1>; invariants p;", "corpus;", ""):
+            del built[:]
+            field = parse(text, depth_limit=3).field
+            assert field == FieldTower(()) and field.depth_limit == 3
+            assert built == [()]
+        del built[:]
+        field = parse("field F2(a, b); form p = <a, b>;", depth_limit=5).field
+        assert field.base_vars == ("a", "b") and field.depth_limit == 5
+        assert built == [("a", "b")]
 
     def test_command_checks_form_names(self):
         with pytest.raises(DslSyntaxError):

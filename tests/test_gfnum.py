@@ -11,7 +11,7 @@ import pytest
 from quasiform import _elim, _gfnum, total_index
 from quasiform.fieldtower import FieldTower
 from quasiform.forms import decide_similar, is_anisotropic
-from quasiform.gf2poly import slot_shifts
+from quasiform.gf2poly import Poly, slot_shifts
 from quasiform.sqlinalg import (
     _SquareBlocks,
     k2_rank,
@@ -19,12 +19,15 @@ from quasiform.sqlinalg import (
 )
 
 from oracles import (
+    eval_poly,
     gf_matrix_rank,
     gf_mul,
     gf_pow,
+    minimal_polynomial,
     sample_monomial_form,
     sample_poly_elem,
     tower_sampler,
+    witness_point,
 )
 
 ORDER = _gfnum._ORDER
@@ -366,3 +369,67 @@ def test_zero_kernel_proofs_agree_with_nullspace_on_similarity_systems(
     kernels = {(v, zero) for rhs, v, zero, _ in verdicts if not rhs}
     assert (True, True) in kernels and (None, False) in kernels
     assert {e for rhs, _, e, _ in verdicts if rhs} == {True, False}
+
+
+def _ratio_jacobian_oracle(fractions):
+    """ratio_jacobian_rank built another way: the columns
+    c_1 dc_{i+1} + c_{i+1} dc_1 (c_i = num_i den_i) as polynomials, by
+    Poly products and derivatives, evaluated bitwise at the witness point
+    and ranked by the oracle's elimination."""
+    monos = [m for f in fractions for p in f for m in p.terms]
+    names = {v for m in monos for v, _ in m}
+    odd = sorted({v for m in monos for v, e in m if e % 2})
+    point = witness_point(names)
+    cs = [num * den for num, den in fractions]
+    rows = [[eval_poly(cs[0] * c.derivative(v) + c * cs[0].derivative(v),
+                       point) for c in cs[1:]] for v in odd]
+    return gf_matrix_rank(rows), len(odd)
+
+
+def test_ratio_jacobian_rank_matches_symbolic_derivatives():
+    """Values and partials read in one pass over the terms agree with the
+    polynomial columns built by Poly arithmetic, on fractions over
+    F2(a,b,c,d) in some or all of the variables, with exponents up to 3."""
+    F = FieldTower.rational(("a", "b", "c", "d"))
+    rng = random.Random(29)
+    shapes = set()
+    for _ in range(150):
+        used = FieldTower.rational(tuple(
+            v for v in F.base_vars if rng.random() < 0.7) or ("c",))
+        fractions = []
+        for _ in range(rng.randrange(1, 7)):
+            num = sample_poly_elem(rng, used, 3, 3).coeffs[0].num
+            den = (Poly.one() if rng.random() < 0.5
+                   else sample_poly_elem(rng, used, 2, 2).coeffs[0].num)
+            fractions.append((num, den))
+        expected = _ratio_jacobian_oracle(fractions)
+        assert _gfnum.ratio_jacobian_rank(fractions) == expected
+        rank, rows = expected
+        cols = len(fractions) - 1
+        shapes.add((rank == min(rows, cols), rows < cols))
+    # full and deficient ranks, with more rows than columns and fewer
+    assert shapes == {(True, True), (True, False), (False, True),
+                      (False, False)}
+
+
+def test_ratio_jacobian_rank_declines_a_zero_of_a_1_or_a_denominator():
+    """None when c_1 = num_1 den_1 or any den_i vanishes at the point; the
+    minimal polynomial of the point's a-coordinate vanishes there."""
+    names = ("a", "b", "c")
+    point = witness_point(names)
+    m = minimal_polynomial("a", point["a"], names)
+    assert eval_poly(m, point) == 0
+    a, b, c = (Poly.variable(v, names) for v in names)
+    one = Poly.one()
+    # <a_1, b, c, a b>, all three variables occurring, so the point is
+    # the one above
+    rest = [(b, one), (c, one), (a * b, one)]
+    assert _gfnum.ratio_jacobian_rank([(a, one)] + rest) == (3, 3)
+    assert _gfnum.ratio_jacobian_rank([(m, one)] + rest) is None
+    assert _gfnum.ratio_jacobian_rank([(one, m)] + rest) is None
+    assert _gfnum.ratio_jacobian_rank(
+        [(a, one), (b, m)] + rest[1:]) is None
+    # m + 1 is 1 at the point, so that coefficient is read as usual
+    assert _gfnum.ratio_jacobian_rank(
+        [(m + one, one)] + rest) == _ratio_jacobian_oracle(
+            [(m + one, one)] + rest)

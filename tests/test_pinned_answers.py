@@ -30,7 +30,7 @@ PINNED = {
     "invariants-tower": (
         120,
         "8a19db896f926575c936c95ea15a377fabb9139a69140d2da13a482e526a70b8",
-        dict(numeric_verdict=320, conclusive=320, solve=0, solvable=0,
+        dict(numeric_verdict=290, conclusive=290, solve=0, solvable=0,
              nullspace=0, function_field=0)),
     "ruling-verify": (
         60,

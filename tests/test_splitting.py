@@ -6,9 +6,9 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from quasiform import cli, dsl, splitting
+from quasiform import cli, dsl, splitting, sqlinalg
 from quasiform.birational import construct_ruling
 from quasiform.errors import DimensionTooSmall, IsotropicInput, NotRuled
 from quasiform.fieldtower import FieldTower
@@ -34,9 +34,11 @@ from quasiform.sqlinalg import tower_square_root
 from oracles import (
     FROZEN,
     karpenko_violations,
+    minimal_polynomial,
     sample_monomial_form,
     sample_poly_elem,
     tower_sampler,
+    witness_point,
 )
 
 
@@ -593,3 +595,128 @@ def test_invariants_tower_queries_pass_their_oracle(monkeypatch, levels):
     # a dim-4 form is the one case where the norm degree still decides a
     # doubling (e_3 in <<e_1, e_2>> or not), so the oracle checks both
     assert dim4_norm_degrees == {4, 8}
+
+
+@st.composite
+def _abcd_forms(draw):
+    """A form over F2(a,b,c,d) in the variables a drawn mask keeps, as
+    (numerator terms, denominator terms) per coefficient, exponents at most
+    2.  Each numerator leads with a monomial of its own parity class, so
+    most forms are anisotropic; a coefficient is that monomial, a
+    polynomial of up to three terms, or such a polynomial over one of up
+    to two terms."""
+    used = draw(st.tuples(*[st.booleans()] * 4).filter(any))
+    exps = st.tuples(*(st.integers(0, 2) if u else st.just(0)
+                       for u in used))
+    parities = st.tuples(*(st.integers(0, 1) if u else st.just(0)
+                           for u in used))
+    # an anisotropic form in v variables has dim <= 2^v
+    classes = draw(st.lists(parities, min_size=2,
+                            max_size=min(7, 1 << sum(used)), unique=True))
+    coeffs = []
+    for parity in classes:
+        lead = tuple(e or 2 * draw(st.integers(0, int(u)))
+                     for e, u in zip(parity, used))
+        kind = draw(st.sampled_from(("monomial", "polynomial", "rational")))
+        num = [lead] + (draw(st.lists(exps, max_size=2))
+                        if kind != "monomial" else [])
+        den = draw(st.lists(exps, min_size=1, max_size=2)) \
+            if kind == "rational" else [(0, 0, 0, 0)]
+        coeffs.append((tuple(num), tuple(den)))
+    return tuple(coeffs)
+
+
+_ABCD = FieldTower.rational(("a", "b", "c", "d"))
+
+
+def _abcd_form(coeffs):
+    """The form of `_abcd_forms` output, None if a coefficient is zero."""
+    def poly(terms):
+        acc = _ABCD.zero()
+        for t in terms:
+            mono = _ABCD.one()
+            for v, e in zip(_ABCD.base_vars, t):
+                mono = mono * _ABCD.var(v) ** e
+            acc = acc + mono
+        return acc
+
+    elems = []
+    for num, den in coeffs:
+        n, dn = poly(num), poly(den)
+        if n.is_zero or dn.is_zero:
+            return None
+        elems.append(n * dn.invert())
+    return QuasilinearForm(_ABCD, elems)
+
+
+class TestJacobianWitness:
+    """At depth 0 the rank of the Jacobian at the witness point bounds the
+    norm degree, 2^rho <= ndeg <= 2^bound, and decides it where the bounds
+    meet; the saturation is the oracle."""
+
+    @given(_abcd_forms())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @example(((((1, 0, 0, 0),), ((0, 0, 0, 0),)),
+              (((0, 1, 0, 0),), ((0, 0, 0, 0),)),
+              (((0, 0, 1, 0),), ((0, 0, 0, 0),)),
+              (((0, 0, 0, 1),), ((0, 0, 0, 0),))))
+    # norm degree 4 in three odd variables: rank 2 against a bound of 3
+    @example(((((1, 0, 0, 0),), ((0, 0, 0, 0),)),
+              (((0, 1, 0, 0),), ((0, 0, 0, 0),)),
+              (((0, 0, 1, 0),), ((0, 0, 0, 0),)),
+              (((1, 1, 1, 0),), ((0, 0, 0, 0),))))
+    # <1, a + b^2, b, (a b + 1)/(a + b^2)>: d - 1 = 3 > v = 2
+    @example(((((0, 0, 0, 0),), ((0, 0, 0, 0),)),
+              (((1, 0, 0, 0), (0, 2, 0, 0)), ((0, 0, 0, 0),)),
+              (((0, 1, 0, 0),), ((0, 0, 0, 0),)),
+              (((1, 1, 0, 0), (0, 0, 0, 0)), ((1, 0, 0, 0), (0, 2, 0, 0)))))
+    def test_witness_equals_the_saturated_degree(self, coeffs):
+        q = _abcd_form(coeffs)
+        assume(q is not None and is_anisotropic(q))
+        witness = splitting._jacobian_witness(q)
+        ndeg = len(splitting._norm_basis(q))
+        if witness is not None:
+            rho, bound = witness
+            assert 1 << rho <= ndeg <= 1 << bound
+        # the degree splitting_pattern takes: the witness's where it
+        # decides, else the saturation's
+        assert 1 << splitting._log_norm_degree(q) == ndeg
+
+    def test_a_zero_of_a_1_or_a_denominator_falls_back(self):
+        """The point's a-coordinate is a root of m(a) (its minimal
+        polynomial over GF(2)); the witness declines a_1 = m(a) and a
+        denominator m(a), and the pattern is the saturated one."""
+        F = FieldTower.rational(("a", "b", "c"))
+        m = F.scalar(minimal_polynomial(
+            "a", witness_point(F.base_vars)["a"], F.base_vars))
+        a, b, c = F.var("a"), F.var("b"), F.var("c")
+        for coeffs in ([m, b, c, a * b], [a, b * m.invert(), c, a * b]):
+            q = QuasilinearForm(F, coeffs)
+            assert splitting._jacobian_witness(q) is None
+            assert splitting_pattern(q).norm_degree == norm_degree(q)[0]
+        # the same form with a_1 = a is decided by the point
+        q = QuasilinearForm(F, [a, b, c, a * b])
+        assert splitting._jacobian_witness(q) == (3, 3)
+
+    def test_generic_dim_14_form_takes_no_square_system(self, monkeypatch,
+                                                         levels):
+        """<t1, ..., t14> reads (14, ..., 1) off the point, with no square
+        system solved (counted at the binding `_saturate` calls), while a
+        dim-4 form of norm degree 4 in three odd variables (rank 2 at the
+        point, bound 3) still saturates."""
+        calls = []
+        solvable = sqlinalg.square_system_solvable
+
+        def counting(basis, target):
+            calls.append(target)
+            return solvable(basis, target)
+
+        monkeypatch.setattr(sqlinalg, "square_system_solvable", counting)
+        assert splitting_pattern(_generic(14)).dims == tuple(range(14, 0, -1))
+        assert calls == [] and levels == []
+        F = FieldTower.rational(("a", "b", "c"))
+        a, b, c = F.var("a"), F.var("b"), F.var("c")
+        q = QuasilinearForm(F, [a, b, c, a * b * c])
+        assert splitting._jacobian_witness(q) == (2, 3)
+        assert splitting_pattern(q).dims == (4, 2, 1)
+        assert len(calls) == 1
