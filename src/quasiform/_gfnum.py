@@ -29,11 +29,10 @@ with a nonzero kernel.
 
 The same point gives gradients (`ratio_jacobian_rank`): the value and the
 first partials of a polynomial there, read in one pass over its terms,
-and the rank there of a Jacobian built from them.  The third rule
-decides it, on the matrix or its transpose, whichever has at least as
-many rows as columns: a rank at the point equal to the smaller side is
-the symbolic rank.  A lower rank is only a lower bound on it;
-`splitting._jacobian_witness` turns both into bounds on a norm degree.
+and the rank there of a Jacobian of polynomials built from them.  The
+rank at the point, from the same elimination (`_rank`), bounds the
+symbolic rank from below; `splitting._jacobian_witness` compares it with
+an upper bound on a norm degree.
 
 Field arithmetic goes through log and antilog tables of GF(2^15)* with
 respect to x, modulo x^15 + x + 1: a product is EXP[LOG[a] + LOG[b]] and a
@@ -170,11 +169,10 @@ def numeric_verdict(rows: List[List[int]], ncols: int) -> Optional[bool]:
 
 
 def ratio_jacobian_rank(fractions: Sequence[Tuple[Poly, Poly]]
-                        ) -> Optional[Tuple[int, int]]:
+                        ) -> Tuple[int, int]:
     """(rank at the witness point, number of rows) of the Jacobian of the
     ratios c_2/c_1, ..., c_m/c_1 of c_i = num_i * den_i, for the fractions
-    num_i/den_i given as (num_i, den_i); None when c_1 or a denominator
-    vanishes at the point.
+    num_i/den_i given as (num_i, den_i), with its columns scaled by c_1^2.
 
     Rows are the variables with an odd exponent in some term (a partial in
     any other variable vanishes identically), in name order.  Column i is
@@ -182,8 +180,11 @@ def ratio_jacobian_rank(fractions: Sequence[Tuple[Poly, Poly]]
     so it has polynomial entries.  The point is `evaluate`'s, over every
     variable that occurs, and each polynomial's value and partials are
     read in one pass over its terms: a term x^t adds x^t to the value, and
-    x^t / x_j to the partial in x_j when its exponent of x_j is odd.  The
-    rank at the point only bounds the symbolic rank from below."""
+    x^t / x_j to the partial in x_j when its exponent of x_j is odd; the
+    product rule gives c_i's.  So the matrix ranked is that polynomial
+    matrix evaluated at the point, and a minor nonzero there is nonzero:
+    the rank at the point bounds the symbolic rank from below, whatever
+    c_1 or a denominator is worth there."""
     used = 0
     for num, den in fractions:
         used |= num.packed_or() | den.packed_or()
@@ -211,15 +212,11 @@ def ratio_jacobian_rank(fractions: Sequence[Tuple[Poly, Poly]]
         value, grad = jet(num)
         if not den.is_one:
             dvalue, dgrad = jet(den)
-            if not dvalue:
-                return None
             grad = [mul(value, dg) ^ mul(dvalue, g)
                     for g, dg in zip(grad, dgrad)]
             value = mul(value, dvalue)
         jets.append((value, grad))
     (v1, g1), rest = jets[0], jets[1:]
-    if not v1:
-        return None
     rows = [[mul(v1, g[j]) ^ mul(v, g1[j]) for v, g in rest]
             for j in range(len(odd))]
     return _rank(rows, len(rest), exp, log)[0], len(odd)

@@ -24,12 +24,7 @@ from .errors import (
 from .fieldtower import FieldTower, TowerElem, fresh_names
 from .forms import QuasilinearForm
 from .maps import RationalMap
-from .splitting import (
-    _jacobian_witness,
-    _norm_basis,
-    _require_norm_degree,
-    function_field,
-)
+from .splitting import _norm_basis, function_field
 from .sqlinalg import SquareRelation, k2_membership, square_combination
 
 
@@ -153,19 +148,7 @@ def is_quasi_pfister_neighbor(q: QuasilinearForm) -> Optional[QuasiPfisterForm]:
     """The quasi-Pfister form of q's norm field when dim q exceeds half the
     norm degree; None otherwise.  Detection is relative to the norm field,
     the smallest quasi-Pfister form whose span contains the normalized
-    coefficients.
-
-    At depth 0 the Jacobian at the witness point bounds the norm degree
-    from below by 2^rho (splitting._jacobian_witness), and
-    2 dim q <= 2^rho answers None with no saturation.  rho <= dim q - 1,
-    so this needs dim q >= 4; a maximal form of dim >= 4 is answered so
-    unless the point misses its rank.  Every other form is saturated, and
-    a neighbor needs the basis anyway."""
-    if q.field.depth == 0 and q.dim >= 4:
-        _require_norm_degree(q)
-        witness = _jacobian_witness(q)
-        if witness is not None and 2 * q.dim <= 1 << witness[0]:
-            return None
+    coefficients."""
     degree, nf = norm_degree(q)
     if 2 * q.dim <= degree:
         return None

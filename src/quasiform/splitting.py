@@ -182,12 +182,6 @@ def _over_own_function_field(
     return ff, over, system, kept
 
 
-def _require_norm_degree(q: QuasilinearForm) -> None:
-    """Raise as the norm degree does on an isotropic form."""
-    if not is_anisotropic(q):
-        raise IsotropicInput("norm degree expects an anisotropic form")
-
-
 def _norm_basis(q: QuasilinearForm) -> List[TowerElem]:
     """A basis over the squares of q's norm field, the field generated over
     K^2 by q's coefficients normalized to represent 1, in binary counter
@@ -203,7 +197,8 @@ def _norm_basis(q: QuasilinearForm) -> List[TowerElem]:
     contains e_1 e_2, so e_3 may already lie in it.  Only e_3, ... are
     tested, by the loop span_saturate runs.
     """
-    _require_norm_degree(q)
+    if not is_anisotropic(q):
+        raise IsotropicInput("norm degree expects an anisotropic form")
     inv = q.coeffs[0].invert()
     normalized = [inv * c for c in q.coeffs[1:]]
     start = [q.field.one()]
@@ -216,12 +211,12 @@ def _norm_basis(q: QuasilinearForm) -> List[TowerElem]:
     return basis
 
 
-def _jacobian_witness(q: QuasilinearForm) -> Optional[Tuple[int, int]]:
+def _jacobian_witness(q: QuasilinearForm) -> Tuple[int, int]:
     """(rho, bound) with 2^rho <= ndeg(q) <= 2^bound, for q of dim d over
     a rational field K = F2(t_1, ..., t_n) (depth 0), from the Jacobian of
-    q's normalized coefficients at the witness point; None when a_1 or a
-    denominator vanishes there.  Nothing here needs q anisotropic; callers
-    that read the degree as q's invariant check that themselves.
+    q's normalized coefficients at the witness point.  Nothing here needs
+    q anisotropic; callers that read the degree as q's invariant check
+    that themselves.
 
     rho is the rank at the point (`_gfnum.ratio_jacobian_rank`) of the
     matrix M of columns c_1 dc_{i+1} + c_{i+1} dc_1, with c_i = num_i den_i
@@ -248,21 +243,18 @@ def _jacobian_witness(q: QuasilinearForm) -> Optional[Tuple[int, int]]:
       monomials in t_1, ..., t_n are a basis of K over K^2).  bound is
       min(d - 1, v), so rho = bound proves ndeg = 2^rho.
 
-    Where a_1 and every denominator are nonzero at the point, M there is
-    the Jacobian of the a_{i+1}/a_1 at the point with its columns scaled
-    by the nonzero (num_1 den_{i+1})^2.  The witness declines any other
-    point, and the saturation decides.  The proof does not need the
+    The lower bound holds at every point: M's entries are polynomials,
+    read at the point by a ring homomorphism, whatever a_1 or a
+    denominator is worth there.  A point that misses M's rank only leaves rho below the
+    bound, and the saturation decides.  The proof does not need the
     converse of the lower bound (p-independence is independence of
     differentials, Matsumura, Commutative Ring Theory, section 26); by it
     r = log2 ndeg, so rho meets the bound on every form whose norm degree
     is 2^min(d - 1, v) unless every r x r minor of M vanishes at the
     point.
     """
-    rho_rows = _gfnum.ratio_jacobian_rank(
+    rho, rows = _gfnum.ratio_jacobian_rank(
         [(c.coeffs[0].num, c.coeffs[0].den) for c in q.coeffs])
-    if rho_rows is None:
-        return None
-    rho, rows = rho_rows
     return rho, min(q.dim - 1, rows)
 
 
@@ -271,9 +263,9 @@ def _log_norm_degree(q: QuasilinearForm) -> int:
     at the witness point (_jacobian_witness) when its bounds meet, and
     otherwise the saturation (_norm_basis)."""
     if q.field.depth == 0:
-        witness = _jacobian_witness(q)
-        if witness is not None and witness[0] == witness[1]:
-            return witness[0]
+        rho, bound = _jacobian_witness(q)
+        if rho == bound:
+            return rho
     return len(_norm_basis(q)).bit_length() - 1
 
 

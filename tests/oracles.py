@@ -218,23 +218,6 @@ def witness_point(names):
     return {v: gf_pow(2, rng.randrange(GF_ORDER - 1)) for v in sorted(names)}
 
 
-def minimal_polynomial(name, value, variables):
-    """The minimal polynomial over GF(2) of a GF(2^15) value, in `name`:
-    the product of X - c over the Frobenius conjugates c of the value."""
-    from quasiform.gf2poly import Poly
-
-    conjugates = [value]
-    while gf_mul(conjugates[-1], conjugates[-1]) != value:
-        conjugates.append(gf_mul(conjugates[-1], conjugates[-1]))
-    coeffs = [1]
-    for c in conjugates:
-        shifted = [0] + coeffs
-        coeffs = [k ^ gf_mul(c, h) for k, h in zip(shifted, coeffs + [0])]
-    assert set(coeffs) <= {0, 1}
-    return Poly([((name, i),) if i else () for i, k in enumerate(coeffs)
-                 if k], variables)
-
-
 # Exponent-parity oracle: monomials are independent over squares exactly
 # when their exponent vectors differ somewhere mod 2, so the total index
 # of a monomial-coefficient form is dim minus the number of parity classes.

@@ -23,7 +23,6 @@ from oracles import (
     gf_matrix_rank,
     gf_mul,
     gf_pow,
-    minimal_polynomial,
     sample_monomial_form,
     sample_poly_elem,
     tower_sampler,
@@ -411,25 +410,3 @@ def test_ratio_jacobian_rank_matches_symbolic_derivatives():
     assert shapes == {(True, True), (True, False), (False, True),
                       (False, False)}
 
-
-def test_ratio_jacobian_rank_declines_a_zero_of_a_1_or_a_denominator():
-    """None when c_1 = num_1 den_1 or any den_i vanishes at the point; the
-    minimal polynomial of the point's a-coordinate vanishes there."""
-    names = ("a", "b", "c")
-    point = witness_point(names)
-    m = minimal_polynomial("a", point["a"], names)
-    assert eval_poly(m, point) == 0
-    a, b, c = (Poly.variable(v, names) for v in names)
-    one = Poly.one()
-    # <a_1, b, c, a b>, all three variables occurring, so the point is
-    # the one above
-    rest = [(b, one), (c, one), (a * b, one)]
-    assert _gfnum.ratio_jacobian_rank([(a, one)] + rest) == (3, 3)
-    assert _gfnum.ratio_jacobian_rank([(m, one)] + rest) is None
-    assert _gfnum.ratio_jacobian_rank([(one, m)] + rest) is None
-    assert _gfnum.ratio_jacobian_rank(
-        [(a, one), (b, m)] + rest[1:]) is None
-    # m + 1 is 1 at the point, so that coefficient is read as usual
-    assert _gfnum.ratio_jacobian_rank(
-        [(m + one, one)] + rest) == _ratio_jacobian_oracle(
-            [(m + one, one)] + rest)

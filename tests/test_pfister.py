@@ -1,11 +1,9 @@
 """Quasi-Pfister forms: subset-product expansion, norm fields and degrees,
 neighbor detection, the Albert product, and special neighbor rulings."""
 
-import random
-
 import pytest
 
-from quasiform import _gfnum, pfister
+from quasiform import pfister
 from quasiform.errors import (
     BadDecomposition,
     InconsistencyDetected,
@@ -27,7 +25,7 @@ from quasiform.pfister import (
 )
 from quasiform.sqlinalg import span_saturate
 
-from oracles import FROZEN, sample_poly_elem, tower_sampler
+from oracles import FROZEN, tower_sampler
 
 
 @pytest.fixture
@@ -196,66 +194,6 @@ class TestNeighborDetection:
         # dim 4 with norm degree 8: 2*4 <= 8, too small
         q = QuasilinearForm(F, [F.one(), a, b, c])
         assert is_quasi_pfister_neighbor(q) is None
-
-    def test_witness_answers_as_the_saturation(self, monkeypatch):
-        """Seeded forms over F2(a,b,c,d): monomial and polynomial, of dim
-        2-8, among them neighbours (subforms of quasi-Pfister forms of more
-        than half their dim).  The answer equals the one read off the
-        saturated norm field, and the norm field is saturated only for
-        the forms the witness leaves open: never for a maximal form of
-        dim >= 4."""
-        G = FieldTower.rational(("a", "b", "c", "d"))
-        rng = random.Random(29)
-        forms = []
-        while len(forms) < 60:
-            slots = [sample_poly_elem(rng, G, 2, rng.choice((1, 1, 2)))
-                     for _ in range(rng.randrange(1, 4))]
-            if rng.random() < 0.5:
-                expansion = QuasiPfisterForm(G, slots).expansion
-                keep = rng.randrange(len(expansion) // 2 + 1,
-                                     len(expansion) + 1)
-                q = QuasilinearForm(G, rng.sample(expansion, keep))
-            else:
-                q = QuasilinearForm(G, [
-                    sample_poly_elem(rng, G, 2, rng.choice((1, 1, 2)))
-                    for _ in range(rng.randrange(2, 9))])
-            if is_anisotropic(q):
-                forms.append(q)
-        saturated = []
-        real = pfister._norm_basis
-
-        def recording(q):
-            saturated.append(q)
-            return real(q)
-
-        monkeypatch.setattr(pfister, "_norm_basis", recording)
-        answers = set()
-        for q in forms:
-            degree, nf = norm_degree(q)
-            expected = (None if 2 * q.dim <= degree
-                        else QuasiPfisterForm(G, norm_field_slots(nf)))
-            del saturated[:]
-            P = is_quasi_pfister_neighbor(q)
-            assert (P is None) == (expected is None)
-            if P is not None:
-                assert P.expansion == expected.expansion
-            if degree == 1 << (q.dim - 1) and q.dim >= 4:
-                assert saturated == []
-            answers.add((P is None, bool(saturated)))
-        # non-neighbours answered by the witness, neighbours saturated
-        assert {(True, False), (False, True)} <= answers
-
-    @pytest.mark.parametrize("depth", [0, 1])
-    def test_isotropic_form_raises_before_any_witness(self, depth,
-                                                      monkeypatch):
-        K, _, _, element = tower_sampler(4, depth)
-        x = element(1)
-        q = QuasilinearForm(K, [x, K.one(), x * K.var("a") ** 2, K.var("b")])
-        assert not is_anisotropic(q)
-        monkeypatch.setattr(_gfnum, "ratio_jacobian_rank", None)
-        with pytest.raises(IsotropicInput,
-                           match="norm degree expects an anisotropic form"):
-            is_quasi_pfister_neighbor(q)
 
 
 class TestAlbertProduct:

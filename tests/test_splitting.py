@@ -34,11 +34,9 @@ from quasiform.sqlinalg import tower_square_root
 from oracles import (
     FROZEN,
     karpenko_violations,
-    minimal_polynomial,
     sample_monomial_form,
     sample_poly_elem,
     tower_sampler,
-    witness_point,
 )
 
 
@@ -673,30 +671,12 @@ class TestJacobianWitness:
     def test_witness_equals_the_saturated_degree(self, coeffs):
         q = _abcd_form(coeffs)
         assume(q is not None and is_anisotropic(q))
-        witness = splitting._jacobian_witness(q)
+        rho, bound = splitting._jacobian_witness(q)
         ndeg = len(splitting._norm_basis(q))
-        if witness is not None:
-            rho, bound = witness
-            assert 1 << rho <= ndeg <= 1 << bound
+        assert 1 << rho <= ndeg <= 1 << bound
         # the degree splitting_pattern takes: the witness's where it
         # decides, else the saturation's
         assert 1 << splitting._log_norm_degree(q) == ndeg
-
-    def test_a_zero_of_a_1_or_a_denominator_falls_back(self):
-        """The point's a-coordinate is a root of m(a) (its minimal
-        polynomial over GF(2)); the witness declines a_1 = m(a) and a
-        denominator m(a), and the pattern is the saturated one."""
-        F = FieldTower.rational(("a", "b", "c"))
-        m = F.scalar(minimal_polynomial(
-            "a", witness_point(F.base_vars)["a"], F.base_vars))
-        a, b, c = F.var("a"), F.var("b"), F.var("c")
-        for coeffs in ([m, b, c, a * b], [a, b * m.invert(), c, a * b]):
-            q = QuasilinearForm(F, coeffs)
-            assert splitting._jacobian_witness(q) is None
-            assert splitting_pattern(q).norm_degree == norm_degree(q)[0]
-        # the same form with a_1 = a is decided by the point
-        q = QuasilinearForm(F, [a, b, c, a * b])
-        assert splitting._jacobian_witness(q) == (3, 3)
 
     def test_generic_dim_14_form_takes_no_square_system(self, monkeypatch,
                                                          levels):
