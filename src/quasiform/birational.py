@@ -23,12 +23,12 @@ searched for.
 A ruling is one record, `RulingDecomposition`: its certificate and the
 map phi built from the certificate's basis; X, Y, r, the basis and the
 inverse data are read off the certificate, so no copy can disagree with
-it.  Each identity is proved by one step.  In `construct_ruling`, the
-constructor of pi proves Y(pi) = 0 and the decomposition's constructor,
-through that of phi, X(s_i) = 0 for every i; the solves check nothing,
-and no basis is pulled back.  `RulingCertificate.verify`, which trusts no
-builder, rebuilds k(X) and k(Y) and proves X(s_i) = 0 for each i and the
-recombination, pulling the basis back once; `RulingDecomposition.verify`
+it.  In `construct_ruling`, the constructor of pi proves Y(pi) = 0 and
+the decomposition's constructor, through that of phi, X(s_i) = 0 for
+every i; the solves check nothing, and the fibers are read off the basis
+pulled back by `_pull_basis`.  `RulingCertificate.verify`, which trusts
+no builder, rebuilds k(X) and k(Y) and proves X(s_i) = 0 for each i and
+the recombination, replaying that pull-back; `RulingDecomposition.verify`
 adds only r >= 2.
 """
 
@@ -46,6 +46,7 @@ from .errors import (
     InconsistencyDetected,
     IsotropicInput,
     NotRuled,
+    UnknownVariable,
 )
 from .fieldtower import FieldTower, TowerElem, TowerHom, fresh_names
 from .forms import QuasilinearForm, is_anisotropic
@@ -210,8 +211,8 @@ def _pull_basis(ff_y, s_basis: Sequence[Sequence[TowerElem]],
     With pi cleared of denominators to (d, p_2, ..., p_n), one TowerHom
     sends the function-field coordinates of Y to p_j / d, and
     `apply_projective` clears d from each vector by its structural power.
-    The construction is deterministic, so certificate verification can
-    recompute it exactly.
+    `construct_ruling` reads the fibers off the result, and certificate
+    verification recomputes it exactly.
     """
     pi_poly = clear_denominators(pi_coords)
     hom = TowerHom(ff_y.tower, K, dict(zip(ff_y.fresh_names, pi_poly[1:])),
@@ -266,8 +267,9 @@ class RulingCertificate:
     The certificate is immutable and trusts no builder: verify() rebuilds
     k(X) and k(Y) and recomputes the composition from scratch, with r
     isotropy proofs, one for each s_i, and one pull-back of the basis
-    (`_pull_basis`), whose recombination is checked coordinate by
-    coordinate.  pi's vanishing on Y is proved by its constructor.
+    (`_pull_basis`, the one `construct_ruling` reads the fibers off),
+    whose recombination is checked coordinate by coordinate.  pi's
+    vanishing on Y is proved by its constructor.
     """
 
     __slots__ = ("X", "Y", "s_basis", "pi", "fibers", "scale")
@@ -312,7 +314,9 @@ class RulingCertificate:
             return False
         try:
             pulled = _pull_basis(ff_y, self.s_basis, pi.coords, ff_x.tower)
-        except (DivisionByZero, EmbeddingFailure, ValueError):
+        except (DivisionByZero, EmbeddingFailure, UnknownVariable,
+                ValueError):
+            # no field map, or a basis vector names a variable k(X) lacks
             return False
         return _recombines(self.fibers, pulled, ff_x.generic_point,
                            self.scale)
@@ -378,17 +382,21 @@ def construct_ruling(X: QuasilinearForm) -> RulingDecomposition:
     With a_1..a_n the coefficients of X and d = dim Y: s_1 is Y's generic
     point over its last coordinate, s_i (i >= 2) the relation of a_{d-1+i}
     over a_1..a_{d-1} in k(Y), pi that of the first a_j which X's rank
-    over k(X) skipped, over a_1..a_{j-1}, and f_i is read at d-1+i.
+    over k(X) skipped, over a_1..a_{j-1}, and f_i = g[d-1+i] / t_i[d-1+i]
+    for g the generic point of X and t_i the pull-back of s_i through pi
+    (`_pull_basis`, the one verify() replays).
 
     Each relation is one exact solve, without a verdict, on a square
     system that holds it: pi on the system X's rank over k(X) built, the
-    s_i on one system over k(Y).  Construction proves nothing twice: the
-    constructor of pi proves Y(pi) = 0, and RulingDecomposition's builds
-    phi, whose constructor proves X(s_i) = 0 for every i
-    (X(s_1 + t_1 s_2 + ...) = X(s_1) + t_1^2 X(s_2) + ... vanishes only if
-    each term does, the t_i being independent transcendentals).  verify()
-    proves each X(s_i) = 0 again, as a certificate trusts no builder, and
-    the recombination; phi is not rebuilt.
+    s_i on one system over k(Y).  The constructor of pi proves Y(pi) = 0,
+    and RulingDecomposition's builds phi, whose constructor proves
+    X(s_i) = 0 for every i (X(s_1 + t_1 s_2 + ...) = X(s_1) +
+    t_1^2 X(s_2) + ... vanishes only if each term does, the t_i being
+    independent transcendentals).  The pull-back's hom checks the image
+    of y against its relation, which is Y(pi) = 0 again: the one identity
+    construction proves twice.  verify() proves each X(s_i) = 0 again, as
+    a certificate trusts no builder, and the recombination; phi is not
+    rebuilt.
 
     Raises NotRuled when r = 1 (the decomposition would be trivial and no
     ruling exists along this route), and DimensionTooSmall or
@@ -436,33 +444,15 @@ def construct_ruling(X: QuasilinearForm) -> RulingDecomposition:
             "projection chart degenerates: leading coordinate is zero")
     pi = RationalMap(K, pi_coords, Y)
 
-    # With pi cleared to (p_1, ..., p_d), the certificate's _pull_basis
-    # sends each s_i, cleared to D_i * s_i, to t_i = p_1^K_i * hom(D_i * s_i),
-    # K_i its clearing power.  s_i is 1 at d-1+i and 0 at X's other last r
-    # coordinates, and so is t_i up to the factor there (a field map sends
-    # only 0 to 0), so f_1 t_1 + ... + f_r t_r = g reads
-    # f_i * t_i[d-1+i] = g[d-1+i], with t_i[d-1+i] = N_i * p_1^(K_i - k_i)
-    # for hom(D_i) = N_i / p_1^k_i.  D_i is a scalar of k(Y) below y, so
-    # its image needs no map of y, whose relation is Y(pi) = 0 again.
-    # _recombines checks every coordinate.
-    names = ff_y.fresh_names
-    pi_poly = clear_denominators(pi_coords)
-    below_y = Y.field.extend_transcendental(names[:-1])
-    hom = TowerHom(below_y, K, dict(zip(names[:-1], pi_poly[1:])),
-                   denominator=pi_poly[0])
+    # s_i is 1 at d-1+i and 0 at X's other last r coordinates, and so is
+    # its pull-back t_i up to a nonzero factor (a field map sends only 0
+    # to 0), so f_1 t_1 + ... + f_r t_r = g reads f_i t_i[d-1+i] = g[d-1+i]
+    # there; _recombines checks every coordinate.
+    pulled = _pull_basis(ff_y, s_basis, pi_coords, K)
     g = ff_x.generic_point
-    fibers = []
-    for i, s in enumerate(s_basis):
-        cleared = clear_denominators(s)
-        # D_i's names are below_y's: lifted without a second name check
-        lifted = TowerElem(below_y, {0: cleared[d - 1 + i].coeffs[0]})
-        num, k = hom._image(lifted)
-        power = TowerHom.clearing_power(cleared, names) - k
-        if power:
-            num = num * pi_poly[0] ** power
-        fibers.append(g[d - 1 + i] / num)
+    fibers = tuple(g[d - 1 + i] / t[d - 1 + i] for i, t in enumerate(pulled))
     return RulingDecomposition(
-        RulingCertificate(X, Y, s_basis, pi, tuple(fibers), K.one()))
+        RulingCertificate(X, Y, s_basis, pi, fibers, K.one()))
 
 
 def unique_self_map_check(X: QuasilinearForm) -> bool:

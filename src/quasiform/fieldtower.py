@@ -24,7 +24,9 @@ from .errors import (
     UnknownVariable,
     ZeroElement,
 )
-from .gf2poly import Monomial, Poly, RatFn, _power, slot_shifts
+from .gf2poly import (MAX_EXPONENT, Poly, RatFn, _power, _shift,
+                      slot_shifts)
+from .gf2poly import _poly as _trusted_poly
 
 CoeffMap = Tuple[Tuple[int, RatFn], ...]
 
@@ -455,13 +457,14 @@ class TowerHom:
     monomial plus one for each assigned generator of its mask, whatever
     cancels.  `apply` divides once, returning the field image N / d^k;
     `apply_projective` returns the images of a vector times the d^k that
-    clears the whole vector, so it never divides; `clearing_power` counts
-    that k without building a hom.  Powers of the
-    assigned values and of d are memoised across applications, so build
-    one hom per substitution task.
+    clears the whole vector, so it never divides.  A polynomial is mapped
+    on its packed terms, grouped by the slots of the assigned variables.
+    Powers of the assigned values and of d are memoised across
+    applications, so build one hom per substitution task.
     """
 
-    __slots__ = ("source", "target", "_var_assign", "_gens", "_d", "_powers")
+    __slots__ = ("source", "target", "_var_assign", "_slots", "_assigned",
+                 "_stray", "_gens", "_d", "_powers")
 
     def __init__(self, source: FieldTower, target: FieldTower,
                  assignments: Dict[str, TowerElem],
@@ -493,6 +496,13 @@ class TowerHom:
         self.source = source
         self.target = target
         self._var_assign = var_assign
+        # (name, bit offset) of each assigned variable's slot, the mask of
+        # those slots, and that of every slot neither they nor the target's
+        # base variables use
+        self._slots = [(name, _shift(name)) for name in var_assign]
+        self._assigned = sum(MAX_EXPONENT << sh for _, sh in self._slots)
+        self._stray = ~(self._assigned | sum(
+            MAX_EXPONENT << _shift(v) for v in target.base_vars))
         self._d = denominator
         self._powers: Dict[Tuple[Optional[str], int], TowerElem] = {}
         # (value, power of d below it) per generator, in adjunction order
@@ -539,20 +549,27 @@ class TowerHom:
         return sum(numerators, self.target.zero()), top
 
     def _poly(self, p: Poly) -> Tuple[TowerElem, int]:
-        var_assign = self._var_assign
-        groups: Dict[Monomial, List[Monomial]] = {}
-        for mono in p.terms:
-            assigned = tuple((n, e) for n, e in mono if n in var_assign)
-            rest = tuple((n, e) for n, e in mono if n not in var_assign)
-            groups.setdefault(assigned, []).append(rest)
+        stray = p.packed_or() & self._stray
+        if stray:
+            raise UnknownVariable(
+                f"undeclared variable(s): {sorted(slot_shifts(stray))}")
+        assigned = self._assigned
+        groups: Dict[int, List[int]] = {}
+        for t in p.packed:
+            a = t & assigned
+            groups.setdefault(a, []).append(t ^ a)
         parts: List[Tuple[TowerElem, int]] = []
-        for assigned, rests in groups.items():
-            # Poly checks every name against the target's base variables
-            part = TowerElem(self.target, {
-                0: RatFn.from_poly(Poly(rests, self.target.base_vars))})
-            for n, e in assigned:
-                part = part * self._power(n, e)
-            parts.append((part, sum(e for _, e in assigned)))
+        for a, rests in groups.items():
+            # a nonzero polynomial in the target's base variables
+            part = _elem(self.target,
+                         {0: RatFn.from_poly(_trusted_poly(frozenset(rests)))})
+            k = 0
+            for name, sh in self._slots:
+                e = a >> sh & MAX_EXPONENT
+                if e:
+                    part = part * self._power(name, e)
+                    k += e
+            parts.append((part, k))
         return self._sum(parts)
 
     def _coeffs(self, items: Iterable[Tuple[int, RatFn]]
@@ -577,28 +594,6 @@ class TowerHom:
         if elem.tower != self.source:
             raise ValueError("element is not in the hom's source tower")
         return self._coeffs(elem.coeffs.items())
-
-    @staticmethod
-    def clearing_power(vector: Sequence[TowerElem],
-                       assigned: Iterable[str]) -> int:
-        """The power k of d that `apply_projective` clears `vector` by,
-        under a hom that assigns exactly the names in `assigned`, counted
-        without building the hom: as `_coeffs` counts it, the largest
-        assigned degree of a numerator monomial plus one for each assigned
-        generator of its mask.  A generator that is not assigned counts 0
-        (it maps to itself), and nothing cancels, so the count equals the
-        largest k of the entries' images (N, k), with 0 for a zero
-        vector."""
-        names = set(assigned)
-        top = 0
-        for elem in vector:
-            gen_bits = [i for i, (name, _) in enumerate(elem.tower.gens)
-                        if name in names]
-            for mask, fn in elem.coeffs.items():
-                k = max((sum(e for n, e in mono if n in names)
-                         for mono in fn.num.terms), default=0)
-                top = max(top, k + sum(mask >> i & 1 for i in gen_bits))
-        return top
 
     def apply(self, elem: TowerElem) -> TowerElem:
         """The field image of `elem`."""

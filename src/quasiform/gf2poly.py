@@ -16,8 +16,10 @@ one add, a square a shift left by one, the parities are `t & _LOW`, a
 borrow in a subtraction sets a guard (divisibility test), and int order
 is a lex order compatible with products.  A product or square that would
 pass the limit raises `ResourceLimit` rather than carry into the next
-slot.  `Poly.terms` is a view decoding the terms into named monomials:
-(variable, exponent) pairs sorted by name, the constant monomial being ().
+slot.  `Poly.terms` is a view for callers, decoding the terms into named
+monomials: (variable, exponent) pairs sorted by name, the constant
+monomial being ().  The library itself works on the packed terms and
+never reads it.
 
 Rational functions are pairs num/den reduced by their polynomial GCD; over
 GF(2) the only unit is 1, so reduced fractions are unique and equality is

@@ -184,18 +184,22 @@ def albert_multiply(P: QuasiPfisterForm, x: Sequence[TowerElem],
 class SpecialRulingCertificate:
     """Ambient identity behind the special neighbor ruling: evaluating the
     target form on the image coordinates equals P(x_s) times the source
-    form, identically in free coordinates.  verify() rebuilds both sides."""
+    form, identically in free coordinates.  The certificate is immutable;
+    verify() rebuilds both sides."""
 
     __slots__ = ("P", "indices", "multipliers", "lhs", "rhs")
 
     def __init__(self, P: QuasiPfisterForm, indices: Tuple[int, ...],
                  multipliers: Tuple[TowerElem, ...],
                  lhs: TowerElem, rhs: TowerElem):
-        self.P = P
-        self.indices = indices
-        self.multipliers = multipliers
-        self.lhs = lhs
-        self.rhs = rhs
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "multipliers", multipliers)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+
+    def __setattr__(self, *a):
+        raise AttributeError("SpecialRulingCertificate is immutable")
 
     def verify(self) -> bool:
         *_, lhs, rhs = _ambient_identity(self.P, self.indices,

@@ -245,8 +245,8 @@ def _jacobian_witness(q: QuasilinearForm) -> Tuple[int, int]:
 
     The lower bound holds at every point: M's entries are polynomials,
     read at the point by a ring homomorphism, whatever a_1 or a
-    denominator is worth there.  A point that misses M's rank only leaves rho below the
-    bound, and the saturation decides.  The proof does not need the
+    denominator is worth there.  A point that misses M's rank only leaves
+    rho below the bound, and the saturation decides.  The proof does not need the
     converse of the lower bound (p-independence is independence of
     differentials, Matsumura, Commutative Ring Theory, section 26); by it
     r = log2 ndeg, so rho meets the bound on every form whose norm degree

@@ -17,7 +17,8 @@ from quasiform.errors import (
 from quasiform.fieldtower import FieldTower, TowerElem, TowerHom, fresh_names
 from quasiform.gf2poly import Poly, RatFn
 
-from oracles import eval_elem, gf_mul, sample_poly_elem, tower_point
+from oracles import (eval_elem, gf_mul, gf_pow, sample_poly_elem,
+                     tower_point)
 
 
 @pytest.fixture
@@ -330,21 +331,76 @@ class TestApplyProjective:
         assert hom.apply(S.var("u")) == T.var("t")
         assert hom.apply(S.gen_by_name("y")) == T.gen_by_name("w")
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_clearing_power_is_counted_without_the_hom(self, seed):
-        # y is assigned and counts 1, z maps to itself and counts 0
-        hom, _, _, vectors = _projective_case(seed)
-        for v in vectors:
-            power = TowerHom.clearing_power(v, ("u", "y"))
-            assert power == _structural_power(v)
-            assert power == max(hom._image(x)[1] for x in v)
-        assert TowerHom.clearing_power([hom.source.zero()], ("u", "y")) == 0
-
     @pytest.mark.parametrize("seed", [4, 5])
     def test_unit_denominator_gives_apply_entry_by_entry(self, seed):
         _, plain, _, vectors = _projective_case(seed)
         for v in vectors:
             assert plain.apply_projective(v) == [plain.apply(x) for x in v]
+
+
+def _two_variable_case(seed):
+    """A map from S = F(u, v)(y), y^2 = a u^2 + b v^2 + c, into
+    T = F(t1, t2)(w), w^2 = a t1^2 + b t2^2 + c, over F = F2(a,b,c):
+    u -> l*t1 / l, v -> l*t2 / l and y -> l*w / l for l = w plus a random
+    polynomial (nonzero, as w is not in F(t1, t2)), with a, b, c kept.
+    Returns the hom, the point map from T's points to S's, l, and random
+    elements of S whose terms reach u and v at exponents 2 and 3, some
+    over a denominator."""
+    rng = random.Random(seed)
+    F = FieldTower.rational(("a", "b", "c"))
+
+    def conic_field(x1, x2, gen):
+        R = F.extend_transcendental((x1, x2))
+        return R.extend_inseparable(
+            R.var("a") * R.var(x1).square() + R.var("b") * R.var(x2).square()
+            + R.var("c"), gen)
+
+    S, T = conic_field("u", "v", "y"), conic_field("t1", "t2", "w")
+    w = T.gen_by_name("w")
+    lam = sample_poly_elem(rng, T, 1, 2) + w
+    hom = TowerHom(S, T, {"u": lam * T.var("t1"), "v": lam * T.var("t2"),
+                          "y": lam * w}, denominator=lam)
+    u, v, y = S.var("u"), S.var("v"), S.gen_by_name("y")
+    elems = []
+    for _ in range(6):
+        x = S.zero()
+        for _ in range(rng.randrange(1, 4)):
+            term = (u ** rng.randrange(2, 4) * v ** rng.randrange(2, 4)
+                    * F.embed(sample_poly_elem(rng, F, 2), S))
+            x = x + (term * y if rng.random() < 0.5 else term)
+        if rng.random() < 0.5:
+            x = x / (u * v + S.var("a") + S.one())
+        elems.append(x)
+
+    def source_point(point):
+        return {"a": point["a"], "b": point["b"], "c": point["c"],
+                "u": point["t1"], "v": point["t2"], "y": point["w"]}
+
+    return hom, source_point, lam, elems
+
+
+class TestTwoAssignedVariables:
+    """The packed grouping keys on every assigned slot at once: u and v
+    at exponents >= 2, a, b, c kept, y assigned, over a denominator l."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_apply_and_apply_projective_match_the_oracle(self, seed):
+        hom, source_point, lam, elems = _two_variable_case(seed)
+        projective = hom.apply_projective(elems)
+        # u, v and y each carry one factor 1/l
+        power = max(sum(e for n, e in mono if n in ("u", "v")) + mask
+                    for x in elems for mask, fn in x.coeffs.items()
+                    for mono in fn.num.terms)
+        assert power >= 5
+        rng = random.Random(100 + seed)
+        for _ in range(3):
+            point = tower_point(hom.target, rng)
+            at_source = source_point(point)
+            scale = gf_pow(eval_elem(lam, point), power)
+            for x, proj in zip(elems, projective):
+                value = eval_elem(x, at_source)
+                assert eval_elem(hom.apply(x), point) == value
+                assert eval_elem(proj, point) == gf_mul(value, scale)
 
 
 class TestStrings:

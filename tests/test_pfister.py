@@ -291,3 +291,12 @@ class TestSpecialRuling:
         cert_bad = type(cert)(cert.P, cert.indices, cert.multipliers,
                               cert.lhs + cert.lhs.tower.one(), cert.rhs)
         assert not cert_bad.verify()
+
+    def test_certificate_is_immutable(self, F):
+        a, b, c = F.var("a"), F.var("b"), F.var("c")
+        P = QuasiPfisterForm(F, (a, b))
+        cert = special_neighbor_ruling(P, (0, 1), (F.one(), c)).certificate
+        for name in ("P", "indices", "multipliers", "lhs", "rhs"):
+            with pytest.raises(AttributeError):
+                setattr(cert, name, None)
+        assert cert.verify()
