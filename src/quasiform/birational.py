@@ -7,8 +7,10 @@ exceeds 1, and the regularity report for a quadric as a scheme.
 
 Each decision asks whether a form becomes isotropic over the function
 field of another (`is_isotropic_over`).  Two dimension counts, against
-[K:K^2] and against the norm field, settle many such questions before
-the function field is built; the proofs are in that function.
+[K:K^2] and against the norm field, and one rule for quasi-Pfister
+neighbours, whose isotropy over k(q) is the inclusion of q's norm field
+in theirs, settle most such questions before the function field is
+built; the proofs are in that function.
 
 The ruling of X with first Witt index r writes X birationally as
 Y x P^{r-1}, where Y drops the last r-1 coefficients: the isotropic
@@ -49,10 +51,12 @@ from .errors import (
     UnknownVariable,
 )
 from .fieldtower import FieldTower, TowerElem, TowerHom, fresh_names
-from .forms import QuasilinearForm, is_anisotropic
+from .forms import QuasilinearForm, anisotropic_part, is_anisotropic
 from .gf2poly import Poly, RatFn, common_denominator, numerator_over
 from .maps import RationalMap, projectively_equal
 from .splitting import (
+    _jacobian_witness,
+    _norm_basis,
     _over_own_function_field,
     _require_function_field,
     essential_dimension,
@@ -64,6 +68,7 @@ from .sqlinalg import (
     isotropic_kernel_basis,
     span_saturate,
     square_combination_vanishes,
+    square_span_contains,
 )
 
 
@@ -78,10 +83,13 @@ def is_isotropic_over(p: QuasilinearForm, q: QuasilinearForm) -> bool:
     of base variables of the common field K, [K:K^2] = 2^t (over a tower
     as well: each inseparable step y^2 = theta has K^2 = F^2(theta), so
     [K:K^2] = [K:F][F:F^2] / [K^2:F^2] = [F:F^2]).  Two dimension counts
-    settle the answer before k(q) is built:
+    and one rule on norm fields settle the answer before k(q) is built:
 
     - (A) 2r > 2^t: true.
     - (B) otherwise, dim q > 2^(r-1): false.
+    - (C) otherwise, if 2r > ndeg(p_an) (p_an is a quasi-Pfister
+      neighbour): true exactly when N(q) lies in N(p_an), that is when
+      every a_d a_i (i < d) lies in the span of N(p_an) over K^2.
 
     Proofs, for q = <a_1, ..., a_d> anisotropic, in the chart of
     function_field: k(q) = K(u)(y) with y^2 = theta and
@@ -108,9 +116,29 @@ def is_isotropic_over(p: QuasilinearForm, q: QuasilinearForm) -> bool:
       K[u^2] meets E(u^2) in E[u^2] (write the coefficients over a basis
       of K over E that holds 1), so every a_i / a_d is in E: N(q) lies in
       N(p_an), and dim q <= 2^(r-1).
+    - (C) The lemma inside (B) is the direction "only if".  Conversely,
+      let every a_i / a_d lie in E = N(p_an), of degree 2^k < 2r over
+      K^2, and let phi = <e_1, ..., e_(2^k)> be its norm form, on a basis
+      of E over K^2 with e_1 = 1.  Over K(u) phi takes every value in the
+      K(u)^2-span of the e_j, which is E(u^2) and holds theta: theta =
+      phi(w).  With v = (1, 0, ..., 0), phi(v) = 1, so over k(q)
+      phi(w + y v) = theta + y^2 = 0, and w + y v != 0 (y is not in
+      K(u)).  So the e_j are dependent over k(q)^2, and they span the
+      field k(q)^2(E) over k(q)^2: a degree below 2^k that is a power of
+      two (each e_j squares into k(q)^2), so at most 2^(k-1) < r.  The r
+      coefficients of p_an / b_1 lie in E, so they are dependent over
+      k(q)^2, and p_an is isotropic over k(q).  a_i / a_d is a_d a_i over
+      the square a_d^2, so the test needs no inverse.
+
+    (C) is tried only where p_an may be a neighbour.  r <= 3 always is
+    one (ndeg <= 2^(r-1) < 2r), and then `_norm_basis` takes no test.  At
+    depth 0, for r >= 4, a Jacobian rank with 2^rho >= 2r
+    (`_jacobian_witness`, a lower bound on ndeg) proves that p_an is not
+    one, and k(q) is built with no saturation.  Otherwise the norm field
+    is saturated once, and its degree says which way to go.
 
     The checks on the forms come first, in the same order whether or not
-    a count settles the answer: different fields raise ValueError, then q
+    a rule settles the answer: different fields raise ValueError, then q
     raises as function_field does (DimensionTooSmall, IsotropicInput).
     """
     if p.field != q.field:
@@ -121,6 +149,14 @@ def is_isotropic_over(p: QuasilinearForm, q: QuasilinearForm) -> bool:
         return True
     if q.dim > 1 << (r - 1):
         return False
+    # (C), unless the Jacobian proves that p_an is no neighbour
+    p_an = anisotropic_part(p)
+    if r <= 3 or p.field.depth or 1 << _jacobian_witness(p_an)[0] < 2 * r:
+        basis = _norm_basis(p_an)
+        if 2 * r > len(basis):
+            a_d = q.coeffs[-1]
+            return square_span_contains(basis,
+                                        [a_d * a for a in q.coeffs[:-1]])
     return len(p.over(function_field(q).tower).independent()) < r
 
 
@@ -172,7 +208,9 @@ def decide_stably_equivalent(X: QuasilinearForm, Y: QuasilinearForm) -> bool:
 
     By the count (A) of `is_isotropic_over`, any two anisotropic forms of
     dimension > 2^(t-1) over a field K with [K:K^2] = 2^t are stably
-    equivalent, and no function field is built for them."""
+    equivalent, and by its rule (C) two quasi-Pfister neighbours are
+    stably equivalent exactly when their norm fields are equal; no
+    function field is built for either."""
     for form in (X, Y):
         if form.dim < 2:
             raise DimensionTooSmall(

@@ -128,7 +128,11 @@ class NormField:
 def norm_degree(q: QuasilinearForm) -> Tuple[int, NormField]:
     """Dimension over squares of the algebra generated by the coefficients
     of q normalized to represent 1, together with that algebra (the
-    saturation is splitting._norm_basis, which splitting_pattern runs)."""
+    saturation is splitting._norm_basis, which splitting_pattern and
+    birational.is_isotropic_over also run).  Its generators are the
+    products a_1 a_i, the ratios a_i/a_1 times the square a_1^2: the same
+    field and degree, and each basis element, and so each slot of
+    is_quasi_pfister_neighbor, is the ratios' one times a square."""
     basis = _norm_basis(q)
     return len(basis), NormField(q.field, basis)
 

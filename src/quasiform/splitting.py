@@ -32,6 +32,12 @@ also runs).  The pattern's length is one more than log2 of the norm
 degree, which the invariants report reads.  So the pattern is
 (d, d - 1, ..., 1) exactly when the norm degree is 2^(d - 1):
 `is_regular_quadric`'s splitting test and its products test are one fact.
+
+`_norm_basis` is the one saturation of a norm field, generated by the
+products a_1 a_i, which need no inverse.  `birational.is_isotropic_over`
+also reads its span: for a quasi-Pfister neighbour p, isotropy over k(q)
+is the inclusion of q's norm field in p's, tested there with no field
+built, and the Jacobian above tells it where p cannot be a neighbour.
 """
 
 from __future__ import annotations
@@ -187,24 +193,35 @@ def _norm_basis(q: QuasilinearForm) -> List[TowerElem]:
     K^2 by q's coefficients normalized to represent 1, in binary counter
     order (span_saturate); its length is the norm degree.
 
+    The generators are e_i = a_1 a_{i+1}, the ratios a_{i+1}/a_1 times the
+    square a_1^2.  So they generate the same field over K^2, each lies
+    outside the span so far exactly when its ratio does, and the degree
+    and the counter order are those of the ratios; but a_1's denominator
+    never enters the square systems.
+
     The first two doublings of the saturation need no test.  q is
     anisotropic exactly when a_1, ..., a_d are independent over K^2, and
-    multiplying by a_1^-1 is a K^2-linear bijection of K, so
-    1, e_1, ..., e_{d-1} (e_i = a_{i+1}/a_1) are independent too.  Then
-    e_1 lies outside span(1) and e_2 outside span(1, e_1), so saturating
-    by them always adjoins both, giving [1, e_1, e_2, e_2 e_1], the
-    expansion of <<e_1, e_2>>.  No third step is implied: <<e_1, e_2>>
-    contains e_1 e_2, so e_3 may already lie in it.  Only e_3, ... are
-    tested, by the loop span_saturate runs.
+    multiplying by a_1 is a K^2-linear bijection of K, so a_1^2, e_1, ...,
+    e_{d-1} are independent too, and so are 1, e_1, ..., e_{d-1} (a_1^2 is
+    a nonzero square).  Then e_1 lies outside span(1) and e_2 outside
+    span(1, e_1), so saturating by them always adjoins both, giving
+    [1, e_1, e_2, e_2 e_1], the expansion of <<e_1, e_2>>.  No third step
+    is implied: <<e_1, e_2>> contains e_1 e_2, so e_3 may already lie in
+    it.  Only e_3, ... are tested, by the loop span_saturate runs.
+
+    splitting_pattern reads the length where the Jacobian leaves it open,
+    pfister.norm_degree returns the basis, and birational.is_isotropic_over
+    tests membership in its span to decide isotropy over k(q) for a
+    quasi-Pfister neighbour (its rule (C)).
     """
     if not is_anisotropic(q):
         raise IsotropicInput("norm degree expects an anisotropic form")
-    inv = q.coeffs[0].invert()
-    normalized = [inv * c for c in q.coeffs[1:]]
+    a_1 = q.coeffs[0]
+    generators = [a_1 * c for c in q.coeffs[1:]]
     start = [q.field.one()]
-    for e in normalized[:2]:
+    for e in generators[:2]:
         start += [e * s for s in start]
-    basis = _saturate(start, normalized[2:])
+    basis = _saturate(start, generators[2:])
     if len(basis) & (len(basis) - 1):
         raise InconsistencyDetected(
             f"norm field dimension {len(basis)} is not a power of two")

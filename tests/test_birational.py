@@ -32,10 +32,15 @@ from quasiform.errors import (
     NotRuled,
 )
 from quasiform.fieldtower import FieldTower, TowerElem
-from quasiform.forms import QuasilinearForm, is_anisotropic, total_index
+from quasiform.forms import (
+    QuasilinearForm,
+    anisotropic_part,
+    is_anisotropic,
+    total_index,
+)
 from quasiform.gf2poly import Poly, RatFn
 from quasiform.maps import RationalMap
-from quasiform.pfister import quasi_pfister
+from quasiform.pfister import is_quasi_pfister_neighbor, quasi_pfister
 from quasiform.splitting import (
     first_witt_index,
     function_field,
@@ -46,12 +51,16 @@ from quasiform.sqlinalg import isotropic_kernel_basis, tower_linear_solve
 
 from oracles import (
     FROZEN,
+    eval_elem,
     exponent_add,
+    gf_inv,
+    gf_mul,
     karpenko_violations,
     monomial_form,
     parity_rank,
     sample_form,
     sample_monomial_form,
+    tower_point,
     tower_sampler,
 )
 from test_golden_reports import SCRIPTS
@@ -127,11 +136,12 @@ def _isotropy_samplers(seed):
 
 class TestIsotropyByDimensionCounts:
     """With r = dim p_an and [K:K^2] = 2^t, 2r > 2^t settles true (A),
-    and otherwise dim q > 2^(r-1) settles false (B), with no function
-    field built (the proofs are in `is_isotropic_over`)."""
+    otherwise dim q > 2^(r-1) settles false (B), and otherwise, when p_an
+    is a quasi-Pfister neighbour, N(q) <= N(p_an) decides (C), with no
+    function field built (the proofs are in `is_isotropic_over`)."""
 
     def test_counts_agree_with_the_full_computation(self, fields_built):
-        branches = dict.fromkeys(("A", "B", "computed"), 0)
+        branches = dict.fromkeys(("A", "B", "C", "computed"), 0)
         isotropic_p = 0
         for sample, p_top, q_top in _isotropy_samplers(25):
             ps = [sample(d) for d in range(1, p_top + 1) for _ in range(2)]
@@ -140,18 +150,29 @@ class TestIsotropyByDimensionCounts:
                 q = sample(2 + len(qs) % (q_top - 1))
                 if is_anisotropic(q):
                     qs.append(q)
+            by_rule = 0
             for p in ps:
                 isotropic_p += not is_anisotropic(p)
+                r = len(p.independent())
                 for q in qs:
                     del fields_built[:]
                     got = is_isotropic_over(p, q)
                     assert got == (total_index_over(
                         p, function_field(q).tower) > total_index(p))
-                    if fields_built:
-                        assert fields_built == [q]
-                        branches["computed"] += 1
+                    if 2 * r > 1 << len(p.field.base_vars):
+                        branch = "A"
+                    elif q.dim > 1 << (r - 1):
+                        branch = "B"
                     else:
-                        branches["A" if got else "B"] += 1
+                        # where (C) runs, it decides by the neighbour test
+                        neighbour = is_quasi_pfister_neighbor(
+                            anisotropic_part(p)) is not None
+                        branch = "C" if neighbour else "computed"
+                    assert fields_built == (
+                        [q] if branch == "computed" else [])
+                    branches[branch] += 1
+                    by_rule += branch == "C"
+            assert by_rule, "(C) never ran on a sampler"
         assert isotropic_p and all(branches.values()), branches
 
     def test_a_settled_pair_builds_no_field(self, F, abc, fields_built,
@@ -171,15 +192,30 @@ class TestIsotropyByDimensionCounts:
         other = QuasilinearForm(F, [a, b, c, b * c, a * b * c])
         assert decide_stably_equivalent(big, other)
         assert fields_built == []
-        # r = 4 = 2^(3-1) and dim q = 4 <= 2^(4-1): k(q) is built once;
-        # <<a,b>> stays anisotropic over k(<<a,c>>), their norm fields differ
-        p = quasi_pfister([a, b], F)
-        q = quasi_pfister([a, c], F)
+        # (C), r = 4 and ndeg 4, which the Jacobian's rank 2 leaves open:
+        # <<a,b>> stays anisotropic over k(<<a,c>>), as c is not in
+        # N(<<a,b>>), and N(<a, b, c, abc>) = N(<<ab, ac>>) holds
+        # N(<1, ab, ac>).  The systems rank q and p, take the one
+        # saturation step past <<e_1, e_2>>, and test membership.
+        for p, q, answer in (
+                (quasi_pfister([a, b], F), quasi_pfister([a, c], F), False),
+                (QuasilinearForm(F, [a, b, c, a * b * c]),
+                 QuasilinearForm(F, [one, a * b, a * c]), True)):
+            del built[:]
+            assert is_isotropic_over(p, q) is answer
+            assert fields_built == []
+            assert [tower.depth for tower, _ in built] == [0] * 4
+        # <1, a, b, c> has ndeg 8 = 2r, proved by the Jacobian: k(q) is
+        # built once, with no saturation (the two depth-0 systems rank q
+        # and p)
+        p = QuasilinearForm(F, [one, a, b, c])
+        q = quasi_pfister([a, b], F)
         del built[:]
-        assert not is_isotropic_over(p, q)
+        assert is_isotropic_over(p, q)
         assert fields_built == [q]
-        over_one = {tower for tower, _ in built if tower.depth >= 1}
-        assert over_one == {function_field(q).tower}
+        assert sorted(tower.depth for tower, _ in built) == [0, 0, 1]
+        assert {tower for tower, _ in built if tower.depth >= 1} == {
+            function_field(q).tower}
 
     def test_errors_come_before_the_counts(self, F, abc):
         """q's errors are function_field's, and a q over another field
@@ -604,6 +640,38 @@ def _sampled_scaled_pfister2(rng, field):
     return monomial_form(field, [exponent_add(p, scale) for p in products])
 
 
+def _recombines_at_points(dec, rng, tries=6):
+    """Check g_d(P) s_1(Q) + ... + g_(d+r-1)(P) s_r(Q) = g(P) at points P
+    of k(X), with g X's generic point, d = dim Y, and Q = pi(P) read in
+    Y's chart (x_1 = 1); return how many points were checked.  s_i is 1
+    at coordinate d-1+i and 0 at X's other last r, so this is the
+    certificate's identity, the f_i t_i being g_(d-1+i) (s_i o pi), read
+    at P by evaluation alone: neither `_pull_basis` nor TowerHom is used.
+    A point where a denominator or pi's first coordinate vanishes is
+    skipped."""
+    ff_x, ff_y = function_field(dec.X), function_field(dec.Y)
+    d = dec.Y.dim
+    checked = 0
+    for _ in range(tries):
+        P = tower_point(ff_x.tower, rng)
+        try:
+            g = [eval_elem(x, P) for x in ff_x.generic_point]
+            pi = [eval_elem(x, P) for x in dec.psi.pi.coords]
+            inv = gf_inv(pi[0])
+            Q = {v: P[v] for v in dec.X.field.base_vars}
+            Q.update(zip(ff_y.fresh_names, (gf_mul(x, inv) for x in pi[1:])))
+            s = [[eval_elem(x, Q) for x in s_i] for s_i in dec.s_basis]
+        except ZeroDivisionError:
+            continue
+        combo = [0] * len(g)
+        for g_i, s_i in zip(g[d - 1:], s):
+            for j, x in enumerate(s_i):
+                combo[j] ^= gf_mul(g_i, x)
+        assert combo == g
+        checked += 1
+    return checked
+
+
 class TestFibersReadOffTheBasis:
     """The fibers are read off one coordinate of each pulled-back vector;
     the full linear solve over k(X) is the oracle."""
@@ -638,10 +706,12 @@ class TestFibersReadOffTheBasis:
     def test_reordered_neighbours_of_a_three_fold_form(self, F, abc):
         # the linear solve over k(X) takes minutes on some orders of a
         # 3-fold form's coefficients, so the oracle is the full pull read
-        # at d-1+i, and verify() checks every coordinate
+        # at d-1+i, and verify() checks every coordinate; both replay
+        # `_pull_basis`, and the identity at points replays neither
         a, b, c = abc
         pfister3 = quasi_pfister([a, b, c], F).coeffs
         rng = random.Random(3)
+        points = random.Random(5)
         for _ in range(10):
             coeffs = list(pfister3)
             rng.shuffle(coeffs)
@@ -654,6 +724,7 @@ class TestFibersReadOffTheBasis:
                 ff_x.generic_point[j + i] / t[j + i]
                 for i, t in enumerate(pulled)]
             assert dec.verify()
+            assert _recombines_at_points(dec, points) >= 4
 
     def test_coefficients_with_denominators(self, F, abc):
         a, b, _ = abc

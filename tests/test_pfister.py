@@ -23,7 +23,7 @@ from quasiform.pfister import (
     quasi_pfister,
     special_neighbor_ruling,
 )
-from quasiform.sqlinalg import span_saturate
+from quasiform.sqlinalg import span_saturate, square_span_contains
 
 from oracles import FROZEN, tower_sampler
 
@@ -135,19 +135,25 @@ def _anisotropic_chain(K, element, dim):
 class TestNormDegreeStartsFromTheRank:
     """norm_degree takes <<e_1, e_2>> from the anisotropy it has just
     checked and saturates only by e_3, ...; the basis is the one
-    span_saturate builds from [1] over all of e_1, e_2, …"""
+    span_saturate builds from [1] over all of e_1, e_2, …, with
+    e_i = a_1 a_(i+1), which spans what the ratios a_(i+1)/a_1 span."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("depth,dim", [(0, 6), (1, 5), (2, 5)])
     def test_basis_equals_span_saturate(self, seed, depth, dim):
         K, _, _, element = tower_sampler(seed, depth)
         for q in _anisotropic_chain(K, element, dim):
-            inv = q.coeffs[0].invert()
-            expected = span_saturate(q.field,
-                                     [inv * a for a in q.coeffs[1:]])
+            a_1 = q.coeffs[0]
+            expected = span_saturate(q.field, [a_1 * a for a in q.coeffs[1:]])
             degree, nf = norm_degree(q)
             assert list(nf.basis) == expected
             assert degree == len(expected)
+            # the products differ from the ratios by the square a_1^2
+            inv = a_1.invert()
+            ratios = span_saturate(q.field, [inv * a for a in q.coeffs[1:]])
+            assert len(ratios) == degree
+            assert square_span_contains(expected, ratios)
+            assert square_span_contains(ratios, expected)
 
     def test_builds_a_system_only_past_the_second_doubling(self, F, systems):
         built, _ = systems

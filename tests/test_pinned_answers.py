@@ -40,8 +40,8 @@ PINNED = {
     "compare-pool": (
         198,
         "3c79913fdc61047a20b085af6f8fefdf30d7018f81b051117ec6118d0688e39d",
-        dict(numeric_verdict=1928, conclusive=1909, solve=0, solvable=14,
-             nullspace=12, function_field=162)),
+        dict(numeric_verdict=1927, conclusive=1908, solve=0, solvable=14,
+             nullspace=12, function_field=66)),
 }
 
 
