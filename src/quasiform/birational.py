@@ -22,16 +22,13 @@ exactly, which is the certificate that phi has an inverse.  Each s_i and
 pi is one relation already known to exist, solved once; no kernel is
 searched for.
 
-A ruling is one record, `RulingDecomposition`: its certificate and the
-map phi built from the certificate's basis; X, Y, r, the basis and the
-inverse data are read off the certificate, so no copy can disagree with
-it.  In `construct_ruling`, the constructor of pi proves Y(pi) = 0 and
-the decomposition's constructor, through that of phi, X(s_i) = 0 for
-every i; the solves check nothing, and the fibers are read off the basis
-pulled back by `_pull_basis`.  `RulingCertificate.verify`, which trusts
-no builder, rebuilds k(X) and k(Y) and proves X(s_i) = 0 for each i and
-the recombination, replaying that pull-back; `RulingDecomposition.verify`
-adds only r >= 2.
+A ruling is one record, `RulingDecomposition`: its certificate and phi's
+coordinates, built from the certificate's basis; X, Y, r, the basis and
+the inverse data are read off the certificate, so no copy can disagree
+with it.  The records hold coordinates, and `RulingCertificate.verify`,
+which trusts no builder, is the one proof of each identity: X(s_i) = 0,
+Y(pi) = 0 (by the hom of `_pull_basis`) and the recombination; X(phi) = 0
+follows (`RulingDecomposition`), and its verify() adds only r >= 2.
 """
 
 from __future__ import annotations
@@ -53,7 +50,7 @@ from .errors import (
 from .fieldtower import FieldTower, TowerElem, TowerHom, fresh_names
 from .forms import QuasilinearForm, anisotropic_part, is_anisotropic
 from .gf2poly import Poly, RatFn, common_denominator, numerator_over
-from .maps import RationalMap, projectively_equal
+from .maps import projectively_equal
 from .splitting import (
     _jacobian_witness,
     _norm_basis,
@@ -233,9 +230,9 @@ def decide_birational(X: QuasilinearForm, Y: QuasilinearForm) -> bool:
 class FiberMap:
     """Projection of a quadric onto a subquadric together with the fiber
     coordinates of a product decomposition: the data of a map into
-    (quadric of Y) x P^{r-1}."""
+    (quadric of Y) x P^{r-1}, all over k(X)."""
 
-    pi: RationalMap
+    pi: Tuple[TowerElem, ...]
     fibers: Tuple[TowerElem, ...]
 
 
@@ -249,8 +246,9 @@ def _pull_basis(ff_y, s_basis: Sequence[Sequence[TowerElem]],
     With pi cleared of denominators to (d, p_2, ..., p_n), one TowerHom
     sends the function-field coordinates of Y to p_j / d, and
     `apply_projective` clears d from each vector by its structural power.
-    `construct_ruling` reads the fibers off the result, and certificate
-    verification recomputes it exactly.
+    The hom checks y's relation at pi: for pi of length dim Y that is
+    Y(pi) = 0, else EmbeddingFailure.  `construct_ruling` reads the fibers
+    off the result, and certificate verification recomputes it exactly.
     """
     pi_poly = clear_denominators(pi_coords)
     hom = TowerHom(ff_y.tower, K, dict(zip(ff_y.fresh_names, pi_poly[1:])),
@@ -277,9 +275,9 @@ def _recombines(fibers: Sequence[TowerElem],
 
 
 def _ruling_map(s_basis: Sequence[Sequence[TowerElem]]
-                ) -> Tuple[FieldTower, Tuple[TowerElem, ...]]:
-    """The product field k(Y)(t_1,...,t_{r-1}) and the coordinates of
-    phi = s_1 + t_1*s_2 + ... + t_{r-1}*s_r on it."""
+                ) -> Tuple[TowerElem, ...]:
+    """The coordinates of phi = s_1 + t_1*s_2 + ... + t_{r-1}*s_r, over
+    the product field k(Y)(t_1,...,t_{r-1}), which is their tower."""
     base = s_basis[0][0].tower
     names = fresh_names(base, "t", len(s_basis) - 1)
     P = base.extend_transcendental(names)
@@ -290,7 +288,7 @@ def _ruling_map(s_basis: Sequence[Sequence[TowerElem]]
         for t, s in zip(ts, s_basis[1:]):
             acc = acc + t * base.embed(s[j], P)
         coords.append(acc)
-    return P, tuple(coords)
+    return tuple(coords)
 
 
 class RulingCertificate:
@@ -302,19 +300,20 @@ class RulingCertificate:
 
         f_1*(s_1 o pi) + ... + f_r*(s_r o pi) = scale * g.
 
-    The certificate is immutable and trusts no builder: verify() rebuilds
-    k(X) and k(Y) and recomputes the composition from scratch, with r
-    isotropy proofs, one for each s_i, and one pull-back of the basis
-    (`_pull_basis`, the one `construct_ruling` reads the fibers off),
-    whose recombination is checked coordinate by coordinate.  pi's
-    vanishing on Y is proved by its constructor.
+    pi, the fibers and the scale are coordinates over k(X), pi in Y's
+    chart (first coordinate nonzero).  The certificate is immutable, trusts
+    no builder, and is the only proof of a ruling: verify() rebuilds k(X)
+    and k(Y), proves X(s_i) = 0 for each s_i, and pulls the basis back
+    once (`_pull_basis`, as `construct_ruling` does), whose hom proves
+    Y(pi) = 0 (and rejects a pi outside k(X) or zero at x_1), and whose
+    recombination is checked coordinate by coordinate.
     """
 
     __slots__ = ("X", "Y", "s_basis", "pi", "fibers", "scale")
 
     def __init__(self, X: QuasilinearForm, Y: QuasilinearForm,
                  s_basis: Tuple[Tuple[TowerElem, ...], ...],
-                 pi: RationalMap, fibers: Tuple[TowerElem, ...],
+                 pi: Tuple[TowerElem, ...], fibers: Tuple[TowerElem, ...],
                  scale: TowerElem):
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
@@ -345,16 +344,17 @@ class RulingCertificate:
                 return False
             if not square_combination_vanishes(s, x_coeffs):
                 return False
-        pi = self.pi
-        if (not isinstance(pi, RationalMap) or pi.ambient
-                or pi.source_field != ff_x.tower or pi.target != self.Y
-                or pi.coords[0].is_zero):
+        # the hom's zip would drop coordinates past Y's, and it checks the
+        # towers of pi, not those of the fibers and the scale
+        if (len(self.pi) != self.Y.dim or any(
+                c.tower != ff_x.tower for c in self.fibers + (self.scale,))):
             return False
         try:
-            pulled = _pull_basis(ff_y, self.s_basis, pi.coords, ff_x.tower)
+            pulled = _pull_basis(ff_y, self.s_basis, self.pi, ff_x.tower)
         except (DivisionByZero, EmbeddingFailure, UnknownVariable,
                 ValueError):
-            # no field map, or a basis vector names a variable k(X) lacks
+            # no field map: pi is off Y, 0 at x_1 or outside k(X), or a
+            # basis vector names a variable k(X) lacks
             return False
         return _recombines(self.fibers, pulled, ff_x.generic_point,
                            self.scale)
@@ -366,22 +366,28 @@ class RulingCertificate:
 
 class RulingDecomposition:
     """A birational decomposition X ~ Y x P^{r-1}: one immutable record of
-    its certificate and the map phi built from it; verify() checks it.
+    its certificate and the coordinates of phi built from it; verify()
+    checks it.
 
-    `phi` maps the product into X by combining the certificate's isotropic
-    basis with projective fiber coordinates, and is built here, so no
-    decomposition holds a phi that its certificate's basis does not give;
-    its constructor proves X(s_i) = 0 for every i.  X, Y, s_basis, r and
-    `psi` (the inverse data: projection to Y plus fiber functions) are
-    read off the certificate, which proves phi(psi(x)) = scale * x.
+    phi = s_1 + t_1 s_2 + ... + t_{r-1} s_r over k(Y)(t_1, ..., t_{r-1})
+    (`_ruling_map`) is built here, so no decomposition holds a phi that
+    its certificate's basis does not give.  X, Y, s_basis, r and `psi`
+    (the inverse data: pi plus fiber functions) are read off the
+    certificate, which proves phi(psi(x)) = scale * x.
+
+    phi needs no check of its own.  X(v) = sum a_j v_j^2, and squaring is
+    additive in characteristic 2, so
+    X(s_1 + sum t_i s_(i+1)) = X(s_1) + sum t_i^2 X(s_(i+1)), which is 0
+    once the certificate proves each X(s_i) = 0.  phi != 0: the
+    recombination gives scale * g != 0, so some s_i != 0, and the t_i are
+    independent transcendentals over k(Y).
     """
 
     __slots__ = ("certificate", "phi")
 
     def __init__(self, certificate: RulingCertificate):
         object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "phi", RationalMap(
-            *_ruling_map(certificate.s_basis), certificate.X))
+        object.__setattr__(self, "phi", _ruling_map(certificate.s_basis))
 
     def __setattr__(self, *a):
         raise AttributeError("RulingDecomposition is immutable")
@@ -426,15 +432,9 @@ def construct_ruling(X: QuasilinearForm) -> RulingDecomposition:
 
     Each relation is one exact solve, without a verdict, on a square
     system that holds it: pi on the system X's rank over k(X) built, the
-    s_i on one system over k(Y).  The constructor of pi proves Y(pi) = 0,
-    and RulingDecomposition's builds phi, whose constructor proves
-    X(s_i) = 0 for every i (X(s_1 + t_1 s_2 + ...) = X(s_1) +
-    t_1^2 X(s_2) + ... vanishes only if each term does, the t_i being
-    independent transcendentals).  The pull-back's hom checks the image
-    of y against its relation, which is Y(pi) = 0 again: the one identity
-    construction proves twice.  verify() proves each X(s_i) = 0 again, as
-    a certificate trusts no builder, and the recombination; phi is not
-    rebuilt.
+    s_i on one system over k(Y).  The one proof made here is Y(pi) = 0,
+    by the pull-back's hom; X(s_i) = 0, and with it X(phi) = 0, is left to
+    the certificate, so a basis vector off X fails verify().
 
     Raises NotRuled when r = 1 (the decomposition would be trivial and no
     ruling exists along this route), and DimensionTooSmall or
@@ -476,17 +476,16 @@ def construct_ruling(X: QuasilinearForm) -> RulingDecomposition:
     roots = over_x.solve(range(j), j)
     if roots is None:
         raise InconsistencyDetected("subform stayed anisotropic over k(X)")
-    pi_coords = roots + [K.one()] + [K.zero()] * (d - 1 - j)
-    if pi_coords[0].is_zero:
+    pi = tuple(roots + [K.one()] + [K.zero()] * (d - 1 - j))
+    if pi[0].is_zero:
         raise InconsistencyDetected(
             "projection chart degenerates: leading coordinate is zero")
-    pi = RationalMap(K, pi_coords, Y)
 
     # s_i is 1 at d-1+i and 0 at X's other last r coordinates, and so is
     # its pull-back t_i up to a nonzero factor (a field map sends only 0
     # to 0), so f_1 t_1 + ... + f_r t_r = g reads f_i t_i[d-1+i] = g[d-1+i]
     # there; _recombines checks every coordinate.
-    pulled = _pull_basis(ff_y, s_basis, pi_coords, K)
+    pulled = _pull_basis(ff_y, s_basis, pi, K)
     g = ff_x.generic_point
     fibers = tuple(g[d - 1 + i] / t[d - 1 + i] for i, t in enumerate(pulled))
     return RulingDecomposition(

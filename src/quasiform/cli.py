@@ -106,8 +106,8 @@ def _run_ruling(form, verify: bool) -> Result:
         "witt_index": dec.r,
         "subquadric": [str(c) for c in dec.Y.coeffs],
         "isotropic_basis": [[str(e) for e in vec] for vec in dec.s_basis],
-        "ruling_map": [str(c) for c in dec.phi.coords],
-        "projection": [str(c) for c in dec.psi.pi.coords],
+        "ruling_map": [str(c) for c in dec.phi],
+        "projection": [str(c) for c in dec.psi.pi],
         "fibers": [str(f) for f in dec.psi.fibers],
         "scale": str(dec.certificate.scale),
     }

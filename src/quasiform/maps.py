@@ -14,9 +14,10 @@ class RationalMap:
     """A projective-coordinate map from a quadric into a target quadric.
 
     `coords` live over `source_field` (typically the function field of the
-    source quadric); construction checks that the target form vanishes on
-    them exactly and that they are not all zero.  `certificate`, when
-    present, carries an independently re-verifiable symbolic identity.
+    source quadric), one per coefficient of the target; construction
+    checks that the target form vanishes on them exactly and that they are
+    not all zero.  `certificate`, when present, carries an independently
+    re-verifiable symbolic identity.
 
     With `ambient=True` the coordinates are written over a free ambient
     coordinate field instead of the source quadric's function field, so
@@ -34,6 +35,9 @@ class RationalMap:
                  certificate=None,
                  ambient: bool = False):
         coords = tuple(coords)
+        if len(coords) != target.dim:
+            raise DimensionMismatch(
+                f"vector length {len(coords)} != form dimension {target.dim}")
         if all(c.is_zero for c in coords):
             raise InconsistencyDetected("rational map with all-zero coordinates")
         for c in coords:
@@ -46,7 +50,8 @@ class RationalMap:
             if not certificate.verify():
                 raise InconsistencyDetected(
                     "certificate of an ambient map does not verify")
-        elif not _target_vanishes(target, source_field, coords):
+        elif not square_combination_vanishes(
+                coords, target.over(source_field).coeffs):
             raise InconsistencyDetected(
                 "target form does not vanish on the map's coordinates")
         object.__setattr__(self, "source_field", source_field)
@@ -62,8 +67,8 @@ class RationalMap:
         """Re-check the vanishing invariant and any attached certificate."""
         if all(c.is_zero for c in self.coords):
             return False
-        if not self.ambient and not _target_vanishes(
-                self.target, self.source_field, self.coords):
+        if not self.ambient and not square_combination_vanishes(
+                self.coords, self.target.over(self.source_field).coeffs):
             return False
         if self.certificate is not None:
             return self.certificate.verify()
@@ -74,16 +79,6 @@ class RationalMap:
 
     def __repr__(self) -> str:
         return f"RationalMap({self} -> {self.target})"
-
-
-def _target_vanishes(target: QuasilinearForm, source_field: FieldTower,
-                     coords: Sequence[TowerElem]) -> bool:
-    """Whether the target form vanishes on coordinates over source_field."""
-    if len(coords) != target.dim:
-        raise DimensionMismatch(
-            f"vector length {len(coords)} != form dimension {target.dim}")
-    return square_combination_vanishes(coords,
-                                       target.over(source_field).coeffs)
 
 
 def projectively_equal(v: Sequence[TowerElem],

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from quasiform import _elim, birational, cli, maps, sqlinalg
+from quasiform import _elim, birational, cli, sqlinalg
 from quasiform.birational import (
     DominationVerdict,
     FiberMap,
@@ -25,9 +25,8 @@ from quasiform.birational import (
 )
 from quasiform.dsl import parse
 from quasiform.errors import (
-    DimensionMismatch,
     DimensionTooSmall,
-    InconsistencyDetected,
+    EmbeddingFailure,
     IsotropicInput,
     NotRuled,
 )
@@ -47,7 +46,11 @@ from quasiform.splitting import (
     splitting_pattern,
     total_index_over,
 )
-from quasiform.sqlinalg import isotropic_kernel_basis, tower_linear_solve
+from quasiform.sqlinalg import (
+    isotropic_kernel_basis,
+    square_combination_vanishes,
+    tower_linear_solve,
+)
 
 from oracles import (
     FROZEN,
@@ -341,10 +344,11 @@ class TestRulings:
         a, b, _ = abc
         X = quasi_pfister([a, b], F)
         dec = construct_ruling(X)
-        assert dec.psi.pi.verify()
         K = function_field(X).tower
-        assert dec.psi.pi.source_field == K
-        assert dec.phi.verify()
+        assert all(c.tower == K for c in dec.psi.pi)
+        assert dec.Y.over(K).evaluate(dec.psi.pi).is_zero
+        P = dec.phi[0].tower
+        assert dec.X.over(P).evaluate(dec.phi).is_zero
 
     def test_not_ruled(self, F, abc):
         a, b, c = abc
@@ -423,21 +427,21 @@ class TestRulings:
         assert (dec.X, dec.Y, dec.s_basis) == (cert.X, cert.Y, cert.s_basis)
         assert dec.psi == FiberMap(cert.pi, cert.fibers)
         assert dec.r == len(cert.s_basis) == 2
-        assert (dec.phi.source_field, dec.phi.coords) == _ruling_map(
-            cert.s_basis)
-        assert dec.phi.target == dec.X
+        assert dec.phi == _ruling_map(cert.s_basis)
+        assert len(dec.phi) == dec.X.dim
 
     def test_decomposition_of_a_tampered_certificate_fails(self, F, abc):
         # swapped fibers, and a projection scaled by a: pi still vanishes
         # on Y, but the recombination no longer returns the generic point;
-        # a basis vector off X leaves no phi to build
+        # a basis vector off X still gives a phi, which is off X too, and
+        # only the certificate says so
         a, b, _ = abc
         cert = construct_ruling(quasi_pfister([a, b], F)).certificate
         pi, fibers, (s1, s2) = cert.pi, cert.fibers, cert.s_basis
-        scaled = RationalMap(pi.source_field,
-                             [c * pi.source_field.var("a")
-                              for c in pi.coords], pi.target)
-        assert fibers[0] != fibers[1] and scaled.verify()
+        K = pi[0].tower
+        scaled = tuple(c * K.var("a") for c in pi)
+        assert fibers[0] != fibers[1]
+        assert cert.Y.over(K).evaluate(scaled).is_zero
         for bad_pi, bad_fibers in ((pi, fibers[::-1]), (scaled, fibers)):
             tampered = RulingCertificate(cert.X, cert.Y, cert.s_basis,
                                          bad_pi, bad_fibers, cert.scale)
@@ -446,8 +450,27 @@ class TestRulings:
         tampered = RulingCertificate(cert.X, cert.Y, (off_x, s2), pi,
                                      fibers, cert.scale)
         assert not tampered.verify()
-        with pytest.raises(InconsistencyDetected):
-            RulingDecomposition(tampered)
+        dec = RulingDecomposition(tampered)
+        assert not dec.verify()
+        assert not dec.X.over(dec.phi[0].tower).evaluate(dec.phi).is_zero
+
+    def test_a_builder_bug_off_x_is_an_unverified_certificate(
+            self, F, abc, monkeypatch):
+        # the CLI reports certificate_verified false (exit 1), not an
+        # input error
+        a, b, _ = abc
+        cert = construct_ruling(quasi_pfister([a, b], F)).certificate
+        s1, s2 = cert.s_basis
+        off_x = (s1, (s2[0] + s2[0].tower.one(),) + s2[1:])
+        monkeypatch.setattr(cli, "construct_ruling", lambda X: (
+            RulingDecomposition(RulingCertificate(
+                cert.X, cert.Y, off_x, cert.pi, cert.fibers, cert.scale))))
+        script = parse("field F2(a, b, c); form x = <1, a, b, a*b>; "
+                       "ruling x;")
+        report = cli.run(script)
+        (entry,) = report["results"]
+        assert entry["ruled"] and entry["certificate_verified"] is False
+        assert cli._assertions_failed(report)
 
     def test_one_ruling_map_per_ruling(self, F, abc, monkeypatch):
         calls = []
@@ -474,22 +497,36 @@ class TestRulings:
 
     def test_certificate_rejects_a_projection_off_its_subquadric(
             self, F, abc):
-        a, b, c = abc
+        # pi moved off Y in one coordinate: the pull-back's hom rejects
+        # y's relation at it, the one proof of Y(pi) = 0.  pi of the wrong
+        # length, over another field, or outside Y's chart x_1 = 1
+        a, b, _ = abc
         cert = construct_ruling(quasi_pfister([a, b], F)).certificate
         pi = cert.pi
-
-        class AlwaysTrue:
-            def verify(self):
-                return True
-
-        rescaled = RationalMap(pi.source_field, pi.coords,
-                               cert.Y.scale(c.square()))
-        ambient = RationalMap(pi.source_field, pi.coords, cert.Y,
-                              certificate=AlwaysTrue(), ambient=True)
-        for bad in (rescaled, ambient):
+        K = pi[0].tower
+        ff_y = function_field(cert.Y)
+        off_y = pi[:1] + (pi[1] + K.one(),) + pi[2:]
+        assert not cert.Y.over(K).evaluate(off_y).is_zero
+        with pytest.raises(EmbeddingFailure):
+            _pull_basis(ff_y, cert.s_basis, off_y, K)
+        # s_1 starts with Y's generic point over y: a zero of Y over k(Y)
+        foreign = cert.s_basis[0][:cert.Y.dim]
+        assert cert.Y.over(ff_y.tower).evaluate(foreign).is_zero
+        for bad in (off_y, pi[:-1], pi + (K.zero(),), foreign,
+                    (K.zero(),) + pi[1:]):
             assert not RulingCertificate(cert.X, cert.Y, cert.s_basis, bad,
                                          cert.fibers, cert.scale).verify()
         assert cert.verify()
+
+    def test_certificate_over_another_field_is_false(self, F, abc):
+        # fibers, or a scale, over the base field instead of k(X)
+        a, b, _ = abc
+        cert = construct_ruling(quasi_pfister([a, b], F)).certificate
+        for fibers, scale in ((tuple(F.one() for _ in cert.fibers),
+                               cert.scale),
+                              (cert.fibers, F.one())):
+            assert not RulingCertificate(cert.X, cert.Y, cert.s_basis,
+                                         cert.pi, fibers, scale).verify()
 
     def test_each_identity_is_proved_once(self, F, abc, monkeypatch):
         calls = []
@@ -502,15 +539,16 @@ class TestRulings:
 
         # every binding in the library, as the tracer patches them
         for real in (birational._recombines, birational._pull_basis,
-                     maps._target_vanishes,
                      sqlinalg.square_combination_vanishes):
             for name, module in list(sys.modules.items()):
                 if (name.split(".")[0] == "quasiform"
                         and getattr(module, real.__name__, None) is real):
                     monkeypatch.setattr(module, real.__name__,
                                         recording(real))
-        monkeypatch.setattr(RationalMap, "verify",
-                            recording(RationalMap.verify))
+        # and every RationalMap built or verified, as the tracer's maps
+        for method in ("__init__", "verify"):
+            monkeypatch.setattr(RationalMap, method,
+                                recording(getattr(RationalMap, method)))
         monkeypatch.setattr(sqlinalg._SquareBlocks, "verdict",
                             recording(sqlinalg._SquareBlocks.verdict))
         a, b, c = abc
@@ -519,20 +557,19 @@ class TestRulings:
             del calls[:]
             dec = construct_ruling(X)
             names = [name for name, _ in calls]
-            # one vanishing proof per map built: pi into Y, phi into X;
-            # the solves check nothing.  The fibers are read off one
-            # pull-back of the basis, whose hom checks y's relation: that
-            # is Y(pi) = 0 again
-            assert [args[0] for name, args in calls
-                    if name == "_target_vanishes"] == [dec.Y, dec.X]
-            assert names.count("square_combination_vanishes") == 2
+            # no map is built and the solves check nothing: the fibers are
+            # read off one pull-back of the basis, whose hom checks y's
+            # relation, the one proof of Y(pi) = 0; X(s_i) = 0 is left to
+            # the certificate
+            assert "square_combination_vanishes" not in names
+            assert not {"__init__", "verify"} & set(names)
             assert names.count("_pull_basis") == 1
             assert "_recombines" not in names
             # the verdicts over k(X) are the rank's steps on a_1..a_{n-1};
             # pi and the s_i take none
             towers = [args[0].tower for name, args in calls
                       if name == "verdict"]
-            assert towers.count(dec.psi.pi.source_field) == X.dim - 2
+            assert towers.count(dec.psi.pi[0].tower) == X.dim - 2
             assert dec.s_basis[0][0].tower not in towers
             del calls[:]
             assert dec.verify()
@@ -541,8 +578,7 @@ class TestRulings:
             assert names.count("square_combination_vanishes") == dec.r
             assert names.count("_pull_basis") == 1
             assert names.count("_recombines") == 1
-            assert "verify" not in names
-            assert "_target_vanishes" not in names
+            assert not {"__init__", "verify"} & set(names)
 
     def test_certificate_ranks_a_subquadric_built_by_its_caller(
             self, F, abc, ranked):
@@ -609,13 +645,6 @@ class TestRulings:
         assert not verifies(scaled, cert.scale)
         assert not verifies(cert.fibers, cert.scale * lam)
 
-    def test_projection_rejects_a_wrong_length_vector(self, F, abc):
-        a, b, _ = abc
-        pi = construct_ruling(quasi_pfister([a, b], F)).psi.pi
-        for coords in (pi.coords[:-1], pi.coords + (pi.coords[0],)):
-            with pytest.raises(DimensionMismatch):
-                RationalMap(pi.source_field, coords, pi.target)
-
     def test_input_errors_of_the_first_witt_index(self, F, abc):
         a, _, _ = abc
         with pytest.raises(DimensionTooSmall, match="first Witt index"):
@@ -656,7 +685,7 @@ def _recombines_at_points(dec, rng, tries=6):
         P = tower_point(ff_x.tower, rng)
         try:
             g = [eval_elem(x, P) for x in ff_x.generic_point]
-            pi = [eval_elem(x, P) for x in dec.psi.pi.coords]
+            pi = [eval_elem(x, P) for x in dec.psi.pi]
             inv = gf_inv(pi[0])
             Q = {v: P[v] for v in dec.X.field.base_vars}
             Q.update(zip(ff_y.fresh_names, (gf_mul(x, inv) for x in pi[1:])))
@@ -672,6 +701,31 @@ def _recombines_at_points(dec, rng, tries=6):
     return checked
 
 
+def _assert_each_identity_holds_in_full(dec):
+    """The ruling's records against the full computation, which neither
+    construction nor verify() makes: X vanishes on phi over its own tower,
+    and Y on pi, each form evaluated at the coordinates themselves.  The
+    certificate proves only X(s_i) = 0 for each i, and Y(pi) = 0 through
+    its pull-back's hom; phi follows by RulingDecomposition's identity.
+    With any one s_i moved off X, verify() and the check on phi both
+    fail."""
+    P = dec.phi[0].tower
+    assert square_combination_vanishes(dec.phi, dec.X.over(P).coeffs)
+    K = dec.psi.pi[0].tower
+    assert square_combination_vanishes(dec.psi.pi, dec.Y.over(K).coeffs)
+    cert = dec.certificate
+    for i, s in enumerate(cert.s_basis):
+        # X(s + e_1) = X(s) + a_1
+        off_x = (s[0] + s[0].tower.one(),) + s[1:]
+        tampered = RulingDecomposition(RulingCertificate(
+            cert.X, cert.Y, cert.s_basis[:i] + (off_x,)
+            + cert.s_basis[i + 1:], cert.pi, cert.fibers, cert.scale))
+        assert not tampered.verify()
+        P = tampered.phi[0].tower
+        assert not square_combination_vanishes(tampered.phi,
+                                               dec.X.over(P).coeffs)
+
+
 class TestFibersReadOffTheBasis:
     """The fibers are read off one coordinate of each pulled-back vector;
     the full linear solve over k(X) is the oracle."""
@@ -680,13 +734,14 @@ class TestFibersReadOffTheBasis:
     def solved_fibers(dec):
         ff_x = function_field(dec.X)
         pulled = _pull_basis(function_field(dec.Y), dec.s_basis,
-                             dec.psi.pi.coords, ff_x.tower)
+                             dec.psi.pi, ff_x.tower)
         return tower_linear_solve(pulled, list(ff_x.generic_point))
 
     def assert_fibers_match_the_solve(self, X):
         dec = construct_ruling(X)
         assert list(dec.psi.fibers) == self.solved_fibers(dec)
         assert dec.verify()
+        _assert_each_identity_holds_in_full(dec)
         return dec
 
     def test_sampled_two_fold_forms(self):
@@ -718,7 +773,7 @@ class TestFibersReadOffTheBasis:
             dec = construct_ruling(QuasilinearForm(F, coeffs[:7]))
             ff_x = function_field(dec.X)
             pulled = _pull_basis(function_field(dec.Y), dec.s_basis,
-                                 dec.psi.pi.coords, ff_x.tower)
+                                 dec.psi.pi, ff_x.tower)
             j = dec.Y.dim - 1
             assert list(dec.psi.fibers) == [
                 ff_x.generic_point[j + i] / t[j + i]
@@ -791,8 +846,9 @@ class TestRulingReadsKnownRelations:
         dec = construct_ruling(X)
         assert [list(s) for s in dec.s_basis] == isotropic_kernel_basis(
             X, function_field(dec.Y).tower)
-        assert list(dec.psi.pi.coords) == isotropic_kernel_basis(
+        assert list(dec.psi.pi) == isotropic_kernel_basis(
             dec.Y, function_field(X).tower)[0]
+        _assert_each_identity_holds_in_full(dec)
         return dec
 
     def test_forms_of_the_ruling_goldens(self):
@@ -869,7 +925,7 @@ class TestRulingReadsKnownRelations:
             assert len(over_ky) == 1
             assert all(last not in column
                        for columns in over_ky for column in columns)
-            K = dec.psi.pi.source_field
+            K = dec.psi.pi[0].tower
             assert len([columns for columns in systems
                         if columns[0][0].tower == K]) == 1
 

@@ -3,7 +3,7 @@ verification, and projective comparison."""
 
 import pytest
 
-from quasiform.errors import InconsistencyDetected
+from quasiform.errors import DimensionMismatch, InconsistencyDetected
 from quasiform.fieldtower import FieldTower
 from quasiform.forms import QuasilinearForm
 from quasiform.maps import RationalMap, projectively_equal
@@ -36,6 +36,29 @@ def test_all_zero_coords_rejected(F):
     q = QuasilinearForm(F, [F.one(), a])
     with pytest.raises(Exception):
         RationalMap(F, [F.zero(), F.zero()], q)
+
+
+def test_wrong_length_coords_rejected(F):
+    # a map into a quadric has one coordinate per coefficient, whether
+    # its vanishing is checked pointwise or by an ambient certificate
+    a, b = F.var("a"), F.var("b")
+    q = QuasilinearForm(F, [F.one(), a, b])
+    ff = function_field(q)
+    point = list(ff.generic_point)
+    for coords in (point[:-1], point + [point[0]]):
+        with pytest.raises(DimensionMismatch):
+            RationalMap(ff.tower, coords, q)
+
+    class AlwaysTrue:
+        def verify(self):
+            return True
+
+    target = QuasilinearForm(F, [F.one()])
+    with pytest.raises(DimensionMismatch):
+        RationalMap(F, [F.one()] * 3, target, certificate=AlwaysTrue(),
+                    ambient=True)
+    assert RationalMap(F, [F.one()], target, certificate=AlwaysTrue(),
+                       ambient=True).verify()
 
 
 def test_projectively_equal(F):
