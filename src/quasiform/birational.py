@@ -25,7 +25,10 @@ searched for.
 A ruling is one record, `RulingDecomposition`: its certificate and phi's
 coordinates, built from the certificate's basis; X, Y, r, the basis and
 the inverse data are read off the certificate, so no copy can disagree
-with it.  The records hold coordinates, and `RulingCertificate.verify`,
+with it.  `construct_ruling` only solves for the basis and pi, and proves
+nothing.  The certificate holds X, Y, the basis and pi; it pulls the
+basis back through pi once, on first use, and derives the fibers from
+that pull-back, so no builder supplies them.  `RulingCertificate.verify`,
 which trusts no builder, is the one proof of each identity: X(s_i) = 0,
 Y(pi) = 0 (by the hom of `_pull_basis`) and the recombination; X(phi) = 0
 follows (`RulingDecomposition`), and its verify() adds only r >= 2.
@@ -46,6 +49,7 @@ from .errors import (
     IsotropicInput,
     NotRuled,
     UnknownVariable,
+    ZeroElement,
 )
 from .fieldtower import FieldTower, TowerElem, TowerHom, fresh_names
 from .forms import QuasilinearForm, anisotropic_part, is_anisotropic
@@ -230,7 +234,8 @@ def decide_birational(X: QuasilinearForm, Y: QuasilinearForm) -> bool:
 class FiberMap:
     """Projection of a quadric onto a subquadric together with the fiber
     coordinates of a product decomposition: the data of a map into
-    (quadric of Y) x P^{r-1}, all over k(X)."""
+    (quadric of Y) x P^{r-1}, all over k(X).  A ruling's fibers are
+    derived by its certificate (`RulingCertificate.fibers`)."""
 
     pi: Tuple[TowerElem, ...]
     fibers: Tuple[TowerElem, ...]
@@ -247,8 +252,9 @@ def _pull_basis(ff_y, s_basis: Sequence[Sequence[TowerElem]],
     sends the function-field coordinates of Y to p_j / d, and
     `apply_projective` clears d from each vector by its structural power.
     The hom checks y's relation at pi: for pi of length dim Y that is
-    Y(pi) = 0, else EmbeddingFailure.  `construct_ruling` reads the fibers
-    off the result, and certificate verification recomputes it exactly.
+    Y(pi) = 0, else EmbeddingFailure.  `RulingCertificate` is its one
+    caller: it pulls its basis back once, derives its fibers from the
+    result and checks the recombination on it.
     """
     pi_poly = clear_denominators(pi_coords)
     hom = TowerHom(ff_y.tower, K, dict(zip(ff_y.fresh_names, pi_poly[1:])),
@@ -258,18 +264,18 @@ def _pull_basis(ff_y, s_basis: Sequence[Sequence[TowerElem]],
 
 def _recombines(fibers: Sequence[TowerElem],
                 pulled: Sequence[Sequence[TowerElem]],
-                point: Sequence[TowerElem], scale: TowerElem) -> bool:
-    """Whether f_1*t_1 + ... + f_r*t_r = scale * point, coordinate by
-    coordinate, for the fibers f_i and the pulled-back vectors t_i.  The
-    identity is linear in the fibers and the scale, so it is decided on
-    them times one common denominator."""
-    *fibers, scale = clear_denominators(list(fibers) + [scale])
-    zero = scale.tower.zero()
+                point: Sequence[TowerElem]) -> bool:
+    """Whether f_1*t_1 + ... + f_r*t_r = point, coordinate by coordinate,
+    for the fibers f_i and the pulled-back vectors t_i.  The identity is
+    linear in the fibers and the point, so it is decided on them times
+    the common denominator D of the fibers."""
+    *fibers, den = clear_denominators(list(fibers) + [point[0].tower.one()])
+    zero = den.tower.zero()
     for j, x in enumerate(point):
         combo = zero
         for f, t in zip(fibers, pulled):
             combo = combo + f * t[j]
-        if combo != scale * x:
+        if combo != den * x:
             return False
     return True
 
@@ -296,40 +302,65 @@ class RulingCertificate:
 
     Pulling the isotropic basis s_1,...,s_r back through the projection pi
     and recombining with the fiber functions f_i returns the generic point
-    g of X up to the stored nonzero scale:
+    g of X:
 
-        f_1*(s_1 o pi) + ... + f_r*(s_r o pi) = scale * g.
+        f_1*(s_1 o pi) + ... + f_r*(s_r o pi) = g.
 
-    pi, the fibers and the scale are coordinates over k(X), pi in Y's
-    chart (first coordinate nonzero).  The certificate is immutable, trusts
-    no builder, and is the only proof of a ruling: verify() rebuilds k(X)
-    and k(Y), proves X(s_i) = 0 for each s_i, and pulls the basis back
-    once (`_pull_basis`, as `construct_ruling` does), whose hom proves
-    Y(pi) = 0 (and rejects a pi outside k(X) or zero at x_1), and whose
-    recombination is checked coordinate by coordinate.
+    The certificate holds X, Y, the basis (over k(Y)) and pi (over k(X),
+    in Y's chart: first coordinate nonzero), and nothing derived from
+    them.  The pull-back t_i = s_i o pi (`_pull_basis`) is computed once,
+    on first use, and kept; a failed one is not.  The fibers are read off
+    it: with d = dim Y, s_i is 1 at coordinate d-1+i and 0 at X's other
+    last r coordinates, and so is t_i up to a nonzero factor (a field map
+    sends only 0 to 0), so the identity reads f_i t_i[d-1+i] = g[d-1+i]
+    there, and f_i = g[d-1+i] / t_i[d-1+i].  Any other coordinate is a
+    check.
+
+    The certificate is immutable, trusts no builder, and is the only
+    proof of a ruling: verify() proves X(s_i) = 0 for each s_i over k(Y),
+    and the pull-back's hom proves Y(pi) = 0 (and rejects a pi outside
+    k(X) or zero at x_1); the recombination is then checked coordinate by
+    coordinate.
     """
 
-    __slots__ = ("X", "Y", "s_basis", "pi", "fibers", "scale")
+    __slots__ = ("X", "Y", "s_basis", "pi", "_pulled")
 
     def __init__(self, X: QuasilinearForm, Y: QuasilinearForm,
                  s_basis: Tuple[Tuple[TowerElem, ...], ...],
-                 pi: Tuple[TowerElem, ...], fibers: Tuple[TowerElem, ...],
-                 scale: TowerElem):
+                 pi: Tuple[TowerElem, ...]):
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "s_basis", s_basis)
         object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "fibers", fibers)
-        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "_pulled", None)
 
     def __setattr__(self, *a):
         raise AttributeError("RulingCertificate is immutable")
 
+    def _pull_back(self) -> Tuple[List[List[TowerElem]],
+                                  Tuple[TowerElem, ...]]:
+        """The pulled-back basis and the fibers read off it, computed on
+        first use; raises as `_pull_basis` does, or ZeroElement where a
+        t_i is 0 at d-1+i."""
+        got = self._pulled
+        if got is None:
+            ff_x = function_field(self.X)
+            pulled = _pull_basis(function_field(self.Y), self.s_basis,
+                                 self.pi, ff_x.tower)
+            g, j = ff_x.generic_point, self.Y.dim - 1
+            fibers = tuple(g[j + i] / t[j + i] for i, t in enumerate(pulled))
+            got = (pulled, fibers)
+            object.__setattr__(self, "_pulled", got)
+        return got
+
+    @property
+    def fibers(self) -> Tuple[TowerElem, ...]:
+        return self._pull_back()[1]
+
     def verify(self) -> bool:
-        # one fiber per basis vector, r of each: zip would drop the rest
+        # one basis vector per fiber, r of them: zip would drop the rest
         r = self.X.dim - self.Y.dim + 1
-        if (self.scale.is_zero
-                or not len(self.s_basis) == len(self.fibers) == r):
+        if len(self.s_basis) != r:
             return False
         try:
             ff_y = function_field(self.Y)
@@ -344,24 +375,22 @@ class RulingCertificate:
                 return False
             if not square_combination_vanishes(s, x_coeffs):
                 return False
-        # the hom's zip would drop coordinates past Y's, and it checks the
-        # towers of pi, not those of the fibers and the scale
-        if (len(self.pi) != self.Y.dim or any(
-                c.tower != ff_x.tower for c in self.fibers + (self.scale,))):
+        # the hom's zip would drop coordinates past Y's
+        if len(self.pi) != self.Y.dim:
             return False
         try:
-            pulled = _pull_basis(ff_y, self.s_basis, self.pi, ff_x.tower)
+            pulled, fibers = self._pull_back()
         except (DivisionByZero, EmbeddingFailure, UnknownVariable,
-                ValueError):
+                ValueError, ZeroElement):
             # no field map: pi is off Y, 0 at x_1 or outside k(X), or a
-            # basis vector names a variable k(X) lacks
+            # basis vector names a variable k(X) lacks; or a pulled-back
+            # vector is 0 where its fiber is read
             return False
-        return _recombines(self.fibers, pulled, ff_x.generic_point,
-                           self.scale)
+        return _recombines(fibers, pulled, ff_x.generic_point)
 
     def __repr__(self) -> str:
         return (f"RulingCertificate({self.X} ~ {self.Y} x P^"
-                f"{len(self.fibers) - 1})")
+                f"{self.X.dim - self.Y.dim})")
 
 
 class RulingDecomposition:
@@ -372,14 +401,14 @@ class RulingDecomposition:
     phi = s_1 + t_1 s_2 + ... + t_{r-1} s_r over k(Y)(t_1, ..., t_{r-1})
     (`_ruling_map`) is built here, so no decomposition holds a phi that
     its certificate's basis does not give.  X, Y, s_basis, r and `psi`
-    (the inverse data: pi plus fiber functions) are read off the
-    certificate, which proves phi(psi(x)) = scale * x.
+    (the inverse data: pi plus the fibers the certificate derives) are
+    read off the certificate, which proves phi(psi(x)) = x.
 
     phi needs no check of its own.  X(v) = sum a_j v_j^2, and squaring is
     additive in characteristic 2, so
     X(s_1 + sum t_i s_(i+1)) = X(s_1) + sum t_i^2 X(s_(i+1)), which is 0
     once the certificate proves each X(s_i) = 0.  phi != 0: the
-    recombination gives scale * g != 0, so some s_i != 0, and the t_i are
+    recombination gives g != 0, so some s_i != 0, and the t_i are
     independent transcendentals over k(Y).
     """
 
@@ -426,15 +455,15 @@ def construct_ruling(X: QuasilinearForm) -> RulingDecomposition:
     With a_1..a_n the coefficients of X and d = dim Y: s_1 is Y's generic
     point over its last coordinate, s_i (i >= 2) the relation of a_{d-1+i}
     over a_1..a_{d-1} in k(Y), pi that of the first a_j which X's rank
-    over k(X) skipped, over a_1..a_{j-1}, and f_i = g[d-1+i] / t_i[d-1+i]
-    for g the generic point of X and t_i the pull-back of s_i through pi
-    (`_pull_basis`, the one verify() replays).
+    over k(X) skipped, over a_1..a_{j-1}.  The fibers are not computed
+    here: the certificate derives them from its one pull-back of the basis
+    through pi (`RulingCertificate.fibers`).
 
     Each relation is one exact solve, without a verdict, on a square
     system that holds it: pi on the system X's rank over k(X) built, the
-    s_i on one system over k(Y).  The one proof made here is Y(pi) = 0,
-    by the pull-back's hom; X(s_i) = 0, and with it X(phi) = 0, is left to
-    the certificate, so a basis vector off X fails verify().
+    s_i on one system over k(Y).  No proof is made here: X(s_i) = 0, and
+    with it X(phi) = 0, and Y(pi) = 0 are left to the certificate, so a
+    basis vector off X or a pi off Y fails verify().
 
     Raises NotRuled when r = 1 (the decomposition would be trivial and no
     ruling exists along this route), and DimensionTooSmall or
@@ -480,16 +509,7 @@ def construct_ruling(X: QuasilinearForm) -> RulingDecomposition:
     if pi[0].is_zero:
         raise InconsistencyDetected(
             "projection chart degenerates: leading coordinate is zero")
-
-    # s_i is 1 at d-1+i and 0 at X's other last r coordinates, and so is
-    # its pull-back t_i up to a nonzero factor (a field map sends only 0
-    # to 0), so f_1 t_1 + ... + f_r t_r = g reads f_i t_i[d-1+i] = g[d-1+i]
-    # there; _recombines checks every coordinate.
-    pulled = _pull_basis(ff_y, s_basis, pi, K)
-    g = ff_x.generic_point
-    fibers = tuple(g[d - 1 + i] / t[d - 1 + i] for i, t in enumerate(pulled))
-    return RulingDecomposition(
-        RulingCertificate(X, Y, s_basis, pi, fibers, K.one()))
+    return RulingDecomposition(RulingCertificate(X, Y, s_basis, pi))
 
 
 def unique_self_map_check(X: QuasilinearForm) -> bool:

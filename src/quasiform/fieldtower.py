@@ -75,6 +75,9 @@ class FieldTower:
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        # a shared tower, such as a form's own function field, at once
+        if self is other:
+            return True
         return (isinstance(other, FieldTower)
                 and self.base_vars == other.base_vars
                 and self.gens == other.gens)
@@ -517,10 +520,15 @@ class TowerHom:
                     raise EmbeddingFailure(
                         f"generator {name!r} has no assignment and no "
                         f"counterpart in the target tower") from None
-            # (value / d^power)^2 = N / d^k, cleared of d
+            # (value / d^power)^2 = N / d^k, cleared of the lower power
+            # of d on each side (d != 0, so no solution is gained or lost)
             n_theta, k = self._coeffs(theta)
-            if (value.square() * self._power(None, k)
-                    != n_theta * self._power(None, 2 * power)):
+            lhs, rhs = value.square(), n_theta
+            if k > 2 * power:
+                lhs = lhs * self._power(None, k - 2 * power)
+            elif k < 2 * power:
+                rhs = rhs * self._power(None, 2 * power - k)
+            if lhs != rhs:
                 raise EmbeddingFailure(
                     f"image of generator {name!r} violates its defining relation")
             self._gens.append((value, power))

@@ -34,9 +34,13 @@ class QuasilinearForm:
     """A diagonal quadratic form with nonzero coefficients in a field tower.
 
     The form owns its coefficients' rank over the squares: `independent()`
-    ranks once, and every invariant of the form object reads that rank."""
+    ranks once, and every invariant of the form object reads that rank.
+    It owns its function field the same way: `splitting.function_field`
+    builds k(q) once per form object and keeps it in `_function_field`.
+    A form made from another (subform, over, scale, anisotropic part) is
+    a new object and starts without one."""
 
-    __slots__ = ("field", "coeffs", "_independent")
+    __slots__ = ("field", "coeffs", "_independent", "_function_field")
 
     def __init__(self, field: FieldTower, coeffs: Sequence[TowerElem]):
         coeffs = tuple(coeffs)
@@ -50,6 +54,7 @@ class QuasilinearForm:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_independent", None)
+        object.__setattr__(self, "_function_field", None)
 
     def __setattr__(self, *a):
         raise AttributeError("QuasilinearForm is immutable")

@@ -6,12 +6,17 @@ one inseparable generator y solving for the last coordinate.  Iterating
 anisotropic part / function field yields the splitting pattern; its first
 step is the first Witt index.
 
-`function_field` is the one builder.  Its anisotropy test reads the rank
-the form object owns (`QuasilinearForm.independent`), so a form that was
-ranked before, or that is known anisotropic by construction (an
-anisotropic part, a subform of a form ranked anisotropic), pays nothing
-for it.  Its checks on the form (`_require_function_field`) are also
-those of a caller that may answer without building the field.
+`function_field` is the one builder.  A form owns its function field as
+it owns its rank: the field is built on the first call for a form object
+and kept on it, so every later call on that object returns the same
+`FunctionFieldData`, and no cache outlives the form.  Its anisotropy test
+reads the rank the form object owns (`QuasilinearForm.independent`), so a
+form that was ranked before, or that is known anisotropic by
+construction (an anisotropic part, a subform of a form ranked
+anisotropic), pays nothing for it.  Its checks on the form
+(`_require_function_field`) are also those of a caller that may answer
+without building the field; they run on every call that finds no field,
+so an error is raised each time and never kept.
 
 `over_own_function_field` is the one rule for q over k(q), which the open
 levels of the splitting pattern, the first Witt index and the r of a
@@ -110,7 +115,13 @@ def function_field(q: QuasilinearForm) -> FunctionFieldData:
     For q = <a_1,...,a_d>: adjoin transcendentals u for x_2..x_{d-1}, set
     theta = (a_1 + a_2 u_1^2 + ... + a_{d-1} u_{d-2}^2) / a_d and extend by
     y with y^2 = theta; the generic point is (1, u_1, ..., u_{d-2}, y).
+
+    Built once per form object and kept on it: a later call returns the
+    same data.  A form with no function field raises on every call.
     """
+    ff = q._function_field
+    if ff is not None:
+        return ff
     _require_function_field(q)
     d = q.dim
     # theta is not a square: a root s of theta in K = F(u) would make
@@ -135,8 +146,10 @@ def function_field(q: QuasilinearForm) -> FunctionFieldData:
     point = tuple([tower.one()]
                   + [K.embed(u, tower) for u in us]
                   + [tower.gen_by_name(yname)])
-    return FunctionFieldData(tower=tower, generic_point=point,
-                             fresh_names=tuple(unames) + (yname,))
+    ff = FunctionFieldData(tower=tower, generic_point=point,
+                           fresh_names=tuple(unames) + (yname,))
+    object.__setattr__(q, "_function_field", ff)
+    return ff
 
 
 def total_index_over(q: QuasilinearForm, K_ext: FieldTower) -> int:

@@ -29,6 +29,7 @@ from quasiform.errors import (
     EmbeddingFailure,
     IsotropicInput,
     NotRuled,
+    ZeroElement,
 )
 from quasiform.fieldtower import FieldTower, TowerElem
 from quasiform.forms import (
@@ -360,37 +361,33 @@ class TestRulings:
                 G, [G.var("t1"), G.var("t2"), G.var("t3")]))
 
     def test_certificate_tampering_detected(self, F, abc):
+        # the fibers are derived, so tampering moves s_i or pi: a basis
+        # vector off X, pi off Y, or the basis out of order
         a, b, _ = abc
         X = quasi_pfister([a, b], F)
         dec = construct_ruling(X)
         cert = dec.certificate
-        tower = cert.fibers[0].tower
-        bad_fiber = type(cert)(cert.X, cert.Y, cert.s_basis, cert.pi,
-                               (cert.fibers[0] + tower.one(),)
-                               + cert.fibers[1:], cert.scale)
-        assert not bad_fiber.verify()
-        bad_scale = type(cert)(cert.X, cert.Y, cert.s_basis, cert.pi,
-                               cert.fibers, cert.scale + tower.one())
-        assert not bad_scale.verify()
-        swapped = type(cert)(cert.X, cert.Y,
-                             (cert.s_basis[1], cert.s_basis[0]),
-                             cert.pi, cert.fibers, cert.scale)
-        assert not swapped.verify()
+        (s1, s2), pi = cert.s_basis, cert.pi
+        off_x = (s1[0] + s1[0].tower.one(),) + s1[1:]
+        off_y = pi[:1] + (pi[1] + pi[1].tower.one(),) + pi[2:]
+        for s_basis, bad_pi in (((off_x, s2), pi), ((s1, s2), off_y),
+                                ((s2, s1), pi)):
+            assert not type(cert)(cert.X, cert.Y, s_basis, bad_pi).verify()
+        assert cert.verify()
 
     def test_certificate_needs_one_fiber_per_basis_vector(self, F, abc):
-        # r = X.dim - Y.dim + 1 of each; extra entries must not be dropped
+        # one fiber is derived per basis vector, and r = X.dim - Y.dim + 1
+        # vectors are needed: an extra or a missing one must not be
+        # dropped by a zip
         a, b, _ = abc
         dec = construct_ruling(quasi_pfister([a, b], F))
         cert = dec.certificate
-        extra_fiber = cert.fibers + (cert.fibers[0],)
-        extra_vector = cert.s_basis + (cert.s_basis[0],)
-        for s_basis, fibers in ((cert.s_basis, extra_fiber),
-                                (extra_vector, cert.fibers)):
-            assert not RulingCertificate(cert.X, cert.Y, s_basis, cert.pi,
-                                         fibers, cert.scale).verify()
-        tampered = RulingCertificate(cert.X, cert.Y, cert.s_basis, cert.pi,
-                                     extra_fiber, cert.scale)
-        assert not RulingDecomposition(tampered).verify()
+        assert len(cert.fibers) == len(cert.s_basis) == dec.r
+        for s_basis in (cert.s_basis + (cert.s_basis[0],),
+                        cert.s_basis[:1]):
+            tampered = RulingCertificate(cert.X, cert.Y, s_basis, cert.pi)
+            assert not tampered.verify()
+            assert not RulingDecomposition(tampered).verify()
         assert cert.verify() and dec.verify()
 
     def test_ruling_over_a_base_with_an_inseparable_generator(self, F, abc):
@@ -403,11 +400,9 @@ class TestRulings:
         assert dec.r == 2
         assert dec.verify()
         cert = dec.certificate
-        tower = cert.fibers[0].tower
-        bad_fiber = type(cert)(cert.X, cert.Y, cert.s_basis, cert.pi,
-                               (cert.fibers[0] + tower.one(),)
-                               + cert.fibers[1:], cert.scale)
-        assert not bad_fiber.verify()
+        pi = cert.pi
+        off_y = pi[:1] + (pi[1] + pi[1].tower.one(),) + pi[2:]
+        assert not type(cert)(cert.X, cert.Y, cert.s_basis, off_y).verify()
 
     def test_ruling_records_are_immutable(self, F, abc):
         a, b, _ = abc
@@ -415,7 +410,7 @@ class TestRulings:
         cert = dec.certificate
         for record, name in ((dec, "phi"), (dec, "certificate"),
                              (dec, "psi"), (dec, "r"), (cert, "fibers"),
-                             (cert, "pi"), (cert, "scale")):
+                             (cert, "pi"), (cert, "s_basis")):
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
         assert dec.verify()
@@ -431,24 +426,21 @@ class TestRulings:
         assert len(dec.phi) == dec.X.dim
 
     def test_decomposition_of_a_tampered_certificate_fails(self, F, abc):
-        # swapped fibers, and a projection scaled by a: pi still vanishes
-        # on Y, but the recombination no longer returns the generic point;
-        # a basis vector off X still gives a phi, which is off X too, and
-        # only the certificate says so
+        # a projection moved off Y, or of the wrong length; a basis vector
+        # off X still gives a phi, which is off X too, and only the
+        # certificate says so
         a, b, _ = abc
         cert = construct_ruling(quasi_pfister([a, b], F)).certificate
-        pi, fibers, (s1, s2) = cert.pi, cert.fibers, cert.s_basis
+        pi, (s1, s2) = cert.pi, cert.s_basis
         K = pi[0].tower
-        scaled = tuple(c * K.var("a") for c in pi)
-        assert fibers[0] != fibers[1]
-        assert cert.Y.over(K).evaluate(scaled).is_zero
-        for bad_pi, bad_fibers in ((pi, fibers[::-1]), (scaled, fibers)):
+        off_y = pi[:1] + (pi[1] + K.var("a"),) + pi[2:]
+        assert not cert.Y.over(K).evaluate(off_y).is_zero
+        for bad_pi in (off_y, pi + (K.zero(),)):
             tampered = RulingCertificate(cert.X, cert.Y, cert.s_basis,
-                                         bad_pi, bad_fibers, cert.scale)
+                                         bad_pi)
             assert not RulingDecomposition(tampered).verify()
         off_x = (s1[0] + s1[0].tower.one(),) + s1[1:]
-        tampered = RulingCertificate(cert.X, cert.Y, (off_x, s2), pi,
-                                     fibers, cert.scale)
+        tampered = RulingCertificate(cert.X, cert.Y, (off_x, s2), pi)
         assert not tampered.verify()
         dec = RulingDecomposition(tampered)
         assert not dec.verify()
@@ -464,7 +456,7 @@ class TestRulings:
         off_x = (s1, (s2[0] + s2[0].tower.one(),) + s2[1:])
         monkeypatch.setattr(cli, "construct_ruling", lambda X: (
             RulingDecomposition(RulingCertificate(
-                cert.X, cert.Y, off_x, cert.pi, cert.fibers, cert.scale))))
+                cert.X, cert.Y, off_x, cert.pi))))
         script = parse("field F2(a, b, c); form x = <1, a, b, a*b>; "
                        "ruling x;")
         report = cli.run(script)
@@ -514,19 +506,21 @@ class TestRulings:
         assert cert.Y.over(ff_y.tower).evaluate(foreign).is_zero
         for bad in (off_y, pi[:-1], pi + (K.zero(),), foreign,
                     (K.zero(),) + pi[1:]):
-            assert not RulingCertificate(cert.X, cert.Y, cert.s_basis, bad,
-                                         cert.fibers, cert.scale).verify()
+            assert not RulingCertificate(cert.X, cert.Y, cert.s_basis,
+                                         bad).verify()
         assert cert.verify()
 
     def test_certificate_over_another_field_is_false(self, F, abc):
-        # fibers, or a scale, over the base field instead of k(X)
+        # pi over the base field instead of k(X), and a basis over k(X)
+        # instead of k(Y)
         a, b, _ = abc
         cert = construct_ruling(quasi_pfister([a, b], F)).certificate
-        for fibers, scale in ((tuple(F.one() for _ in cert.fibers),
-                               cert.scale),
-                              (cert.fibers, F.one())):
-            assert not RulingCertificate(cert.X, cert.Y, cert.s_basis,
-                                         cert.pi, fibers, scale).verify()
+        K = cert.pi[0].tower
+        base_pi = tuple(F.one() for _ in cert.pi)
+        over_kx = tuple(tuple(K.one() for _ in s) for s in cert.s_basis)
+        for s_basis, pi in ((cert.s_basis, base_pi), (over_kx, cert.pi)):
+            assert not RulingCertificate(cert.X, cert.Y, s_basis,
+                                         pi).verify()
 
     def test_each_identity_is_proved_once(self, F, abc, monkeypatch):
         calls = []
@@ -557,28 +551,52 @@ class TestRulings:
             del calls[:]
             dec = construct_ruling(X)
             names = [name for name, _ in calls]
-            # no map is built and the solves check nothing: the fibers are
-            # read off one pull-back of the basis, whose hom checks y's
-            # relation, the one proof of Y(pi) = 0; X(s_i) = 0 is left to
-            # the certificate
+            # construction proves nothing: no map is built, the solves
+            # check nothing, and the basis is not pulled back
             assert "square_combination_vanishes" not in names
             assert not {"__init__", "verify"} & set(names)
-            assert names.count("_pull_basis") == 1
+            assert "_pull_basis" not in names
             assert "_recombines" not in names
             # the verdicts over k(X) are the rank's steps on a_1..a_{n-1};
             # pi and the s_i take none
             towers = [args[0].tower for name, args in calls
                       if name == "verdict"]
-            assert towers.count(dec.psi.pi[0].tower) == X.dim - 2
+            assert towers.count(dec.certificate.pi[0].tower) == X.dim - 2
             assert dec.s_basis[0][0].tower not in towers
             del calls[:]
             assert dec.verify()
             names = [name for name, _ in calls]
-            # r isotropy proofs, one pull-back, one recombination
+            # r isotropy proofs, one pull-back (whose hom is the one proof
+            # of Y(pi) = 0), one recombination
             assert names.count("square_combination_vanishes") == dec.r
             assert names.count("_pull_basis") == 1
             assert names.count("_recombines") == 1
             assert not {"__init__", "verify"} & set(names)
+            # the certificate keeps its pull-back: a second verify(), the
+            # fibers and its repr take none
+            del calls[:]
+            assert dec.verify() and len(dec.psi.fibers) == dec.r
+            repr(dec.certificate)
+            assert "_pull_basis" not in [name for name, _ in calls]
+            # a fresh certificate from the same data pulls back its own
+            cert = dec.certificate
+            del calls[:]
+            fresh = RulingCertificate(cert.X, cert.Y, cert.s_basis, cert.pi)
+            repr(fresh)
+            assert not calls
+            assert fresh.verify() and fresh.fibers == cert.fibers
+            assert [name for name, _ in calls].count("_pull_basis") == 1
+            # the CLI prints the fibers and then verifies: one pull-back
+            del calls[:]
+            script = parse("field F2(a, b, c); form x = <"
+                           + ", ".join(str(k) for k in X.coeffs)
+                           + ">; ruling x;")
+            (report,) = cli.run(script, verify_certificates=True)["results"]
+            assert report["certificate_verified"]
+            names = [name for name, _ in calls]
+            assert names.count("_pull_basis") == 1
+            assert names.count("square_combination_vanishes") == dec.r
+            assert names.count("_recombines") == 1
 
     def test_certificate_ranks_a_subquadric_built_by_its_caller(
             self, F, abc, ranked):
@@ -589,8 +607,8 @@ class TestRulings:
         assert cert.verify()
         assert cert.Y.coeffs not in ranked
         fresh = QuasilinearForm(F, cert.Y.coeffs)
-        assert RulingCertificate(cert.X, fresh, cert.s_basis, cert.pi,
-                                 cert.fibers, cert.scale).verify()
+        assert RulingCertificate(cert.X, fresh, cert.s_basis,
+                                 cert.pi).verify()
         assert ranked.count(fresh.coeffs) == 1
 
     def test_certificate_over_a_quadric_without_function_field_is_false(
@@ -608,8 +626,8 @@ class TestRulings:
         for X, Y in ((cert.X, isotropic_y), (cert.X, point),
                      (isotropic_x, cert.Y), (point, cert.Y),
                      (cert.X, foreign_y)):
-            assert not RulingCertificate(X, Y, cert.s_basis, cert.pi,
-                                         cert.fibers, cert.scale).verify()
+            assert not RulingCertificate(X, Y, cert.s_basis,
+                                         cert.pi).verify()
 
     def test_certificate_naming_a_variable_outside_k_x_is_false(
             self, F, abc):
@@ -622,28 +640,45 @@ class TestRulings:
         T = s_2[0].tower
         z = TowerElem(T, {0: RatFn.from_poly(Poly.variable("z", ("z",)))})
         stray = (s_1, tuple(c * z for c in s_2))
-        assert not RulingCertificate(cert.X, cert.Y, stray, cert.pi,
-                                     cert.fibers, cert.scale).verify()
+        assert not RulingCertificate(cert.X, cert.Y, stray,
+                                     cert.pi).verify()
 
-    def test_recombination_scales_fibers_and_scale_together(self, F, abc):
-        # the fibers carry denominators; the certificate identity is
-        # linear in (fibers, scale), so a common fraction factor keeps it
+    def test_a_projection_scaled_by_a_fraction_verifies(self, F, abc):
+        # pi is a projective point: pi times a fraction gives the same
+        # field map, and the fibers derived from its pull-back absorb the
+        # factor, denominators and all
         a, b, _ = abc
         cert = construct_ruling(quasi_pfister([a, b], F)).certificate
         assert any(not c.den.is_one
                    for f in cert.fibers for c in f.coeffs.values())
-        K = cert.scale.tower
+        K = cert.pi[0].tower
         lam = K.var("b") * (K.var("a") + K.one()).invert()
-        scaled = tuple(f * lam for f in cert.fibers)
+        scaled = RulingCertificate(cert.X, cert.Y, cert.s_basis,
+                                   tuple(c * lam for c in cert.pi))
+        assert scaled.verify() and cert.verify()
+        assert scaled.fibers != cert.fibers
 
-        def verifies(fibers, scale):
-            return RulingCertificate(cert.X, cert.Y, cert.s_basis, cert.pi,
-                                     fibers, scale).verify()
-
-        assert verifies(cert.fibers, cert.scale)
-        assert verifies(scaled, cert.scale * lam)
-        assert not verifies(scaled, cert.scale)
-        assert not verifies(cert.fibers, cert.scale * lam)
+    def test_a_pull_back_zero_where_its_fiber_is_read_is_false(
+            self, F, abc, monkeypatch):
+        # out of order, each t_i is 0 at d-1+i, where its fiber is read:
+        # the fibers raise ZeroElement, verify() says False, and the
+        # failed pull-back is not kept
+        a, b, _ = abc
+        cert = construct_ruling(quasi_pfister([a, b], F)).certificate
+        d = cert.Y.dim
+        swapped = RulingCertificate(cert.X, cert.Y, cert.s_basis[::-1],
+                                    cert.pi)
+        assert all(s[d - 1 + i].is_zero
+                   for i, s in enumerate(swapped.s_basis))
+        with pytest.raises(ZeroElement):
+            swapped.fibers
+        pulls = []
+        real = birational._pull_basis
+        monkeypatch.setattr(birational, "_pull_basis",
+                            lambda *args: pulls.append(1) or real(*args))
+        assert not swapped.verify()
+        assert not swapped.verify()
+        assert len(pulls) == 2
 
     def test_input_errors_of_the_first_witt_index(self, F, abc):
         a, _, _ = abc
@@ -719,7 +754,7 @@ def _assert_each_identity_holds_in_full(dec):
         off_x = (s[0] + s[0].tower.one(),) + s[1:]
         tampered = RulingDecomposition(RulingCertificate(
             cert.X, cert.Y, cert.s_basis[:i] + (off_x,)
-            + cert.s_basis[i + 1:], cert.pi, cert.fibers, cert.scale))
+            + cert.s_basis[i + 1:], cert.pi))
         assert not tampered.verify()
         P = tampered.phi[0].tower
         assert not square_combination_vanishes(tampered.phi,
@@ -727,8 +762,8 @@ def _assert_each_identity_holds_in_full(dec):
 
 
 class TestFibersReadOffTheBasis:
-    """The fibers are read off one coordinate of each pulled-back vector;
-    the full linear solve over k(X) is the oracle."""
+    """The certificate derives the fibers from one coordinate of each
+    pulled-back vector; the full linear solve over k(X) is the oracle."""
 
     @staticmethod
     def solved_fibers(dec):

@@ -273,6 +273,37 @@ class TestTowerHom:
         with pytest.raises(ValueError):
             TowerHom(U, F, {"u": F.var("a")}, denominator=U.one())
 
+    @pytest.mark.parametrize("case", ["k<2p", "k=2p", "k>2p"])
+    def test_generator_images_checked_over_a_denominator(self, F, case):
+        # theta's image is N / d^k and the generator's (value / d^p)^2,
+        # with p = 1 when the generator is assigned; the check cancels the
+        # lower power of d, and a wrong image still fails on each side
+        a, b = F.var("a"), F.var("b")
+        T = F.extend_inseparable(a, "z")
+        z, lam = T.gen_by_name("z"), T.var("a") + T.one()
+        if case == "k<2p":
+            # y^2 = a takes no assigned variable: k = 0, p = 1
+            S = F.extend_inseparable(a, "y")
+            right, wrong = {"y": lam * z}, {"y": z}
+        else:
+            U = F.extend_transcendental(("u",))
+            theta = U.var("a") * U.var("u").square()
+            if case == "k=2p":
+                # y^2 = a u^2 with y assigned: k = 2 = 2p
+                S = U.extend_inseparable(theta, "y")
+                right = {"u": lam * T.var("b"), "y": lam * T.var("b") * z}
+                wrong = {"u": lam * T.var("b"), "y": lam * z}
+            else:
+                # z^2 = a u^2 with z kept: k = 2 > 0 = 2p
+                S = U.extend_inseparable(theta, "z")
+                right, wrong = {"u": lam}, {"u": lam * T.var("b")}
+        gen = S.gens[-1][0]
+        hom = TowerHom(S, T, right, denominator=lam)
+        image = hom.apply(S.gen_by_name(gen))
+        assert image.square() == hom.apply(S.element(S.theta(S.depth - 1)))
+        with pytest.raises(EmbeddingFailure):
+            TowerHom(S, T, wrong, denominator=lam)
+
 
 def _projective_case(seed):
     """A map from S = B(u)(y), y^2 = (1 + a u^2)/b over B = F2(a,b,c)(z),

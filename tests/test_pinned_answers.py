@@ -7,8 +7,9 @@ updates them in the same commit.
 The decision counts are the witness verdicts (`_gfnum.numeric_verdict`),
 the conclusive ones among them, the exact eliminations (`_elim.solve`,
 `solvable`, `nullspace`), and the function fields built
-(`splitting.function_field`).  A change that alters a count updates its
-pin and says why in CHANGES.md."""
+(`splitting.function_field`): a form keeps the field it built, so a call
+counts only when it returns a field object not returned before.  A change
+that alters a count updates its pin and says why in CHANGES.md."""
 
 import hashlib
 import itertools
@@ -36,7 +37,7 @@ PINNED = {
         60,
         "181a135f66cde978819ea525ec58d3be6cf1f1082b9ac3407ab5943774977ad5",
         dict(numeric_verdict=264, conclusive=264, solve=96, solvable=0,
-             nullspace=0, function_field=192)),
+             nullspace=0, function_field=96)),
     "compare-pool": (
         198,
         "3c79913fdc61047a20b085af6f8fefdf30d7018f81b051117ec6118d0688e39d",
@@ -47,14 +48,20 @@ PINNED = {
 
 @pytest.fixture
 def decisions(monkeypatch):
-    """Calls per decision function, and conclusive verdicts, counted at
-    every binding in the library."""
+    """Calls per decision function, conclusive verdicts, and distinct
+    function fields, counted at every binding in the library."""
     counts = dict.fromkeys(("numeric_verdict", "conclusive", "solve",
                             "solvable", "nullspace", "function_field"), 0)
+    # every field returned, by identity: a form returns its own field again
+    fields = {}
 
     def counting(real):
         def spy(*args):
             result = real(*args)
+            if real.__name__ == "function_field":
+                if id(result) in fields:
+                    return result
+                fields[id(result)] = result
             counts[real.__name__] += 1
             if real.__name__ == "numeric_verdict" and result is not None:
                 counts["conclusive"] += 1

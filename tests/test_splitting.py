@@ -81,6 +81,36 @@ class TestFunctionField:
         with pytest.raises(IsotropicInput):
             function_field(QuasilinearForm(F, [a, a ** 3]))
 
+    def test_a_form_keeps_its_function_field(self, F):
+        # built once per form object; an equal fresh form builds its own
+        q = pfister2(F)
+        ff = function_field(q)
+        assert function_field(q) is ff
+        fresh = QuasilinearForm(F, q.coeffs)
+        assert fresh._function_field is None
+        assert function_field(fresh) == ff
+        assert function_field(fresh) is not ff
+
+    def test_a_form_without_function_field_raises_on_every_call(self, F):
+        a = F.var("a")
+        for q, error in ((QuasilinearForm(F, [a, a ** 3]), IsotropicInput),
+                         (QuasilinearForm(F, [a]), DimensionTooSmall)):
+            for _ in range(2):
+                with pytest.raises(error):
+                    function_field(q)
+            assert q._function_field is None
+
+    def test_forms_made_from_a_form_start_without_its_field(self, F):
+        q = pfister2(F)
+        ff = function_field(q)
+        a = F.var("a")
+        for derived in (q.subform(range(3)), q.over(ff.tower),
+                        q.scale(a), anisotropic_part(q)):
+            assert derived is not q
+            assert derived._function_field is None
+        sub = q.subform(range(3))
+        assert function_field(sub) is not ff
+
     def test_binary_form_adds_no_transcendentals(self, F):
         q = QuasilinearForm(F, [F.one(), F.var("a")])
         ff = function_field(q)
