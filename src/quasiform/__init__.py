@@ -60,7 +60,6 @@ from .forms import (
     invariants,
     is_anisotropic,
     is_isometric,
-    isotropic_vectors_basis,
     total_index,
 )
 from .gf2poly import Poly, RatFn, poly_gcd, poly_lcm
@@ -88,13 +87,9 @@ from .splitting import (
     total_index_over,
 )
 from .sqlinalg import (
-    isotropic_kernel_basis,
-    k2_membership,
     k2_rank,
     kernel_from_coefficients,
     span_saturate,
-    square_nullspace,
-    tower_linear_solve,
     tower_square_root,
 )
 

@@ -20,8 +20,8 @@ keeps the surviving minors small and is deterministic.
 Every entry point takes a system as its rows and `ncols`, the number of
 unknowns: `solve` and `solvable` take the rows [A | b] with A `ncols`
 wide, the layout `_gfnum.numeric_verdict` reads, and `nullspace` the rows
-of A alone.  The rows may be empty: every unknown is then free and set to
-zero, so `solve` returns `ncols` zeros and `nullspace` the identity basis.
+of A alone.  The rows may be empty: every unknown is then free, so `solve`
+returns `ncols` zeros and `nullspace` the first unit vector.
 """
 
 from __future__ import annotations
@@ -153,11 +153,16 @@ def solvable(rows: List[List[Poly]], ncols: int) -> bool:
     return _consistent_forward(rows, ncols) is not None
 
 
-def nullspace(rows: List[List[Poly]], ncols: int) -> List[List[RatFn]]:
-    """Basis of the right kernel of the rows of A, `ncols` wide, over the
-    fraction field."""
+def nullspace(rows: List[List[Poly]], ncols: int) -> Optional[List[RatFn]]:
+    """One nonzero vector of the right kernel of the rows of A, `ncols`
+    wide, over the fraction field, or None when every unknown is a pivot
+    (the kernel is zero).  It is the back-substitution with the lowest
+    free unknown set to 1 and every other free unknown to 0, so it is
+    deterministic."""
     e = _Eliminator(rows)
     pivots = e.forward(ncols)
     pivot_cols = {c for _, c in pivots}
-    return [_back_substitute(e.rows, pivots, ncols, None, {f: RatFn.one()})
-            for f in range(ncols) if f not in pivot_cols]
+    free = next((c for c in range(ncols) if c not in pivot_cols), None)
+    if free is None:
+        return None
+    return _back_substitute(e.rows, pivots, ncols, None, {free: RatFn.one()})

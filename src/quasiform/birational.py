@@ -66,7 +66,7 @@ from .splitting import (
 from .sqlinalg import (
     _SquareBlocks,
     clear_denominators,
-    isotropic_kernel_basis,
+    kernel_from_coefficients,
     span_saturate,
     square_combination_vanishes,
     square_span_contains,
@@ -518,7 +518,7 @@ def unique_self_map_check(X: QuasilinearForm) -> bool:
     is one-dimensional, in which case it must be spanned by the generic
     point (verified)."""
     ff = function_field(X)
-    basis = isotropic_kernel_basis(X, ff.tower)
+    basis = kernel_from_coefficients(X.over(ff.tower).coeffs)
     if not basis:
         raise InconsistencyDetected(
             "form is anisotropic over its own function field")
@@ -558,14 +558,14 @@ def _differentials_independent(field: FieldTower,
     if not elems:
         return True
     fns = [e.coeffs.get(0, RatFn.zero()) for e in elems]
-    # one row per variable, one column per element; a nonzero nullspace
-    # vector is a dependence among the differentials
+    # one row per variable, one column per element; a kernel vector is a
+    # dependence among the differentials
     rows: List[List[Poly]] = []
     for v in field.base_vars:
         entries = [fn.derivative(v) for fn in fns]
         den = common_denominator(entries)
         rows.append([numerator_over(d, den) for d in entries])
-    return not nullspace(rows, len(elems))
+    return nullspace(rows, len(elems)) is None
 
 
 def is_regular_quadric(q: QuasilinearForm) -> RegularityReport:

@@ -178,8 +178,9 @@ def decide_similar(q: QuasilinearForm,
     anisotropic), so f = 0 too.  Then c != 0 for the same reason, so c is
     invertible and c*span(v), of the same dimension as span(w), equals it.
     Conversely every factor lies in span(w) and solves the system, so the
-    kernel is nonzero exactly when the forms are similar.  For d = 1 there
-    is no equation and c = 1, giving the factor b/a for <a> and <b>.
+    kernel is nonzero exactly when the forms are similar, and any one
+    kernel vector gives a factor.  For d = 1 there is no equation and
+    c = 1, giving the factor b/a for <a> and <b>.
     """
     if q.field != q2.field:
         raise ValueError("forms live over different towers")
@@ -202,10 +203,10 @@ def decide_similar(q: QuasilinearForm,
         row = [wk * v[j] for wk in w] + [zero] * ((d - 1) * d)
         row[j * d:(j + 1) * d] = w
         gen_rows.append(row)
-    kernel = square_nullspace_multi(gen_rows) if gen_rows else [[field.one()]]
-    if not kernel:
+    kernel = square_nullspace_multi(gen_rows) if gen_rows else [field.one()]
+    if kernel is None:
         return None
-    factor = square_combination(kernel[0][:d], w) * b1 * a1.invert()
+    factor = square_combination(kernel[:d], w) * b1 * a1.invert()
     if not is_isometric(q.scale(factor), q2):
         raise AssertionError("similarity factor failed isometry check")
     return factor

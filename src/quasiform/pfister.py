@@ -13,7 +13,7 @@ dimension exceeds half its norm degree.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     BadDecomposition,
@@ -25,7 +25,7 @@ from .fieldtower import FieldTower, TowerElem, fresh_names
 from .forms import QuasilinearForm
 from .maps import RationalMap
 from .splitting import _norm_basis, function_field
-from .sqlinalg import SquareRelation, k2_membership, square_combination
+from .sqlinalg import square_combination
 
 
 class QuasiPfisterForm:
@@ -106,20 +106,6 @@ class NormField:
     @property
     def degree(self) -> int:
         return len(self.basis)
-
-    def multiplication_table(self) -> Dict[Tuple[int, int], SquareRelation]:
-        """Certificates expressing each basis product over the basis,
-        computed on each call."""
-        table = {}
-        for i in range(len(self.basis)):
-            for j in range(i, len(self.basis)):
-                rel = k2_membership(self.basis[i] * self.basis[j],
-                                    list(self.basis))
-                if rel is None:
-                    raise InconsistencyDetected(
-                        "norm field basis is not multiplicatively closed")
-                table[(i, j)] = rel
-        return table
 
     def __repr__(self) -> str:
         return f"NormField(degree={self.degree})"

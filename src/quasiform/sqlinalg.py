@@ -23,19 +23,19 @@ blocks are built once per query, so the greedy rank loop (`_independent`)
 only selects columns.  Every decision on them first reads the blocks'
 values at one witness point (`_gfnum`); the polynomial system is assembled
 only for exact elimination (`_elim`): a decision the point does not settle,
-and every root vector or kernel basis.  Both take the rows [A | b] as one
+and every root vector or kernel vector.  Both take the rows [A | b] as one
 rule lays them out (`_SquareBlocks._layout`), with the number of unknowns.
 
 Every relation the public solvers return is re-verified exactly in the
 tower before being handed out.  The exact solve without a verdict
 (`_SquareBlocks.solve`) checks nothing itself: its callers prove what it
 returns, `greedy_independent` by `SquareRelation`, and
-`birational.construct_ruling` by the vanishing proofs of the maps it
-builds.  The checks run on roots cleared of denominators
-(`clear_denominators`, `square_combination_vanishes`): scaling the roots by
-one nonzero base scalar D scales sum c_i^2 g_i by D^2, so the cleared sum
-vanishes exactly when the original one does, and squaring and multiplying
-polynomial coefficients takes no gcd.
+`birational.construct_ruling` by handing them to a `RulingCertificate`,
+whose `verify` is their proof.  The checks run on roots cleared of
+denominators (`clear_denominators`, `square_combination_vanishes`):
+scaling the roots by one nonzero base scalar D scales sum c_i^2 g_i by
+D^2, so the cleared sum vanishes exactly when the original one does, and
+squaring and multiplying polynomial coefficients takes no gcd.
 """
 
 from __future__ import annotations
@@ -305,38 +305,35 @@ def square_span_contains(gens: Sequence[TowerElem],
 
 def square_nullspace_multi(
     gen_rows: Sequence[Sequence[TowerElem]],
-) -> List[List[TowerElem]]:
-    """Basis over the rational base field F, not over the tower K, of the
-    shared root vectors annihilating every equation: 2^depth vectors per
-    dimension of the kernel over K, so K-dependent at depth >= 1.  Over
-    F(y), y^2 = a, [1, a, b, y b] gives (y, 1, 0, 0) and y (y, 1, 0, 0).
-    A numeric proof of a zero kernel skips exact elimination; every vector
-    comes from it.  With no equation there are no unknowns to count, so
-    the kernel is undefined: ValueError."""
+) -> Optional[List[TowerElem]]:
+    """One nonzero vector of shared roots annihilating every equation,
+    sum_i c_i^2 * gen_rows[e][i] = 0 for each e, or None when the kernel
+    is zero.  A numeric proof of a zero kernel skips exact elimination;
+    the vector comes from it (`_elim.nullspace`) and is checked against
+    every equation before it is returned.  With no equation there are no
+    unknowns to count, so the kernel is undefined: ValueError."""
     if not gen_rows:
         raise ValueError("nullspace query needs at least one equation")
     if not gen_rows[0]:
-        return []
+        return None
     ngens = len(gen_rows[0])
     blocks = _SquareBlocks(list(zip(*gen_rows)))
     keys = blocks.rows(range(ngens))
     if blocks.verdict(keys, range(ngens)):
-        return []
-    tower, nmasks = blocks.tower, blocks.nmasks
-    basis = _elim.nullspace(blocks.system(keys, range(ngens)), ngens * nmasks)
-    out = []
-    for vec in basis:
-        roots = _coeff_vectors(vec, ngens, nmasks, tower)
-        if not square_combination_vanishes(roots, *gen_rows):
-            raise AssertionError("nullspace vector fails to annihilate")
-        out.append(roots)
-    return out
+        return None
+    vec = _elim.nullspace(blocks.system(keys, range(ngens)),
+                          ngens * blocks.nmasks)
+    if vec is None:
+        return None
+    roots = _coeff_vectors(vec, ngens, blocks.nmasks, blocks.tower)
+    if not square_combination_vanishes(roots, *gen_rows):
+        raise AssertionError("nullspace vector fails to annihilate")
+    return roots
 
 
-def square_nullspace(gens: Sequence[TowerElem]) -> List[List[TowerElem]]:
-    """Basis over the rational base field of the root vectors (c_1,...,c_k)
-    with sum c_i^2 g_i = 0: 2^depth * (k - rank) of them (see
-    square_nullspace_multi); kernel_from_coefficients gives k - rank."""
+def square_nullspace(gens: Sequence[TowerElem]) -> Optional[List[TowerElem]]:
+    """One nonzero root vector (c_1,...,c_k) with sum c_i^2 g_i = 0, or
+    None: square_nullspace_multi on one equation."""
     return square_nullspace_multi([list(gens)])
 
 
@@ -557,13 +554,8 @@ def _saturate(basis: Sequence[TowerElem],
     return basis
 
 
-def isotropic_kernel_basis(q, K: Optional[FieldTower] = None) -> List[List[TowerElem]]:
-    """Kernel basis of a quasilinear form, optionally over a larger tower.
-
-    Accepts anything with `field` and `coeffs` attributes; coefficients are
-    embedded structurally when a target tower is given.
-    """
-    coeffs = list(q.coeffs)
-    if K is not None and K != q.field:
-        coeffs = [q.field.embed(c, K) for c in coeffs]
-    return kernel_from_coefficients(coeffs)
+def isotropic_kernel_basis(q, K: Optional[FieldTower] = None
+                           ) -> List[List[TowerElem]]:
+    """kernel_from_coefficients of the form q, over the tower K when
+    given."""
+    return kernel_from_coefficients((q if K is None else q.over(K)).coeffs)

@@ -529,6 +529,40 @@ def sample_expression(rng: random.Random, names: Sequence[str],
 
     return expr(depth)
 
+# The full kernel basis of exact elimination.  Unlike the oracles above,
+# these reuse the library's own elimination: the library keeps one kernel
+# vector, the first of this basis, and these rebuild the rest.
+
+def elim_kernel_basis(rows, ncols: int) -> List[List]:
+    """One vector per free unknown of `_elim`'s forward pass on the rows
+    of A, by back-substitution with that unknown set to 1 and every other
+    free one to 0, in column order: a basis of the right kernel over the
+    fraction field.  `_elim.nullspace` returns its first vector."""
+    from quasiform import _elim
+    from quasiform.gf2poly import RatFn
+    e = _elim._Eliminator(rows)
+    pivots = e.forward(ncols)
+    pivot_cols = {c for _, c in pivots}
+    return [_elim._back_substitute(e.rows, pivots, ncols, None,
+                                   {f: RatFn.one()})
+            for f in range(ncols) if f not in pivot_cols]
+
+
+def square_kernel_basis(gen_rows) -> List[List]:
+    """`elim_kernel_basis` of the square system of the equations
+    sum_i c_i^2 * gen_rows[e][i] = 0, as root vectors in their tower: a
+    basis over the rational base field F, 2^depth vectors per dimension
+    of the kernel over the tower.  `sqlinalg.square_nullspace_multi`
+    returns its first vector."""
+    from quasiform.sqlinalg import _SquareBlocks, _coeff_vectors
+    ngens = len(gen_rows[0])
+    blocks = _SquareBlocks(list(zip(*gen_rows)))
+    cols = range(ngens)
+    system = blocks.system(blocks.rows(cols), cols)
+    return [_coeff_vectors(v, ngens, blocks.nmasks, blocks.tower)
+            for v in elim_kernel_basis(system, ngens * blocks.nmasks)]
+
+
 # Frozen expected values, derived by hand before the implementation ran:
 # splitting patterns of the standard examples, their first Witt indices,
 # and their norm degrees.

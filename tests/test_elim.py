@@ -1,6 +1,7 @@
 """Fraction-free elimination over GF(2)[a,b,c]: solutions checked exactly in
 RatFn, kernels checked by annihilation and by their size against the rank
-of the matrix at GF(2^15) points."""
+of the matrix at GF(2^15) points.  `nullspace` returns one kernel vector,
+the first of the full basis that the oracle rebuilds."""
 
 import random
 
@@ -9,7 +10,7 @@ import pytest
 from quasiform import _elim
 from quasiform.gf2poly import Poly, RatFn
 
-from oracles import eval_poly, gf_matrix_rank, GF_ORDER
+from oracles import elim_kernel_basis, eval_poly, gf_matrix_rank, GF_ORDER
 
 VARS = ("a", "b", "c")
 A, B, C = (Poly.variable(v, VARS) for v in VARS)
@@ -108,11 +109,13 @@ def test_nullspace_annihilates_and_has_full_size(seed):
     rng = random.Random(seed)
     m = sparse_matrix(rng)
     ncols = len(m[0])
-    basis = _elim.nullspace(m, ncols)
+    basis = elim_kernel_basis(m, ncols)
     for vec in basis:
         assert len(vec) == ncols and any(vec)
         assert not any(times(m, vec))
     assert len(basis) == ncols - rank_at_points(m, rng)
+    # the one vector is the basis's first, None exactly when it is empty
+    assert _elim.nullspace(m, ncols) == (basis[0] if basis else None)
 
 
 def test_stale_rows_are_rescaled(rescales):
@@ -134,8 +137,9 @@ def test_two_steps_pivot_on_the_shared_one():
     x = _elim.solve(augmented(m, rhs), 4)
     assert x is not None and times(m, x) == [RatFn.from_poly(b) for b in rhs]
     kernel = _elim.nullspace(m, 4)
-    assert len(kernel) == 4 - rank_at_points(m, random.Random(0)) == 1
-    assert not any(times(m, kernel[0]))
+    assert len(elim_kernel_basis(m, 4)) == 4 - rank_at_points(
+        m, random.Random(0)) == 1
+    assert any(kernel) and not any(times(m, kernel))
 
 
 def test_a_system_without_rows_leaves_every_unknown_free():
@@ -144,5 +148,5 @@ def test_a_system_without_rows_leaves_every_unknown_free():
     assert all(v.is_zero for v in zeros)
     assert _elim.solvable([], 3)
     one, zero = RatFn.one(), RatFn.zero()
-    assert _elim.nullspace([], 3) == [[one, zero, zero], [zero, one, zero],
-                                      [zero, zero, one]]
+    assert _elim.nullspace([], 3) == [one, zero, zero]
+    assert _elim.nullspace([[ONE]], 1) is None

@@ -85,8 +85,8 @@ UNCALLED = {
     "splitting.total_index_over": PUBLIC,
     "forms.isotropic_vectors_basis": TRACED,
     "gf2poly.RatFn.square_coordinates": TRACED,
-    # the one caller of the traced k2_membership, and goes with it
-    "pfister.NormField.multiplication_table": TRACED,
+    "sqlinalg.isotropic_kernel_basis": TRACED,
+    "sqlinalg.k2_membership": TRACED,
     "sqlinalg.square_nullspace": TRACED,
     "sqlinalg.tower_linear_solve": TRACED,
 }

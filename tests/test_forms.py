@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import quasiform.cli as cli
+import quasiform.forms as forms_module
 from quasiform.dsl import parse
 from quasiform.errors import (
     BadCodimension,
@@ -36,6 +37,7 @@ from oracles import (
     monomial_total_index,
     sample_monomial_exponents,
     sample_monomial_form,
+    square_kernel_basis,
 )
 
 
@@ -285,6 +287,36 @@ class TestSimilarity:
         factor = decide_similar(QuasilinearForm(F, [a]),
                                 QuasilinearForm(F, [b]))
         assert factor == b * a.invert()
+
+    def test_factor_is_read_off_the_first_kernel_vector(self, monkeypatch):
+        """Where exact elimination's kernel basis holds several vectors
+        (4 over F2(a,b,c), 8 over F2(a,b,c)(z) with z^2 = c), the one
+        kernel vector is its first, so the factors are those the first
+        basis vector gave."""
+        F = FieldTower.rational(("a", "b", "c"))
+        a, b, c = (F.var(n) for n in "abc")
+        K = F.extend_inseparable(c, "z")
+        q = QuasilinearForm(F, [F.one(), a, b, a * b])
+        systems = []
+        real = forms_module.square_nullspace_multi
+
+        def recording(gen_rows):
+            vec = real(gen_rows)
+            systems.append((gen_rows, vec))
+            return vec
+
+        monkeypatch.setattr(forms_module, "square_nullspace_multi", recording)
+        for p, s, printed, size in (
+                (q, c, "(c)/(a*b)", 4),
+                (q, a + c, "(a+c)/(a*b)", 4),
+                (q.over(K), K.gen(0) + K.var("a"),
+                 "(1)/(b)+((1)/(a*b))*z", 8)):
+            del systems[:]
+            assert str(decide_similar(p, p.scale(s))) == printed
+            [(gen_rows, vec)] = systems
+            basis = square_kernel_basis(gen_rows)
+            assert len(basis) == size
+            assert vec == basis[0]
 
     def test_against_the_parity_translate_oracle(self):
         F = FieldTower.rational(("a", "b", "c"))

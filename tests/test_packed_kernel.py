@@ -17,6 +17,7 @@ from quasiform.gf2poly import (
     MAX_EXPONENT,
     Poly,
     RatFn,
+    parity_split,
     poly_divmod_exact,
     poly_gcd,
 )
@@ -148,6 +149,25 @@ class TestSquareCoordinates:
         for point in points(1):
             if eval_poly(f.den, point):
                 assert eval_ratfn(total, point) == eval_ratfn(f, point)
+
+
+class TestParitySplit:
+    """p = sum over square-free monomials mu of c_mu^2 * mu, one c_mu per
+    exponent parity class of p's terms; every square system is split by
+    it.  The identity is one of polynomials and takes no gcd, so the
+    inputs can be larger than for RatFn.square_coordinates."""
+
+    @given(polys(max_terms=12, max_exp=9))
+    @settings(max_examples=80, deadline=None)
+    def test_reassembly(self, p):
+        split = parity_split(p)
+        assert set(split) == {frozenset(v for v, e in term if e % 2)
+                              for term in p.terms}
+        total = ZERO
+        for names, c in split.items():
+            assert not c.is_zero
+            total = total + c * c * monomial(names)
+        assert total == p
 
 
 class TestIdentity:

@@ -1,6 +1,7 @@
 """Linear algebra over the subfield of squares: rank, membership
-certificates, nullspaces, and span saturation, cross-checked against the
-exponent-parity oracle and by direct arithmetic on the certificates."""
+certificates, kernel vectors, and span saturation, cross-checked against
+the exponent-parity oracle, the full kernel basis of exact elimination,
+and by direct arithmetic on the certificates."""
 
 import random
 
@@ -32,11 +33,13 @@ from quasiform.sqlinalg import (
 from quasiform.forms import QuasilinearForm
 
 from oracles import (
+    elim_kernel_basis,
     monomial_total_index,
     numeric_rank,
     parity_rank,
     sample_monomial_exponents,
     sample_monomial_form,
+    square_kernel_basis,
 )
 
 
@@ -327,18 +330,20 @@ class TestMembershipCertificates:
 class TestNullspaceAndKernels:
     def test_square_nullspace_annihilates(self, F):
         a = F.var("a")
-        vectors = square_nullspace([a, a ** 3, a ** 5])
-        assert vectors, "dependent list must have nontrivial nullspace"
-        for vec in vectors:
-            acc = F.zero()
-            for c, g in zip(vec, [a, a ** 3, a ** 5]):
-                acc = acc + c.square() * g
-            assert acc.is_zero
+        vec = square_nullspace([a, a ** 3, a ** 5])
+        assert vec is not None, "dependent list must have a kernel vector"
+        assert any(not c.is_zero for c in vec)
+        acc = F.zero()
+        for c, g in zip(vec, [a, a ** 3, a ** 5]):
+            acc = acc + c.square() * g
+        assert acc.is_zero
 
-    def test_square_nullspace_is_a_basis_over_the_rational_base(self):
-        """Over a depth-s tower the vectors are a basis over F, not over
-        the tower: 2^s times the kernel's dimension dim - rank, which is
-        what kernel_from_coefficients returns."""
+    def test_square_nullspace_is_the_first_vector_of_the_basis_over_the_base(
+            self):
+        """The one vector is the first of exact elimination's basis over
+        F, not over the tower: over a depth-s tower that basis holds 2^s
+        times the kernel's dimension dim - rank, which is what
+        kernel_from_coefficients returns."""
         F = FieldTower.rational(("a", "b", "c"))
         a, b, c = (F.var(n) for n in "abc")
         K = F.extend_inseparable(a, "y")
@@ -352,21 +357,22 @@ class TestNullspaceAndKernels:
                 ([F.one(), a, a * b, a ** 3], 0, 1),
                 (over(K, F.one(), a, b) + [y * F.embed(b, K)], 1, 1),
                 (over(L, F.one(), a, b, c), 2, 2)):
-            vectors = square_nullspace(gens)
+            vectors = square_kernel_basis([gens])
             assert len(kernel_from_coefficients(gens)) == kernel_dim
             assert len(vectors) == 2 ** depth * kernel_dim
             for vec in vectors:
                 assert square_combination(vec, gens).is_zero
+            assert square_nullspace(gens) == vectors[0]
 
     def test_empty_system_has_no_kernel_to_return(self, F):
         # no equation fixes no set of unknowns; no unknowns give the zero
-        # kernel, and a proved zero kernel is [] as well
+        # kernel, and a proved zero kernel is None as well
         with pytest.raises(ValueError, match="at least one equation"):
             square_nullspace_multi([])
-        assert square_nullspace_multi([[]]) == []
-        assert square_nullspace([]) == []
+        assert square_nullspace_multi([[]]) is None
+        assert square_nullspace([]) is None
         a, b = F.var("a"), F.var("b")
-        assert square_nullspace_multi([[F.one(), a, b]]) == []
+        assert square_nullspace_multi([[F.one(), a, b]]) is None
 
     def test_kernel_matches_total_index(self, F):
         rng = random.Random(55)
@@ -690,7 +696,7 @@ def _decisions(blocks, ngens):
     return (blocks.verdict(with_target, cols, ngens),
             blocks.verdict(without, cols),
             _elim.solvable(blocks.system(with_target, cols, ngens), ncols),
-            len(_elim.nullspace(blocks.system(without, cols), ncols)),
+            len(elim_kernel_basis(blocks.system(without, cols), ncols)),
             blocks.solve(cols, ngens))
 
 
